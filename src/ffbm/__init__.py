@@ -48,7 +48,6 @@ from .dataio import (
 from .dcsbm import (
     BlockState,
     apply_move,
-    build_block_state,
     delta_description_length,
     description_length,
     log_graph_multiplicity,
@@ -57,7 +56,7 @@ from .dcsbm import (
     log_prior_edge_matrix,
     log_stub_pairings,
 )
-from .graph import LabelledNetwork, VertexSplit, degrees, network_from_edges, split_vertices
+from .graph import LabelledNetwork, VertexSplit, network_from_edges, split_vertices
 from .mala import (
     WeightChainConfig,
     WeightChainResult,
@@ -75,7 +74,6 @@ from .softmax import (
     objective,
     objective_and_gradient,
     objective_gradient,
-    softmax_probs,
 )
 from .tables import count_partitions, log_count_partitions
 

@@ -23,8 +23,6 @@ from .dcsbm import (
     _delta_from_stats,
     _neighbor_block_weights,
     _pair_deltas,
-    apply_move,
-    build_block_state,
     description_length,
 )
 from .graph import LabelledNetwork
@@ -58,26 +56,6 @@ class BlockChainResult:
     s_trace: np.ndarray  # S(b) after each iteration, incl. the initial state
     reference: np.ndarray  # greedy MDL initial partition (alignment reference)
     final_state: BlockState
-
-
-class _Workspace:
-    """Static per-network lookup tables for the hot loop."""
-
-    __slots__ = ("num_vertices", "k", "nbrs", "cums")
-
-    def __init__(self, net: LabelledNetwork):
-        self.num_vertices = net.num_vertices
-        self.k = [int(x) for x in net.degrees]
-        self.nbrs = []
-        self.cums = []
-        for i in range(net.num_vertices):
-            js, acc, run = [], [], 0
-            for j, a in net.adjacency[i]:
-                js.append(j)
-                run += a
-                acc.append(run)
-            self.nbrs.append(js)
-            self.cums.append(acc)
 
 
 def _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas):
@@ -121,6 +99,30 @@ def _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas):
     return forward, reverse
 
 
+def _draw_move(state: BlockState, rng: random.Random, eps: float, half_edges):
+    """Draw the (vertex, target block) of a proposal; the chain's only proposal draw.
+
+    The vertex is uniform.  An isolated vertex gets a uniform target; any
+    other picks a uniform half-edge, whose far end lies in block t, and then
+    target s with probability (e_ts + eps) / (e_t + eps B).
+    """
+    B = state.B
+    i = rng.randrange(half_edges.num_vertices)
+    ki = half_edges.degree[i]
+    if ki == 0:
+        return i, rng.randrange(B)
+    x = rng.randrange(ki)
+    t = state.b[half_edges.neighbours[i][bisect_right(half_edges.cumulative[i], x)]]
+    e_t = state.e[t]
+    u = rng.random() * (state.e_row[t] + eps * B)
+    run = 0.0
+    for s in range(B):
+        run += e_t[s] + eps
+        if u < run:
+            return i, s
+    return i, B - 1
+
+
 def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     """Draw a single-vertex move proposal.
 
@@ -128,84 +130,40 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     are the exact proposal probabilities of the move and of its reversal.
     """
     net = state.net
-    n_vert, B = net.num_vertices, state.B
-    i = rng.randrange(n_vert)
-    r = state.b[i]
-    ki = int(net.degrees[i])
+    i, s = _draw_move(state, rng, smoothing, net.half_edges)
+    ki = net.half_edges.degree[i]
     if ki == 0:
-        s = rng.randrange(B)
-        log_q = -math.log(n_vert * B)
+        log_q = -math.log(net.num_vertices * state.B)
         return i, s, log_q, log_q
-
-    x = rng.randrange(ki)
-    acc = 0
-    for j, a in net.adjacency[i]:
-        acc += a
-        if x < acc:
-            break
-    t = state.b[j]
-
-    eps = smoothing
-    u = rng.random() * (state.e_row[t] + eps * B)
-    run = 0.0
-    s = B - 1
-    for cand in range(B):
-        run += state.e[t][cand] + eps
-        if u < run:
-            s = cand
-            break
-
+    r = state.b[i]
     w, loops = _neighbor_block_weights(state, i)
     pair_deltas = _pair_deltas(r, s, w, loops) if s != r else {}
-    forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas)
+    forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, smoothing, pair_deltas)
     return i, s, math.log(forward), math.log(reverse)
 
 
 def mh_step(state: BlockState, cfg: BlockChainConfig, rng: random.Random) -> bool:
     """One Metropolis-Hastings step; mutates the state on acceptance."""
-    accepted, _ = _mh_step_impl(state, rng, cfg.smoothing, _Workspace(state.net))
+    accepted, _ = _mh_step_impl(state, rng, cfg.smoothing, state.net.half_edges)
     return accepted
 
 
-def _mh_step_impl(state, rng, eps, ws):
+def _mh_step_impl(state, rng, eps, half_edges):
     """Fused propose / delta / accept step.  Returns (accepted, delta_S)."""
-    b = state.b
-    B = state.B
-    i = rng.randrange(ws.num_vertices)
-    r = b[i]
-    ki = ws.k[i]
-
-    if ki == 0:
-        # Isolated vertex: uniform proposal, symmetric by construction.
-        s = rng.randrange(B)
-        if s == r:
-            return True, 0.0
-        log_ratio = 0.0
-        pair_deltas = _pair_deltas(r, s, {}, 0)
-    else:
-        x = rng.randrange(ki)
-        nbr = ws.nbrs[i]
-        t = b[nbr[bisect_right(ws.cums[i], x)]]
-        e_t = state.e[t]
-        u = rng.random() * (state.e_row[t] + eps * B)
-        run = 0.0
-        s = B - 1
-        for cand in range(B):
-            run += e_t[cand] + eps
-            if u < run:
-                s = cand
-                break
-        if s == r:
-            return True, 0.0
-        if state.n[r] == 1:
-            return False, 0.0  # would empty the source block
-        w, loops = _neighbor_block_weights(state, i)
-        pair_deltas = _pair_deltas(r, s, w, loops)
-        forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas)
-        log_ratio = math.log(reverse) - math.log(forward)
-
+    i, s = _draw_move(state, rng, eps, half_edges)
+    r = state.b[i]
+    if s == r:
+        return True, 0.0
     if state.n[r] == 1:
         return False, 0.0  # would empty the source block
+    w, loops = _neighbor_block_weights(state, i)
+    pair_deltas = _pair_deltas(r, s, w, loops)
+    ki = half_edges.degree[i]
+    if ki == 0:
+        log_ratio = 0.0  # uniform proposal, symmetric by construction
+    else:
+        forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas)
+        log_ratio = math.log(reverse) - math.log(forward)
     delta = _delta_from_stats(state, i, r, s, pair_deltas)
     log_alpha = -delta + log_ratio
     if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
@@ -233,7 +191,7 @@ def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
     if restarts < 1:
         raise ValueError("need at least one restart")
     if num_blocks == 1:
-        return build_block_state(net, [0] * n_vert, 1)
+        return BlockState(net, [0] * n_vert, 1)
 
     best_state, best_s = None, math.inf
     for _ in range(restarts):
@@ -258,7 +216,7 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
                 labels[donor] = blk
                 counts[blk] += 1
 
-    state = build_block_state(net, labels, num_blocks)
+    state = BlockState(net, labels, num_blocks)
     order = list(range(n_vert))
     improved = True
     while improved:
@@ -269,15 +227,16 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
             if state.n[r] == 1:
                 continue
             w, loops = _neighbor_block_weights(state, i)
-            best_target, best_delta = r, 0.0
+            best_target, best_delta, best_pairs = r, 0.0, None
             for s in range(num_blocks):
                 if s == r:
                     continue
-                delta = _delta_from_stats(state, i, r, s, _pair_deltas(r, s, w, loops))
+                pairs = _pair_deltas(r, s, w, loops)
+                delta = _delta_from_stats(state, i, r, s, pairs)
                 if delta < best_delta:
-                    best_target, best_delta = s, delta
+                    best_target, best_delta, best_pairs = s, delta, pairs
             if best_target != r:
-                apply_move(state, i, best_target)
+                _apply_from_stats(state, i, r, best_target, best_pairs)
                 improved = True
     return state
 
@@ -288,7 +247,7 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
     state = mdl_partition(net, num_blocks, rng, restarts=cfg.init_restarts)
     reference = state.partition()
 
-    ws = _Workspace(net)
+    half_edges = net.half_edges
     eps = cfg.smoothing
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     keep_set = frozenset(keep)
@@ -304,7 +263,7 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
     step = _mh_step_impl
     for it in range(1, cfg.iterations + 1):
         for _ in range(n_vert):
-            accepted, delta = step(state, rng, eps, ws)
+            accepted, delta = step(state, rng, eps, half_edges)
             if accepted:
                 s_now += delta
         trace[it] = s_now

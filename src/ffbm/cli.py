@@ -2,8 +2,8 @@
 
 Subcommands:
     generate       draw a synthetic instance and write it to disk
-    sample-blocks  run the partition sampler, write samples / trace / responsibilities
-    sample-theta   run partition + weight samplers, write weight samples and trace
+    sample-blocks  run the partition stage, write samples / trace / responsibilities
+    sample-theta   run the partition and weight stages, write weight samples and trace
     reduce         screen features from previously written weight samples
     report         run the full experiment (all repetitions) and write report.json
     run            like report, but also writes per-repetition artifacts
@@ -38,8 +38,9 @@ from .dataio import (
 from .pipeline import (
     experiment_payload,
     load_config_network,
+    partition_stage,
     run_experiment,
-    run_repetition,
+    weight_stage,
 )
 
 
@@ -167,13 +168,14 @@ def _run_command(args) -> int:
         return _cmd_reduce(cfg, net, out)
 
     if args.command == "sample-blocks":
-        _, artifacts = run_repetition(net, cfg, repetition=0)
+        artifacts = partition_stage(net, cfg, 0)
         _write_block_outputs(out, artifacts)
         print(f"wrote {len(artifacts.block_result.samples)} retained partition samples to {out}")
         return 0
 
     if args.command == "sample-theta":
-        _, artifacts = run_repetition(net, cfg, repetition=0)
+        artifacts = partition_stage(net, cfg, 0)
+        weight_stage(net, cfg, 0, artifacts)
         _write_block_outputs(out, artifacts)
         _write_theta_outputs(out, artifacts, net)
         print(f"wrote {len(artifacts.weight_result.samples)} retained weight samples to {out}")

@@ -56,13 +56,10 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+# Annotations are strings here (postponed evaluation, see the __future__ import).
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_STRING_FIELDS = {"edges", "features", "categorical_features"}
-_INT_FIELDS = {
-    "num_blocks", "block_iters", "block_thinning", "init_restarts",
-    "theta_iters", "theta_thinning",
-    "reduce_dim", "reduced_theta_iters", "reduced_theta_thinning", "repetitions", "seed",
-}
+_STRING_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "str"}
+_INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
 
 
 def _coerce(key: str, value):
@@ -72,6 +69,9 @@ def _coerce(key: str, value):
         return None
     if key in _STRING_FIELDS:
         return str(value)
+    if key in _INT_FIELDS and (
+            isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise DataFormatError(f"configuration key {key!r} needs an integer, got {value!r}")
     try:
         if key in _INT_FIELDS:
             return int(value)

@@ -92,11 +92,6 @@ class BlockState:
         return np.array(self.b, dtype=np.int64)
 
 
-def build_block_state(net: LabelledNetwork, b, B: int) -> BlockState:
-    """Assemble a BlockState from a raw partition, validating labels."""
-    return BlockState(net, b, B)
-
-
 def log_stub_pairings(state: BlockState) -> float:
     """Log count of half-edge pairings compatible with the block edge counts.
 
@@ -174,33 +169,30 @@ def _neighbor_block_weights(state: BlockState, i: int):
 
 
 def _pair_deltas(r: int, s: int, w, loops):
-    """Changes to the upper-triangle entries of e when a vertex moves r -> s.
+    """Changes to the upper-triangle entries of e when a vertex moves r -> s, r != s.
 
     Keys are (min(t,u), max(t,u)); diagonal entries carry the doubled count.
+    With r != s every key below is distinct, so each is assigned once.
     """
     m_r = w.get(r, 0) - loops
     m_s = w.get(s, 0)
-    deltas = {}
-
-    def bump(t, u, d):
-        key = (t, u) if t <= u else (u, t)
-        deltas[key] = deltas.get(key, 0) + d
-
-    bump(r, r, -2 * m_r - loops)
-    bump(s, s, 2 * m_s + loops)
-    bump(r, s, m_r - m_s)
+    deltas = {
+        (r, r): -2 * m_r - loops,
+        (s, s): 2 * m_s + loops,
+        (r, s) if r < s else (s, r): m_r - m_s,
+    }
     for t, wt in w.items():
         if t == r or t == s:
             continue
-        bump(r, t, -wt)
-        bump(s, t, wt)
+        deltas[(r, t) if r < t else (t, r)] = -wt
+        deltas[(s, t) if s < t else (t, s)] = wt
     return deltas
 
 
 def _delta_from_stats(state: BlockState, i: int, r: int, s: int, pair_deltas) -> float:
     """S(b with b_i <- s) - S(b), given precomputed edge-count changes."""
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
-    ki = int(state.net.degrees[i])
+    ki = state.net.half_edges.degree[i]
 
     delta = 0.0
     # Pairing count: row factorials for the two affected blocks...
@@ -255,7 +247,7 @@ def apply_move(state: BlockState, i: int, target: int) -> None:
 
 def _apply_from_stats(state: BlockState, i: int, r: int, s: int, pair_deltas) -> None:
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
-    ki = int(state.net.degrees[i])
+    ki = state.net.half_edges.degree[i]
     for (t, u), d in pair_deltas.items():
         if d == 0:
             continue

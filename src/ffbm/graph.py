@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,34 @@ class LabelledNetwork:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def loop_weight(self, i: int) -> int:
-        """A_ii: twice the self-loop multiplicity at vertex i."""
-        for j, a in self.adjacency[i]:
-            if j == i:
-                return a
-        return 0
+    @cached_property
+    def half_edges(self) -> "HalfEdgeTable":
+        """Lookup tables for drawing a uniform half-edge, built on first use."""
+        return HalfEdgeTable(self)
+
+
+class HalfEdgeTable:
+    """Per-vertex lists for drawing the far end of a uniformly chosen half-edge.
+
+    For a uniform integer x in [0, degree[i]), the half-edge's far end is
+    neighbours[i][bisect_right(cumulative[i], x)].
+    """
+
+    __slots__ = ("num_vertices", "degree", "neighbours", "cumulative")
+
+    def __init__(self, net: LabelledNetwork):
+        self.num_vertices = net.num_vertices
+        self.degree = [int(x) for x in net.degrees]
+        self.neighbours = []
+        self.cumulative = []
+        for i in range(net.num_vertices):
+            js, acc, run = [], [], 0
+            for j, a in net.adjacency[i]:
+                js.append(j)
+                run += a
+                acc.append(run)
+            self.neighbours.append(js)
+            self.cumulative.append(acc)
 
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:
@@ -94,11 +117,6 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None) -
         feature_names = tuple(f"f{d}" for d in range(np.asarray(features).shape[1]))
     edges = tuple(e if len(e) == 3 else (e[0], e[1], 1) for e in edges)
     return LabelledNetwork(num_vertices, edges, features, feature_names)
-
-
-def degrees(net: LabelledNetwork) -> np.ndarray:
-    """Degree sequence; a self-loop adds 2 to its vertex's degree."""
-    return net.degrees.copy()
 
 
 @dataclass(frozen=True)

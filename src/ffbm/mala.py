@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import retained_indices
-from .softmax import ObjectiveContext, objective, objective_and_gradient, objective_gradient
+from .softmax import ObjectiveContext, objective_and_gradient
 
 
 @dataclass
@@ -68,13 +68,17 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
     return -float((drift * drift).sum()) / (4.0 * step)
 
 
+def _log_alpha(current, u_cur, proposal, u_prop, grad_prop, log_fwd, step) -> float:
+    """log Metropolis-Hastings ratio of current -> proposal; log_fwd is log q(current -> proposal)."""
+    return u_cur - u_prop + proposal_log_density(proposal, current, grad_prop, step) - log_fwd
+
+
 def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveContext, step: float) -> float:
     """log of the Metropolis-Hastings acceptance probability of the proposal."""
-    u_cur = objective(current, ctx)
-    u_prop = objective(proposal, ctx)
-    log_fwd = proposal_log_density(current, proposal, objective_gradient(current, ctx), step)
-    log_rev = proposal_log_density(proposal, current, objective_gradient(proposal, ctx), step)
-    return min(0.0, u_cur - u_prop + log_rev - log_fwd)
+    u_cur, grad_cur = objective_and_gradient(current, ctx)
+    u_prop, grad_prop = objective_and_gradient(proposal, ctx)
+    log_fwd = proposal_log_density(current, proposal, grad_cur, step)
+    return min(0.0, _log_alpha(current, u_cur, proposal, u_prop, grad_prop, log_fwd, step))
 
 
 def run_weight_chain(ctx: ObjectiveContext, cfg: WeightChainConfig) -> WeightChainResult:
@@ -101,8 +105,7 @@ def run_weight_chain(ctx: ObjectiveContext, cfg: WeightChainConfig) -> WeightCha
         prop_value, prop_grad = objective_and_gradient(proposal, ctx)
         # Forward density shortcut: the drift residual is exactly the noise.
         log_fwd = -float((noise * noise).sum()) / 2.0
-        log_rev = proposal_log_density(proposal, weights, prop_grad, h)
-        log_alpha = value - prop_value + log_rev - log_fwd
+        log_alpha = _log_alpha(weights, value, proposal, prop_value, prop_grad, log_fwd, h)
         if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
             weights, value, grad = proposal, prop_value, prop_grad
             accepted[t] = True

@@ -26,12 +26,12 @@ from .softmax import ObjectiveContext
 
 @dataclass
 class RepetitionArtifacts:
-    """Chain-level outputs of one repetition, for serialisation."""
+    """Chain-level outputs of one repetition, filled in stage by stage."""
 
     block_result: object
     responsibilities: np.ndarray
-    split: object
-    weight_result: object
+    split: object = None
+    weight_result: object = None
     reduction: object = None
     reduced_weight_result: object = None
 
@@ -45,11 +45,8 @@ def load_config_network(cfg: RunConfig) -> LabelledNetwork:
     return load_network(cfg.edges, cfg.features, cfg.categorical_features)
 
 
-def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
-    """One full pipeline pass: partitions, responsibilities, weights, metrics."""
-    if net.num_features == 0:
-        raise DataFormatError("the weight sampler needs a feature matrix")
-
+def partition_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int) -> RepetitionArtifacts:
+    """Stage 1: the partition chain and the aligned block-membership estimate."""
     block_cfg = BlockChainConfig(
         iterations=cfg.block_iters,
         burn_in=cfg.block_burn_in,
@@ -61,21 +58,58 @@ def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
     block_res = run_block_chain(net, cfg.num_blocks, block_cfg)
     responsibilities = estimate_responsibilities(
         block_res.samples, block_res.reference, cfg.num_blocks)
+    return RepetitionArtifacts(block_result=block_res, responsibilities=responsibilities)
 
-    split = split_vertices(net.num_vertices, cfg.train_fraction,
-                           stream_seed_sequence(cfg.seed, "split", repetition))
-    features = net.features.astype(np.float64)
-    ctx = ObjectiveContext(features[split.train], responsibilities[split.train], cfg.sigma)
+
+def _weight_chain(cfg: RunConfig, art: RepetitionArtifacts, features, seed,
+                  iterations, burn_in, thinning, step_scale):
+    """The weight chain on the training rows of the given feature columns."""
+    ctx = ObjectiveContext(features[art.split.train], art.responsibilities[art.split.train], cfg.sigma)
     weight_cfg = WeightChainConfig(
-        iterations=cfg.theta_iters,
-        burn_in=cfg.theta_burn_in,
-        thinning=cfg.theta_thinning,
+        iterations=iterations,
+        burn_in=burn_in,
+        thinning=thinning,
         sigma=cfg.sigma,
-        step_scale=cfg.step_scale,
-        seed=stream_seed_sequence(cfg.seed, "weight-chain", repetition),
+        step_scale=step_scale,
+        seed=seed,
     )
-    weight_res = run_weight_chain(ctx, weight_cfg)
+    return run_weight_chain(ctx, weight_cfg)
 
+
+def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
+                 art: RepetitionArtifacts) -> None:
+    """Stage 2: the train/test split and the weight chain on all features."""
+    if net.num_features == 0:
+        raise DataFormatError("the weight sampler needs a feature matrix")
+    art.split = split_vertices(net.num_vertices, cfg.train_fraction,
+                               stream_seed_sequence(cfg.seed, "split", repetition))
+    art.weight_result = _weight_chain(
+        cfg, art, net.features, stream_seed_sequence(cfg.seed, "weight-chain", repetition),
+        cfg.theta_iters, cfg.theta_burn_in, cfg.theta_thinning, cfg.step_scale)
+
+
+def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
+                 art: RepetitionArtifacts) -> None:
+    """Stage 3: keep the reduce_dim best-scoring features and rerun the weight chain on them."""
+    summary = summarize_weights(art.weight_result.samples)
+    art.reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
+    art.reduced_weight_result = _weight_chain(
+        cfg, art, net.features[:, art.reduction.kept],
+        stream_seed_sequence(cfg.seed, "reduced-weight-chain", repetition),
+        cfg.reduced_theta_iters, cfg.reduced_theta_burn_in, cfg.reduced_theta_thinning,
+        cfg.reduced_step_scale)
+
+
+def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
+    """One full pipeline pass: the partition, weight and (with reduce_dim) screen stages, then metrics."""
+    art = partition_stage(net, cfg, repetition)
+    weight_stage(net, cfg, repetition, art)
+    if cfg.reduce_dim is not None:
+        screen_stage(net, cfg, repetition, art)
+
+    block_res, weight_res = art.block_result, art.weight_result
+    responsibilities, split = art.responsibilities, art.split
+    features = net.features.astype(np.float64)
     retained_s = block_res.s_trace[block_res.retained]
     report = EvaluationReport(
         mean_dl=mean_description_length(retained_s, net.num_vertices, net.num_edges,
@@ -87,39 +121,17 @@ def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
         acceptance_ratio=weight_res.acceptance_ratio,
         mean_objective=weight_res.mean_objective,
     )
-    artifacts = RepetitionArtifacts(
-        block_result=block_res,
-        responsibilities=responsibilities,
-        split=split,
-        weight_result=weight_res,
-    )
-
-    if cfg.reduce_dim is not None:
-        summary = summarize_weights(weight_res.samples)
-        reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
-        reduced_features = features[:, reduction.kept]
-        reduced_ctx = ObjectiveContext(
-            reduced_features[split.train], responsibilities[split.train], cfg.sigma)
-        reduced_cfg = WeightChainConfig(
-            iterations=cfg.reduced_theta_iters,
-            burn_in=cfg.reduced_theta_burn_in,
-            thinning=cfg.reduced_theta_thinning,
-            sigma=cfg.sigma,
-            step_scale=cfg.reduced_step_scale,
-            seed=stream_seed_sequence(cfg.seed, "reduced-weight-chain", repetition),
-        )
-        reduced_res = run_weight_chain(reduced_ctx, reduced_cfg)
-        report.cutoff = reduction.cutoff
-        report.kept_features = [int(d) for d in reduction.kept]
+    if art.reduction is not None:
+        reduced_res = art.reduced_weight_result
+        reduced_features = features[:, art.reduction.kept]
+        report.cutoff = art.reduction.cutoff
+        report.kept_features = [int(d) for d in art.reduction.kept]
         report.reduced_loss_train = cross_entropy_loss(
             reduced_res.samples, responsibilities, reduced_features, split.train)
         report.reduced_loss_test = cross_entropy_loss(
             reduced_res.samples, responsibilities, reduced_features, split.test)
         report.reduced_acceptance_ratio = reduced_res.acceptance_ratio
-        artifacts.reduction = reduction
-        artifacts.reduced_weight_result = reduced_res
-
-    return report, artifacts
+    return report, art
 
 
 def _repetition_task(args):

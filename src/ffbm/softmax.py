@@ -56,14 +56,6 @@ class ObjectiveContext:
         return self.features.shape[1]
 
 
-def softmax_probs(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Block probabilities for a single feature vector, overflow-safe."""
-    logits = np.asarray(weights, dtype=np.float64) @ np.asarray(x, dtype=np.float64)
-    logits -= logits.max()
-    p = np.exp(logits)
-    return p / p.sum()
-
-
 def class_probabilities(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Row-wise softmax of features @ weights.T (one row per vertex)."""
     logits = np.asarray(features, dtype=np.float64) @ np.asarray(weights, dtype=np.float64).T
@@ -78,27 +70,15 @@ def _log_normaliser(logits: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def objective(weights: np.ndarray, ctx: ObjectiveContext) -> float:
-    """Soft cross-entropy plus ridge penalty: sum_ij y_ij log(1/a_ij) + |W|^2 / (2 sigma^2).
-
-    Computed through the log-normaliser so extreme logits cannot underflow:
-    sum_j y_ij log(1/a_ij) = logZ_i - sum_j y_ij logit_ij.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    logits = ctx.features @ weights.T
-    cross = _log_normaliser(logits).sum() - float((ctx.targets * logits).sum())
-    return cross + float((weights * weights).sum()) / (2.0 * ctx.sigma**2)
-
-
-def objective_gradient(weights: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
-    """d objective / dW; row k is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2."""
-    weights = np.asarray(weights, dtype=np.float64)
-    probs = class_probabilities(weights, ctx.features)
-    return (probs - ctx.targets).T @ ctx.features + weights / ctx.sigma**2
-
-
 def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
-    """Objective and gradient sharing one softmax evaluation."""
+    """Objective and gradient sharing one softmax evaluation.
+
+    The objective is the soft cross-entropy plus ridge penalty
+    sum_ij y_ij log(1/a_ij) + |W|^2 / (2 sigma^2), computed through the
+    log-normaliser so extreme logits cannot underflow:
+    sum_j y_ij log(1/a_ij) = logZ_i - sum_j y_ij logit_ij.
+    Row k of the gradient is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     logits = ctx.features @ weights.T
     log_z = _log_normaliser(logits)
@@ -107,6 +87,16 @@ def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
     probs = np.exp(logits - log_z[:, None])
     grad = (probs - ctx.targets).T @ ctx.features + weights / ctx.sigma**2
     return value, grad
+
+
+def objective(weights: np.ndarray, ctx: ObjectiveContext) -> float:
+    """The objective of objective_and_gradient."""
+    return objective_and_gradient(weights, ctx)[0]
+
+
+def objective_gradient(weights: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
+    """d objective / dW, as objective_and_gradient computes it."""
+    return objective_and_gradient(weights, ctx)[1]
 
 
 def log_partition_given_features(num_vertices: int, num_blocks: int) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 
 from ffbm import (
     BlockChainConfig,
+    BlockState,
     GeneratorSpec,
     ObjectiveContext,
     RunConfig,
@@ -20,7 +21,6 @@ from ffbm import (
     accept_log_prob,
     align_labels,
     apply_move,
-    build_block_state,
     count_partitions,
     delta_description_length,
     description_length,
@@ -92,7 +92,7 @@ def test_criterion_2_exact_posterior_oracle():
     for labels in itertools.product(range(2), repeat=5):
         if len(set(labels)) < 2:
             continue  # unreachable at fixed B: empty-block moves are rejected
-        state = build_block_state(net, list(labels), 2)
+        state = BlockState(net, list(labels), 2)
         log_pi[labels] = -description_length(net, state)
     peak = max(log_pi.values())
     z = sum(math.exp(v - peak) for v in log_pi.values())
@@ -169,7 +169,7 @@ def test_criterion_5_incremental_delta():
     net = random_multigraph(rng, 50, 150)
     assert 150 <= net.num_edges <= 280
     labels = rng.integers(0, 4, 50)
-    state = build_block_state(net, labels, 4)
+    state = BlockState(net, labels, 4)
     s_prev = description_length(net, state)
     worst = 0.0
     applied = 0
@@ -180,7 +180,7 @@ def test_criterion_5_incremental_delta():
         if not math.isfinite(delta):
             continue
         apply_move(state, i, target)
-        s_new = description_length(net, build_block_state(net, state.b, 4))
+        s_new = description_length(net, BlockState(net, state.b, 4))
         worst = max(worst, abs((s_new - s_prev) - delta))
         s_prev = s_new
         applied += 1
@@ -218,7 +218,7 @@ def test_criterion_7_microcanonical_normalisation():
     omega = None
     for canon, config_count in by_graph.items():
         net = network_from_edges(4, canon)
-        state = build_block_state(net, labels, 1)
+        state = BlockState(net, labels, 1)
         omega = exact_pairing_count(state)
         assert exact_graph_multiplicity(net) == config_count
         prob_sum += Fraction(config_count, omega)

@@ -6,11 +6,11 @@ import pytest
 from ffbm import (
     WeightSummary,
     block_accuracy,
+    class_probabilities,
     cross_entropy_loss,
     feature_scores,
     mean_description_length,
     reduce_dimension,
-    softmax_probs,
     summarize_weights,
 )
 
@@ -189,7 +189,7 @@ def test_cross_entropy_matches_naive_loop():
     total = 0.0
     for w in samples:
         for i in subset:
-            probs = softmax_probs(w, feats[i])
+            probs = class_probabilities(w, feats[i][None])[0]
             for j in range(2):
                 total += y[i, j] * math.log(1.0 / probs[j])
     expected = total / (len(samples) * len(subset))
@@ -238,7 +238,7 @@ def test_block_accuracy_matches_naive_loop():
         hits = 0
         for w in samples:
             for i in members:
-                hits += int(np.argmax(softmax_probs(w, feats[i])) == assigned[i])
+                hits += int(np.argmax(class_probabilities(w, feats[i][None])[0]) == assigned[i])
         assert math.isclose(got[j], hits / (len(members) * len(samples)), rel_tol=1e-12)
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from ffbm import (
     BlockChainConfig,
+    BlockState,
     align_labels,
-    build_block_state,
     delta_description_length,
     description_length,
     estimate_responsibilities,
@@ -19,7 +19,8 @@ from ffbm import (
     propose_move,
     run_block_chain,
 )
-from ffbm.block_chain import _Workspace, _mh_step_impl, _proposal_probs
+from ffbm import block_chain
+from ffbm.block_chain import _mh_step_impl, _proposal_probs
 from ffbm.dcsbm import _neighbor_block_weights, _pair_deltas, apply_move
 from ffbm.sampling import retained_indices
 
@@ -54,7 +55,7 @@ def test_config_validation():
 # ----------------------------------------------------------------- proposals
 
 def test_propose_single_block(bowtie):
-    state = build_block_state(bowtie, [0] * 5, 1)
+    state = BlockState(bowtie, [0] * 5, 1)
     rng = random.Random(0)
     for _ in range(20):
         i, s, log_fwd, log_rev = propose_move(state, rng)
@@ -64,7 +65,7 @@ def test_propose_single_block(bowtie):
 
 def test_propose_huge_smoothing_is_uniform(bowtie):
     # eps -> inf: p(s|t) -> 1/B, so the move probability is 1/(N B).
-    state = build_block_state(bowtie, [0, 0, 0, 1, 1], 2)
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     rng = random.Random(1)
     for _ in range(50):
         i, s, log_fwd, _ = propose_move(state, rng, smoothing=1e12)
@@ -72,7 +73,7 @@ def test_propose_huge_smoothing_is_uniform(bowtie):
 
 
 def test_propose_forward_probabilities_sum_to_one(bowtie):
-    state = build_block_state(bowtie, [0, 0, 0, 1, 1], 2)
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     for i in range(5):
         r = state.b[i]
         ki = int(bowtie.degrees[i])
@@ -109,7 +110,7 @@ def closed_form_proposal_probs(state, eps=1.0):
 def test_propose_empirical_frequencies_match_closed_form():
     # Monte Carlo on a 4-vertex two-block graph versus the closed form.
     net = network_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    state = build_block_state(net, [0, 0, 1, 1], 2)
+    state = BlockState(net, [0, 0, 1, 1], 2)
     expected = closed_form_proposal_probs(state)
     assert math.isclose(sum(expected.values()), 1.0, rel_tol=1e-12)
     rng = random.Random(2)
@@ -133,7 +134,7 @@ def test_propose_reverse_matches_forward_of_reversed_state(bowtie):
         labels = [rng.randrange(2) for _ in range(5)]
         if len(set(labels)) < 2:
             continue
-        state = build_block_state(bowtie, labels, 2)
+        state = BlockState(bowtie, labels, 2)
         i = rng.randrange(5)
         r = state.b[i]
         if state.n[r] == 1:
@@ -159,7 +160,7 @@ def test_detailed_balance_spot_check(bowtie):
         labels = [rng.randrange(2) for _ in range(5)]
         if len(set(labels)) < 2:
             continue
-        state = build_block_state(bowtie, labels, 2)
+        state = BlockState(bowtie, labels, 2)
         i = rng.randrange(5)
         r = state.b[i]
         if state.n[r] == 1:
@@ -186,7 +187,7 @@ def test_detailed_balance_spot_check(bowtie):
 # ----------------------------------------------------------------- MH stepping
 
 def test_mh_step_never_empties_blocks(bowtie):
-    state = build_block_state(bowtie, [0, 0, 0, 1, 1], 2)
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     cfg = BlockChainConfig(iterations=10, seed=0)
     rng = random.Random(5)
     for _ in range(2000):
@@ -197,20 +198,44 @@ def test_mh_step_never_empties_blocks(bowtie):
 def test_mh_step_accepts_noop():
     # With one block every proposal is the identity move and must be accepted.
     net = network_from_edges(3, [(0, 1), (1, 2)])
-    state = build_block_state(net, [0, 0, 0], 1)
+    state = BlockState(net, [0, 0, 0], 1)
     cfg = BlockChainConfig(iterations=10, seed=0)
     rng = random.Random(6)
     assert all(mh_step(state, cfg, rng) for _ in range(50))
 
 
+def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
+    # Forced acceptance makes the chain's step reveal its (vertex, target) in
+    # the state; equal generator states afterwards show that all three
+    # consumed the same draws.  The graph has an isolated vertex and a loop.
+    monkeypatch.setattr(block_chain, "_delta_from_stats", lambda *args: -math.inf)
+    net = network_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 4)])
+    proposer = BlockState(net, [0, 0, 1, 1, 2, 2], 3)
+    chain, stepped = proposer.copy(), proposer.copy()
+    cfg = BlockChainConfig(iterations=10, seed=0)
+    rng_p, rng_c, rng_m = random.Random(8), random.Random(8), random.Random(8)
+    moves = 0
+    for _ in range(300):
+        i, s, _, _ = propose_move(proposer, rng_p)
+        r = proposer.b[i]
+        _mh_step_impl(chain, rng_c, 1.0, net.half_edges)
+        mh_step(stepped, cfg, rng_m)
+        if s != r and proposer.n[r] > 1:
+            apply_move(proposer, i, s)
+            moves += 1
+        assert chain.b == stepped.b == proposer.b
+        assert rng_c.getstate() == rng_m.getstate() == rng_p.getstate()
+    assert moves > 50
+
+
 def test_degree_zero_vertices_move():
     net = network_from_edges(4, [(0, 1)])
-    state = build_block_state(net, [0, 0, 1, 1], 2)
-    ws = _Workspace(net)
+    state = BlockState(net, [0, 0, 1, 1], 2)
+    cfg = BlockChainConfig(iterations=10, seed=0)
     rng = random.Random(7)
     seen = set()
     for _ in range(500):
-        _mh_step_impl(state, rng, 1.0, ws)
+        mh_step(state, cfg, rng)
         seen.add(tuple(state.b))
         assert min(state.n) >= 1
     assert len(seen) > 1  # isolated vertices do get reassigned
@@ -242,7 +267,7 @@ def test_clique_split_is_global_optimum():
     for labels in itertools.product(range(2), repeat=6):
         if len(set(labels)) < 2:
             continue
-        s = description_length(net, build_block_state(net, list(labels), 2))
+        s = description_length(net, BlockState(net, list(labels), 2))
         if s < best:
             best, best_labels = s, labels
     assert best_labels in ((0, 0, 0, 1, 1, 1), (1, 1, 1, 0, 0, 0))
@@ -281,14 +306,13 @@ def test_burn_in_decreases_s_from_random_start():
     net = two_cliques(6)
     rng = random.Random(13)
     labels = [rng.randrange(2) for _ in range(11)] + [1]
-    state = build_block_state(net, labels, 2)
-    ws = _Workspace(net)
+    state = BlockState(net, labels, 2)
     s0 = description_length(net, state)
     trace = []
     s_now = s0
     for _ in range(300):
         for _ in range(net.num_vertices):
-            accepted, delta = _mh_step_impl(state, rng, 1.0, ws)
+            accepted, delta = _mh_step_impl(state, rng, 1.0, net.half_edges)
             if accepted:
                 s_now += delta
         trace.append(s_now)
@@ -359,7 +383,7 @@ def enumerate_posterior(net, num_blocks):
     for labels in itertools.product(range(num_blocks), repeat=net.num_vertices):
         if len(set(labels)) < num_blocks:
             continue
-        state = build_block_state(net, list(labels), num_blocks)
+        state = BlockState(net, list(labels), num_blocks)
         log_pi[labels] = -description_length(net, state)
     peak = max(log_pi.values())
     z = sum(math.exp(v - peak) for v in log_pi.values())
@@ -398,7 +422,7 @@ def test_responsibilities_match_enumerated_marginals(bowtie):
     for labels in itertools.product(range(2), repeat=5):
         if len(set(labels)) < 2:
             continue
-        state = build_block_state(bowtie, list(labels), 2)
+        state = BlockState(bowtie, list(labels), 2)
         log_pi[labels] = -description_length(bowtie, state)
     peak = max(log_pi.values())
     z = sum(math.exp(v - peak) for v in log_pi.values())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ffbm import load_network
+from ffbm import build_config, load_network
 from ffbm.cli import main
 
 
@@ -172,3 +172,23 @@ def test_json_config(tmp_path, synthetic_dir):
     assert main(["report", "--config", str(cfg), "--out-dir", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["config"]["num_blocks"] == 2
+
+
+def test_sample_blocks_needs_no_features(synthetic_dir, tmp_path):
+    # Only the weight stage needs a feature matrix.
+    inst, _ = synthetic_dir
+    common = ["--set", f"edges={inst / 'edges.txt'}", "--set", "num_blocks=2",
+              "--set", "block_iters=20"]
+    out = tmp_path / "blocks"
+    assert main(["sample-blocks", *common, "--out-dir", str(out)]) == 0
+    assert (out / "responsibilities.csv").is_file()
+    assert main(["sample-theta", *common, "--out-dir", str(tmp_path / "theta")]) == 2
+
+
+@pytest.mark.parametrize("entry", [{"num_blocks": 2.9}, {"repetitions": True}])
+def test_json_config_rejects_lossy_integers(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert main(["report", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    cfg.write_text(json.dumps({"num_blocks": 3.0}))
+    assert build_config(cfg).num_blocks == 3

@@ -6,9 +6,8 @@ import pytest
 from scipy.stats import chisquare
 
 from ffbm import (
+    BlockState,
     GeneratorSpec,
-    build_block_state,
-    degrees,
     generate,
     network_from_edges,
     sample_memberships,
@@ -60,7 +59,7 @@ def test_poisson_rejects_asymmetric_affinity():
 
 
 def modularity(net, labels):
-    state = build_block_state(net, labels, int(max(labels)) + 1)
+    state = BlockState(net, labels, int(max(labels)) + 1)
     two_e = 2.0 * net.num_edges
     return sum(state.e[r][r] / two_e - (state.e_row[r] / two_e) ** 2
                for r in range(state.B))
@@ -128,9 +127,9 @@ def test_microcanonical_reproduces_edge_counts():
     for _ in range(25):
         edges = sample_microcanonical_graph(labels, e, k, rng)
         net = network_from_edges(6, edges)
-        state = build_block_state(net, labels, 3)
+        state = BlockState(net, labels, 3)
         assert np.array_equal(np.array(state.e), e)
-        assert degrees(net).tolist() == k
+        assert net.degrees.tolist() == k
 
 
 def test_microcanonical_rejects_inconsistent_constraints():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from ffbm import (
     DataFormatError,
-    degrees,
     load_network,
     load_polbooks,
     network_from_edges,
@@ -41,7 +40,7 @@ def test_parse_edge_list_self_loop_degree(tmp_path):
     p = tmp_path / "edges.txt"
     p.write_text("0 0\n")
     net = network_from_edges(1, parse_edge_list(p))
-    assert degrees(net).tolist() == [2]
+    assert net.degrees.tolist() == [2]
 
 
 def test_parse_edge_list_comments_and_multiplicity(tmp_path):
@@ -155,4 +154,4 @@ def test_polbooks_loads():
     assert net.num_edges == 441
     assert net.feature_names == ("liberal", "conservative", "neutral")
     assert net.features.sum(axis=1).tolist() == [1] * 105
-    assert int(degrees(net).sum()) == 882
+    assert int(net.degrees.sum()) == 882

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ffbm import (
+    BlockState,
     apply_move,
-    build_block_state,
     delta_description_length,
     description_length,
     log_graph_multiplicity,
@@ -25,7 +25,7 @@ from conftest import random_multigraph
 # ------------------------------------------------------------ state building
 
 def test_build_state_path(path3):
-    state = build_block_state(path3, [0, 0, 1], 2)
+    state = BlockState(path3, [0, 0, 1], 2)
     assert state.e == [[2, 1], [1, 0]]
     assert state.n == [2, 1]
     assert state.eta[0] == {1: 1, 2: 1}
@@ -33,19 +33,19 @@ def test_build_state_path(path3):
 
 
 def test_build_state_single_block(bowtie):
-    state = build_block_state(bowtie, [0] * 5, 1)
+    state = BlockState(bowtie, [0] * 5, 1)
     assert state.e == [[2 * bowtie.num_edges]]
 
 
 def test_build_state_empty_graph():
     net = network_from_edges(4, [])
-    state = build_block_state(net, [0, 1, 0, 1], 2)
+    state = BlockState(net, [0, 1, 0, 1], 2)
     assert state.e == [[0, 0], [0, 0]]
 
 
 def test_build_state_rejects_bad_labels(path3):
     with pytest.raises(ValueError):
-        build_block_state(path3, [0, 0, 2], 2)
+        BlockState(path3, [0, 0, 2], 2)
 
 
 def test_state_invariants_random():
@@ -53,7 +53,7 @@ def test_state_invariants_random():
     for _ in range(10):
         net = random_multigraph(rng, 12, 30)
         b = rng.integers(0, 4, 12)
-        state = build_block_state(net, b, 4)
+        state = BlockState(net, b, 4)
         e = np.array(state.e)
         assert (e == e.T).all()
         assert e.sum() == 2 * net.num_edges
@@ -68,13 +68,13 @@ def test_state_invariants_random():
 def test_stub_pairings_examples():
     # one block, 2 half-edges: 2!/2!! = 1
     net = network_from_edges(2, [(0, 1)])
-    assert math.isclose(log_stub_pairings(build_block_state(net, [0, 0], 1)), 0.0, abs_tol=1e-12)
+    assert math.isclose(log_stub_pairings(BlockState(net, [0, 0], 1)), 0.0, abs_tol=1e-12)
     # one block, 4 half-edges: 4!/(2^2 2!) = 3 perfect matchings
     net = network_from_edges(2, [(0, 1, 2)])
-    assert math.isclose(log_stub_pairings(build_block_state(net, [0, 0], 1)), math.log(3), rel_tol=1e-12)
+    assert math.isclose(log_stub_pairings(BlockState(net, [0, 0], 1)), math.log(3), rel_tol=1e-12)
     # single cross edge between two blocks: 1!1!/1! = 1
     net = network_from_edges(2, [(0, 1)])
-    assert math.isclose(log_stub_pairings(build_block_state(net, [0, 1], 2)), 0.0, abs_tol=1e-12)
+    assert math.isclose(log_stub_pairings(BlockState(net, [0, 1], 2)), 0.0, abs_tol=1e-12)
 
 
 def test_graph_multiplicity_examples(path3):
@@ -87,10 +87,10 @@ def test_graph_multiplicity_examples(path3):
 
 def test_likelihood_examples():
     double = network_from_edges(2, [(0, 1, 2)])
-    st = build_block_state(double, [0, 0], 1)
+    st = BlockState(double, [0, 0], 1)
     assert math.isclose(math.exp(log_likelihood(double, st)), 2 / 3, rel_tol=1e-12)
     single = network_from_edges(2, [(0, 1)])
-    st = build_block_state(single, [0, 0], 1)
+    st = BlockState(single, [0, 0], 1)
     assert math.isclose(log_likelihood(single, st), 0.0, abs_tol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_likelihood_never_positive():
     for _ in range(20):
         net = random_multigraph(rng, 8, 14)
         b = rng.integers(0, 3, 8)
-        assert log_likelihood(net, build_block_state(net, b, 3)) <= 1e-12
+        assert log_likelihood(net, BlockState(net, b, 3)) <= 1e-12
 
 
 # ----------------------------------------------------------------- the priors
@@ -113,27 +113,27 @@ def test_prior_edge_matrix_examples():
 def test_prior_degrees_single_vertex_block():
     # one vertex with a self-loop: eta = {2: 1}, q(2, 1) = 1 -> term 0
     net = network_from_edges(1, [(0, 0)])
-    st = build_block_state(net, [0], 1)
+    st = BlockState(net, [0], 1)
     assert math.isclose(log_prior_degrees(st), 0.0, abs_tol=1e-12)
 
 
 def test_prior_degrees_pair_block():
     # two vertices, one edge: eta = {1: 2}, q(2, 2) = 2 -> 2!/(2! * 2) = 1/2
     net = network_from_edges(2, [(0, 1)])
-    st = build_block_state(net, [0, 0], 1)
+    st = BlockState(net, [0, 0], 1)
     assert math.isclose(log_prior_degrees(st), -math.log(2), rel_tol=1e-12)
 
 
 def test_prior_degrees_isolated_block():
     # all degree-0 vertices: n_r! / (n_r! q(0, n_r)) = 1
     net = network_from_edges(5, [(0, 1)])
-    st = build_block_state(net, [0, 0, 1, 1, 1], 2)
+    st = BlockState(net, [0, 0, 1, 1, 1], 2)
     lone = network_from_edges(3, [])
-    lone_state = build_block_state(lone, [0, 0, 0], 1)
+    lone_state = BlockState(lone, [0, 0, 0], 1)
     assert math.isclose(log_prior_degrees(lone_state), 0.0, abs_tol=1e-12)
     # the isolated block contributes exactly 0 to the total
     pair = network_from_edges(2, [(0, 1)])
-    pair_state = build_block_state(pair, [0, 0], 1)
+    pair_state = BlockState(pair, [0, 0], 1)
     assert math.isclose(log_prior_degrees(st), log_prior_degrees(pair_state), rel_tol=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_prior_degrees_isolated_block():
 
 def test_description_length_positive_finite(bowtie):
     for labels in ([0] * 5, [0, 0, 1, 1, 1], [1, 0, 1, 0, 1]):
-        s = description_length(bowtie, build_block_state(bowtie, labels, 2))
+        s = description_length(bowtie, BlockState(bowtie, labels, 2))
         assert math.isfinite(s) and s > 0
 
 
@@ -150,19 +150,19 @@ def test_description_length_permutation_invariant():
     for _ in range(10):
         net = random_multigraph(rng, 10, 20)
         b = rng.integers(0, 3, 10)
-        s0 = description_length(net, build_block_state(net, b, 3))
+        s0 = description_length(net, BlockState(net, b, 3))
         perm = rng.permutation(3)
-        s1 = description_length(net, build_block_state(net, perm[b], 3))
+        s1 = description_length(net, BlockState(net, perm[b], 3))
         assert math.isclose(s0, s1, rel_tol=1e-12)
 
 
 def test_delta_noop_move(bowtie):
-    state = build_block_state(bowtie, [0, 0, 0, 1, 1], 2)
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     assert delta_description_length(state, 0, 0) == 0.0
 
 
 def test_delta_reverse_cancels(bowtie):
-    state = build_block_state(bowtie, [0, 0, 0, 1, 1], 2)
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     fwd = delta_description_length(state, 1, 1)
     apply_move(state, 1, 1)
     back = delta_description_length(state, 1, 0)
@@ -170,7 +170,7 @@ def test_delta_reverse_cancels(bowtie):
 
 
 def test_delta_emptying_is_infinite(path3):
-    state = build_block_state(path3, [0, 0, 1], 2)
+    state = BlockState(path3, [0, 0, 1], 2)
     assert delta_description_length(state, 2, 0) == INFINITE_DELTA
 
 
@@ -179,7 +179,7 @@ def test_delta_matches_full_recompute():
     rng = np.random.default_rng(3)
     net = random_multigraph(rng, 20, 45)
     labels = rng.integers(0, 3, 20)
-    state = build_block_state(net, labels, 3)
+    state = BlockState(net, labels, 3)
     s_prev = description_length(net, state)
     applied = 0
     for _ in range(400):
@@ -189,7 +189,7 @@ def test_delta_matches_full_recompute():
         if not math.isfinite(delta):
             continue
         apply_move(state, i, s)
-        rebuilt = build_block_state(net, state.b, 3)
+        rebuilt = BlockState(net, state.b, 3)
         s_new = description_length(net, rebuilt)
         assert abs((s_new - s_prev) - delta) < 1e-9
         s_prev = s_new
@@ -200,13 +200,13 @@ def test_delta_matches_full_recompute():
 def test_apply_move_keeps_statistics_consistent():
     rng = np.random.default_rng(4)
     net = random_multigraph(rng, 15, 40)
-    state = build_block_state(net, rng.integers(0, 4, 15), 4)
+    state = BlockState(net, rng.integers(0, 4, 15), 4)
     for _ in range(300):
         i = int(rng.integers(0, 15))
         s = int(rng.integers(0, 4))
         if math.isfinite(delta_description_length(state, i, s)):
             apply_move(state, i, s)
-    rebuilt = build_block_state(net, state.b, 4)
+    rebuilt = BlockState(net, state.b, 4)
     assert state.e == rebuilt.e
     assert state.n == rebuilt.n
     assert state.e_row == rebuilt.e_row
@@ -278,7 +278,7 @@ def test_likelihood_normalises(labels, degrees_seq):
             if key != e_key:
                 continue
             net = network_from_edges(len(labels), canon)
-            state = build_block_state(net, labels, num_blocks)
+            state = BlockState(net, labels, num_blocks)
             omega = exact_pairing_count(state)
             xi = exact_graph_multiplicity(net)
             assert omega == total_configs

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffbm import degrees, network_from_edges, split_vertices
+from ffbm import network_from_edges, split_vertices
 
 from conftest import random_multigraph
 
 
 def test_degrees_path(path3):
-    assert degrees(path3).tolist() == [1, 2, 1]
+    assert path3.degrees.tolist() == [1, 2, 1]
 
 
 def test_degrees_self_loop():
     net = network_from_edges(1, [(0, 0)])
-    assert degrees(net).tolist() == [2]
+    assert net.degrees.tolist() == [2]
 
 
 def test_degrees_parallel_edges():
@@ -24,7 +24,7 @@ def test_degrees_parallel_edges():
     for u, v, m in net.edges:
         half_edges[u] += m
         half_edges[v] += m
-    assert degrees(net).tolist() == half_edges == [2, 2]
+    assert net.degrees.tolist() == half_edges == [2, 2]
     assert net.num_edges == 2
 
 
@@ -33,7 +33,7 @@ def test_degrees_parallel_edges():
 @settings(max_examples=60, deadline=None)
 def test_handshake_lemma(edge_list):
     net = network_from_edges(8, edge_list)
-    assert int(degrees(net).sum()) == 2 * net.num_edges
+    assert int(net.degrees.sum()) == 2 * net.num_edges
 
 
 def test_edge_validation():
@@ -53,9 +53,10 @@ def test_duplicate_edges_accumulate():
 
 def test_loop_weight():
     net = network_from_edges(2, [(0, 0, 2), (0, 1)])
-    assert net.loop_weight(0) == 4
-    assert net.loop_weight(1) == 0
-    assert degrees(net).tolist() == [5, 1]
+    # A_ii, twice the loop multiplicity, is vertex i's own adjacency entry.
+    assert dict(net.adjacency[0]).get(0, 0) == 4
+    assert dict(net.adjacency[1]).get(1, 0) == 0
+    assert net.degrees.tolist() == [5, 1]
 
 
 def test_split_sizes():
@@ -91,4 +92,4 @@ def test_split_rejects_bad_fraction(f):
 def test_random_multigraph_helper_consistency():
     rng = np.random.default_rng(5)
     net = random_multigraph(rng, 10, 25)
-    assert int(degrees(net).sum()) == 2 * net.num_edges
+    assert int(net.degrees.sum()) == 2 * net.num_edges

@@ -12,7 +12,6 @@ from ffbm import (
     objective,
     objective_and_gradient,
     objective_gradient,
-    softmax_probs,
 )
 
 
@@ -27,24 +26,24 @@ def random_context(rng, num_blocks, num_features, size, sigma=1.0):
 
 def test_softmax_zero_weights_uniform():
     w = np.zeros((4, 3))
-    assert np.allclose(softmax_probs(w, np.array([1.0, 0.0, 1.0])), 0.25)
+    assert np.allclose(class_probabilities(w, np.array([[1.0, 0.0, 1.0]])), 0.25)
 
 
 def test_softmax_two_block_example():
     w = np.array([[math.log(2.0)], [0.0]])
-    probs = softmax_probs(w, np.array([1.0]))
+    probs = class_probabilities(w, np.array([[1.0]]))[0]
     assert np.allclose(probs, [2 / 3, 1 / 3])
 
 
 def test_softmax_zero_features_uniform():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(3, 4))
-    assert np.allclose(softmax_probs(w, np.zeros(4)), 1 / 3)
+    assert np.allclose(class_probabilities(w, np.zeros((1, 4))), 1 / 3)
 
 
 def test_softmax_overflow_safe():
     w = np.array([[800.0], [-800.0]])
-    probs = softmax_probs(w, np.array([1.0]))
+    probs = class_probabilities(w, np.array([[1.0]]))[0]
     assert np.isfinite(probs).all()
     assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
 
@@ -55,7 +54,7 @@ def test_softmax_rows_sum_to_one(num_blocks, num_features, seed):
     rng = np.random.default_rng(seed)
     w = rng.normal(scale=5.0, size=(num_blocks, num_features))
     x = rng.integers(0, 2, num_features).astype(float)
-    assert abs(softmax_probs(w, x).sum() - 1.0) < 1e-12
+    assert abs(class_probabilities(w, x[None])[0].sum() - 1.0) < 1e-12
     probs = class_probabilities(w, np.stack([x, x * 0]))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -86,7 +85,7 @@ def test_objective_matches_scalar_loop_oracle():
     w = rng.normal(size=(3, 5))
     total = 0.0
     for i in range(12):
-        probs = softmax_probs(w, ctx.features[i])
+        probs = class_probabilities(w, ctx.features[i][None])[0]
         for j in range(3):
             total += ctx.targets[i, j] * math.log(1.0 / probs[j])
     total += sum(w[r, d] ** 2 for r in range(3) for d in range(5)) / (2 * 0.7**2)
