@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from .dcsbm import (
     BlockState,
     _apply_from_stats,
-    _delta_from_stats,
+    _move_deltas,
     _neighbor_block_weights,
     _pair_deltas,
     description_length,
@@ -164,7 +164,9 @@ def _mh_step_impl(state, rng, eps, half_edges):
     else:
         forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas)
         log_ratio = math.log(reverse) - math.log(forward)
-    delta = _delta_from_stats(state, i, r, s, pair_deltas)
+    out = [0.0] * state.B
+    _move_deltas(state, i, r, w, loops, (s,), out)
+    delta = out[s]
     log_alpha = -delta + log_ratio
     if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
         _apply_from_stats(state, i, r, s, pair_deltas)
@@ -218,6 +220,8 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
 
     state = BlockState(net, labels, num_blocks)
     order = list(range(n_vert))
+    targets = range(num_blocks)
+    deltas = [0.0] * num_blocks
     improved = True
     while improved:
         improved = False
@@ -227,16 +231,16 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
             if state.n[r] == 1:
                 continue
             w, loops = _neighbor_block_weights(state, i)
-            best_target, best_delta, best_pairs = r, 0.0, None
-            for s in range(num_blocks):
-                if s == r:
-                    continue
-                pairs = _pair_deltas(r, s, w, loops)
-                delta = _delta_from_stats(state, i, r, s, pairs)
-                if delta < best_delta:
-                    best_target, best_delta, best_pairs = s, delta, pairs
+            _move_deltas(state, i, r, w, loops, targets, deltas)
+            # deltas[r] is 0.0, so only a strict improvement moves the vertex,
+            # and ties go to the lowest block label.
+            best_target, best_delta = r, 0.0
+            for s in targets:
+                if deltas[s] < best_delta:
+                    best_target, best_delta = s, deltas[s]
             if best_target != r:
-                _apply_from_stats(state, i, r, best_target, best_pairs)
+                _apply_from_stats(state, i, r, best_target,
+                                  _pair_deltas(r, best_target, w, loops))
                 improved = True
     return state
 
@@ -266,12 +270,18 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
             accepted, delta = step(state, rng, eps, half_edges)
             if accepted:
                 s_now += delta
+        if not math.isfinite(s_now):
+            raise ArithmeticError(f"description length became non-finite in sweep {it}")
         trace[it] = s_now
         if it in keep_set:
             samples.append(state.partition())
 
-    if not math.isfinite(s_now):
-        raise ArithmeticError("description length became non-finite during sampling")
+    # The running S is a sum of move deltas; a fresh evaluation catches any
+    # drift (about 1e-12 in practice) and any bad table read in the kernel.
+    fresh = description_length(net, state)
+    if not abs(s_now - fresh) <= 1e-6:
+        raise ArithmeticError(
+            f"accumulated description length {s_now!r} differs from a fresh evaluation {fresh!r}")
     return BlockChainResult(samples=samples, retained=keep, s_trace=trace,
                             reference=reference, final_state=state)
 

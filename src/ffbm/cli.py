@@ -39,6 +39,7 @@ from .pipeline import (
     experiment_payload,
     load_config_network,
     partition_stage,
+    require_features,
     run_experiment,
     weight_stage,
 )
@@ -174,6 +175,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "sample-theta":
+        require_features(net)
         artifacts = partition_stage(net, cfg, 0)
         weight_stage(net, cfg, 0, artifacts)
         _write_block_outputs(out, artifacts)

@@ -69,9 +69,11 @@ def _coerce(key: str, value):
         return None
     if key in _STRING_FIELDS:
         return str(value)
-    if key in _INT_FIELDS and (
-            isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise DataFormatError(f"configuration key {key!r} needs an integer, got {value!r}")
+    # JSON booleans are ints to Python; no numeric field takes one.
+    if isinstance(value, bool) or (
+            key in _INT_FIELDS and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if key in _INT_FIELDS else "a number"
+        raise DataFormatError(f"configuration key {key!r} needs {kind}, got {value!r}")
     try:
         if key in _INT_FIELDS:
             return int(value)

@@ -22,6 +22,8 @@ import numpy as np
 from .graph import LabelledNetwork
 from .softmax import log_partition_given_features
 from .tables import (
+    LOG2,
+    _LOG_FACT,
     log_count_partitions,
     log_double_factorial_even,
     log_factorial,
@@ -52,6 +54,9 @@ class BlockState:
         if any(x < 0 or x >= B for x in labels):
             bad = next(x for x in labels if x < 0 or x >= B)
             raise ValueError(f"block label {bad} outside [0, {B})")
+        # The move-delta kernel reads the log-factorial table unchecked, and
+        # no count it reads exceeds the 2E half-edges.
+        log_factorial(2 * net.num_edges)
         self.net = net
         self.b = labels
         self.B = B
@@ -189,33 +194,72 @@ def _pair_deltas(r: int, s: int, w, loops):
     return deltas
 
 
-def _delta_from_stats(state: BlockState, i: int, r: int, s: int, pair_deltas) -> float:
-    """S(b with b_i <- s) - S(b), given precomputed edge-count changes."""
+def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> None:
+    """Set out[s] = S(b with b_i <- s) - S(b) for every s in targets; out[r] = 0.
+
+    Vertex i sits in block r, which it must not empty (n_r > 1); w and loops
+    come from _neighbor_block_weights.  The source block's terms are computed
+    once.  Each target then adds its own terms and the shared ones in one
+    fixed order (row factorials, the (r,r), (s,s) and (r,s) pair terms, the
+    (r,t) and (s,t) pairs in w's order, then the degree prior), so a value
+    is the same float whichever other targets are asked for.  Table reads
+    are unchecked: BlockState sizes the log-factorial table to 2E.
+    """
+    lf = _LOG_FACT
+    lcp = log_count_partitions
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
     ki = state.net.half_edges.degree[i]
+    e_r = e[r]
+    row_r = e_row[r]
+    n_r = n[r]
+    m_r = w.get(r, 0) - loops
 
-    delta = 0.0
-    # Pairing count: row factorials for the two affected blocks...
-    delta += log_factorial(e_row[r] - ki) - log_factorial(e_row[r])
-    delta += log_factorial(e_row[s] + ki) - log_factorial(e_row[s])
-    # ...minus the changed pair terms.
-    for (t, u), d in pair_deltas.items():
-        if d == 0:
-            continue
-        old = e[t][u]
-        new = old + d
-        if t == u:
-            delta -= log_double_factorial_even(new) - log_double_factorial_even(old)
-        else:
-            delta -= log_factorial(new) - log_factorial(old)
-
+    # Pairing count: log e_r! and the pair terms of r with every block but the target.
+    source_row = lf[row_r - ki] - lf[row_r]
+    d_rr = -2 * m_r - loops
+    if d_rr:
+        h_old = e_r[r] // 2
+        h_new = (e_r[r] + d_rr) // 2
+        source_diag = (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
+    source_pairs = [(t, wt, lf[e_r[t] - wt] - lf[e_r[t]]) for t, wt in w.items() if t != r]
     # Degree prior: -log p(k | e, b) contributes n_r!, q(e_r, n_r) and the
     # degree histogram factorials of the two affected blocks.
-    delta += math.log(n[s] + 1) - math.log(n[r])
-    delta += log_count_partitions(e_row[r] - ki, n[r] - 1) - log_count_partitions(e_row[r], n[r])
-    delta += log_count_partitions(e_row[s] + ki, n[s] + 1) - log_count_partitions(e_row[s], n[s])
-    delta += math.log(eta[r][ki]) - math.log(eta[s].get(ki, 0) + 1)
-    return delta
+    log_n_r = math.log(n_r)
+    source_q = lcp(row_r - ki, n_r - 1) - lcp(row_r, n_r)
+    log_eta_r = math.log(eta[r][ki])
+
+    for s in targets:
+        if s == r:
+            out[s] = 0.0
+            continue
+        e_s = e[s]
+        row_s = e_row[s]
+        m_s = w.get(s, 0)
+        delta = source_row
+        delta += lf[row_s + ki] - lf[row_s]
+        if d_rr:
+            delta -= source_diag
+        d_ss = 2 * m_s + loops
+        if d_ss:
+            h_old = e_s[s] // 2
+            h_new = (e_s[s] + d_ss) // 2
+            delta -= (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
+        d_rs = m_r - m_s
+        if d_rs:
+            old = e_r[s]
+            delta -= lf[old + d_rs] - lf[old]
+        for t, wt, source_term in source_pairs:
+            if t == s:
+                continue
+            delta -= source_term
+            old = e_s[t]
+            delta -= lf[old + wt] - lf[old]
+        n_s = n[s]
+        delta += math.log(n_s + 1) - log_n_r
+        delta += source_q
+        delta += lcp(row_s + ki, n_s + 1) - lcp(row_s, n_s)
+        delta += log_eta_r - math.log(eta[s].get(ki, 0) + 1)
+        out[s] = delta
 
 
 def delta_description_length(state: BlockState, i: int, target: int) -> float:
@@ -233,7 +277,9 @@ def delta_description_length(state: BlockState, i: int, target: int) -> float:
     if state.n[r] == 1:
         return INFINITE_DELTA
     w, loops = _neighbor_block_weights(state, i)
-    return _delta_from_stats(state, i, r, target, _pair_deltas(r, target, w, loops))
+    out = [0.0] * state.B
+    _move_deltas(state, i, r, w, loops, (target,), out)
+    return out[target]
 
 
 def apply_move(state: BlockState, i: int, target: int) -> None:

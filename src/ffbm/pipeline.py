@@ -76,11 +76,16 @@ def _weight_chain(cfg: RunConfig, art: RepetitionArtifacts, features, seed,
     return run_weight_chain(ctx, weight_cfg)
 
 
+def require_features(net: LabelledNetwork) -> None:
+    """The weight stage's precondition; callers check it before any stage runs."""
+    if net.num_features == 0:
+        raise DataFormatError("the weight sampler needs a feature matrix")
+
+
 def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
                  art: RepetitionArtifacts) -> None:
     """Stage 2: the train/test split and the weight chain on all features."""
-    if net.num_features == 0:
-        raise DataFormatError("the weight sampler needs a feature matrix")
+    require_features(net)
     art.split = split_vertices(net.num_vertices, cfg.train_fraction,
                                stream_seed_sequence(cfg.seed, "split", repetition))
     art.weight_result = _weight_chain(
@@ -142,6 +147,7 @@ def _repetition_task(args):
 
 def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_artifacts: bool = False):
     """All repetitions, optionally in parallel processes; order is by index."""
+    require_features(net)
     tasks = [(net, cfg, rep, keep_artifacts) for rep in range(cfg.repetitions)]
     if jobs > 1 and cfg.repetitions > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -9,6 +9,7 @@ import math
 # Log-factorial lookup, extended geometrically on demand.  The hot paths
 # (move deltas in the block sampler) must be plain list indexing.
 _LOG_FACT = [0.0, 0.0]
+LOG2 = math.log(2.0)
 
 
 def log_factorial(n: int) -> float:
@@ -27,7 +28,7 @@ def log_double_factorial_even(n: int) -> float:
     if n < 0 or n % 2:
         raise ValueError(f"even double factorial needs even n >= 0, got {n}")
     m = n // 2
-    return m * math.log(2.0) + log_factorial(m)
+    return m * LOG2 + log_factorial(m)
 
 
 def log_binomial(n: int, m: int) -> float:

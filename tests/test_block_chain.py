@@ -9,10 +9,13 @@ import pytest
 from ffbm import (
     BlockChainConfig,
     BlockState,
+    GeneratorSpec,
     align_labels,
     delta_description_length,
     description_length,
     estimate_responsibilities,
+    generate,
+    load_polbooks,
     mdl_partition,
     mh_step,
     network_from_edges,
@@ -208,7 +211,11 @@ def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
     # Forced acceptance makes the chain's step reveal its (vertex, target) in
     # the state; equal generator states afterwards show that all three
     # consumed the same draws.  The graph has an isolated vertex and a loop.
-    monkeypatch.setattr(block_chain, "_delta_from_stats", lambda *args: -math.inf)
+    def accept_all(state, i, r, w, loops, targets, out):
+        for s in targets:
+            out[s] = -math.inf
+
+    monkeypatch.setattr(block_chain, "_move_deltas", accept_all)
     net = network_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 4)])
     proposer = BlockState(net, [0, 0, 1, 1, 2, 2], 3)
     chain, stepped = proposer.copy(), proposer.copy()
@@ -280,6 +287,41 @@ def test_mdl_partition_separates_cliques():
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
+# Greedy partitions recorded when each target's delta was evaluated on its
+# own; scoring all targets in one kernel pass must keep every tie-break.
+_POLBOOKS_GREEDY = {
+    1: "222022220000000000200000000012110000000000000000022220000021111122122211111111111111121111111111111111122",
+    2: "222022220000000000000000000012110000000000000000020220000021111122122211111111111111121111111111111111122",
+}
+_PLANTED_GREEDY = (
+    "01333012121011013232121331013330032200231130232203130003222230120001303213203310"
+    "03220112111103120000133110033201033200210321101302330033311130023310201203331221"
+    "03230131211231122302303321131101323212102331210103323213312331312201000103120301"
+    "10030103023332030231313322010012212132103100230000331321113121100321122320103120"
+    "30322323003210311331210122212333223122232331303130222130210032330312123031101020"
+    "21322131111032231333330000201332102211122111331220230011211301110320122013230022"
+    "30323113010031023321"
+)
+
+
+def _planted_network():
+    spec = GeneratorSpec(num_vertices=500, weights=3.0 * np.eye(4),
+                         affinity=np.full((4, 4), 0.008) + 0.032 * np.eye(4),
+                         feature_probs=np.full(4, 0.5), seed=11)
+    return generate(spec)[0]
+
+
+@pytest.mark.parametrize("seed", sorted(_POLBOOKS_GREEDY))
+def test_mdl_partition_pinned_polbooks(seed):
+    state = mdl_partition(load_polbooks(), 3, random.Random(seed))
+    assert "".join(map(str, state.b)) == _POLBOOKS_GREEDY[seed]
+
+
+def test_mdl_partition_pinned_planted():
+    state = mdl_partition(_planted_network(), 4, random.Random(3), restarts=2)
+    assert "".join(map(str, state.b)) == _PLANTED_GREEDY
+
+
 # ------------------------------------------------------------------ full runs
 
 def test_run_block_chain_shapes(bowtie):
@@ -298,6 +340,29 @@ def test_run_block_chain_deterministic(bowtie):
     b = run_block_chain(bowtie, 2, cfg)
     assert np.array_equal(np.stack(a.samples), np.stack(b.samples))
     assert np.array_equal(a.s_trace, b.s_trace)
+
+
+def test_run_block_chain_rejects_drifting_deltas(monkeypatch):
+    # Deltas 1e-3 off the truth pass every per-sweep check but leave the
+    # accumulated S away from a fresh evaluation at the chain's end.
+    kernel = block_chain._move_deltas
+
+    def biased(state, i, r, w, loops, targets, out):
+        kernel(state, i, r, w, loops, targets, out)
+        for s in targets:
+            out[s] += 1e-3
+
+    monkeypatch.setattr(block_chain, "_move_deltas", biased)
+    cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
+    with pytest.raises(ArithmeticError, match="fresh evaluation"):
+        run_block_chain(two_cliques(5), 2, cfg)
+
+
+def test_run_block_chain_names_the_non_finite_sweep(monkeypatch):
+    monkeypatch.setattr(block_chain, "_mh_step_impl", lambda *args: (True, math.inf))
+    cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
+    with pytest.raises(ArithmeticError, match="sweep 1$"):
+        run_block_chain(two_cliques(5), 2, cfg)
 
 
 def test_burn_in_decreases_s_from_random_start():

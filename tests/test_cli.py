@@ -4,6 +4,7 @@ import pytest
 
 from ffbm import build_config, load_network
 from ffbm.cli import main
+from ffbm.dataio import DataFormatError
 
 
 @pytest.fixture
@@ -192,3 +193,26 @@ def test_json_config_rejects_lossy_integers(tmp_path, entry):
     assert main(["report", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     cfg.write_text(json.dumps({"num_blocks": 3.0}))
     assert build_config(cfg).num_blocks == 3
+
+
+@pytest.mark.parametrize("entry", [{"sigma": True}, {"train_fraction": False}])
+def test_json_config_rejects_booleans_for_floats(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    with pytest.raises(DataFormatError):
+        build_config(cfg)
+    assert main(["report", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "report", "sample-theta"])
+def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monkeypatch, command):
+    import ffbm.pipeline as pipeline_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the partition chain ran on input the weight stage rejects")
+
+    monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
+    inst, _ = synthetic_dir
+    code = main([command, "--set", f"edges={inst / 'edges.txt'}", "--set", "num_blocks=2",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2

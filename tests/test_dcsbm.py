@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffbm import (
     BlockState,
@@ -17,7 +18,8 @@ from ffbm import (
     log_stub_pairings,
     network_from_edges,
 )
-from ffbm.dcsbm import INFINITE_DELTA
+from ffbm.dcsbm import INFINITE_DELTA, _move_deltas, _neighbor_block_weights, _pair_deltas
+from ffbm.tables import log_count_partitions, log_double_factorial_even, log_factorial
 
 from conftest import random_multigraph
 
@@ -195,6 +197,64 @@ def test_delta_matches_full_recompute():
         s_prev = s_new
         applied += 1
     assert applied > 200
+
+
+def _sequential_delta(state, i, r, s):
+    """Oracle: the move delta as one left-to-right float sum, term by term.
+
+    The order is the kernel's documented one; equal bits show that sharing
+    the source block's terms across targets changed no rounding.
+    """
+    e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
+    ki = int(state.net.degrees[i])
+    w, loops = _neighbor_block_weights(state, i)
+    delta = 0.0
+    delta += log_factorial(e_row[r] - ki) - log_factorial(e_row[r])
+    delta += log_factorial(e_row[s] + ki) - log_factorial(e_row[s])
+    for (t, u), d in _pair_deltas(r, s, w, loops).items():
+        if d == 0:
+            continue
+        if t == u:
+            delta -= log_double_factorial_even(e[t][u] + d) - log_double_factorial_even(e[t][u])
+        else:
+            delta -= log_factorial(e[t][u] + d) - log_factorial(e[t][u])
+    delta += math.log(n[s] + 1) - math.log(n[r])
+    delta += log_count_partitions(e_row[r] - ki, n[r] - 1) - log_count_partitions(e_row[r], n[r])
+    delta += log_count_partitions(e_row[s] + ki, n[s] + 1) - log_count_partitions(e_row[s], n[s])
+    delta += math.log(eta[r][ki]) - math.log(eta[s].get(ki, 0) + 1)
+    return delta
+
+
+@given(st.integers(2, 5).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops and repeated
+    # pairs are parallel edges.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10))))
+@settings(max_examples=80, deadline=None)
+def test_move_deltas_match_single_target_oracle_and_recompute(case):
+    num_blocks, edges, labels = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    s_before = description_length(net, state)
+    targets = range(num_blocks)
+    for i in range(10):
+        r = state.b[i]
+        if state.n[r] == 1:
+            continue
+        w, loops = _neighbor_block_weights(state, i)
+        every = [math.nan] * num_blocks
+        _move_deltas(state, i, r, w, loops, targets, every)
+        assert every[r] == 0.0
+        for s in targets:
+            single = [math.nan] * num_blocks
+            _move_deltas(state, i, r, w, loops, (s,), single)
+            assert single[s].hex() == every[s].hex()
+            if s != r:
+                assert every[s].hex() == _sequential_delta(state, i, r, s).hex()
+            moved = state.copy()
+            apply_move(moved, i, s)
+            assert abs(every[s] - (description_length(net, moved) - s_before)) <= 1e-9
 
 
 def test_apply_move_keeps_statistics_consistent():
