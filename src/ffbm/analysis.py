@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .softmax import _log_normaliser
+from .softmax import ObjectiveContext, _cross_entropy, _log_normaliser, _row_logits
+
+# Logit entries held at once while scoring retained samples: each temporary
+# stays near 128 KB, so scoring adds little to peak memory, also where rows
+# hardly repeat (real-valued features have U = N).
+_BATCH_LOGITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,12 @@ def feature_scores(summary: WeightSummary, multiplier: float) -> np.ndarray:
     return np.minimum(np.abs(low), np.abs(high)).max(axis=0)
 
 
+def check_target_dim(target_dim: int, num_features: int) -> None:
+    """The screen's range rule: it keeps between 1 and num_features features."""
+    if not 0 < target_dim <= num_features:
+        raise ValueError(f"target dimension {target_dim} outside [1, {num_features}]")
+
+
 def reduce_dimension(summary: WeightSummary, multiplier: float, target_dim: int) -> ReducedFeatureSet:
     """Keep the target_dim features with the largest screening scores.
 
@@ -68,9 +79,7 @@ def reduce_dimension(summary: WeightSummary, multiplier: float, target_dim: int)
     the score of the last feature kept.
     """
     scores = feature_scores(summary, multiplier)
-    num_features = scores.shape[0]
-    if not 0 < target_dim <= num_features:
-        raise ValueError(f"target dimension {target_dim} outside [1, {num_features}]")
+    check_target_dim(target_dim, scores.shape[0])
     ranked = np.argsort(-scores, kind="stable")[:target_dim]
     cutoff = float(scores[ranked[-1]])
     return ReducedFeatureSet(kept=np.sort(ranked), cutoff=cutoff, scores=scores)
@@ -95,32 +104,41 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     return total / (num_vertices + num_edges)
 
 
-def _losses_per_sample(weight_samples, responsibilities, features):
-    """Per-sample mean soft cross-entropy over the given vertices."""
-    feats = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(responsibilities, dtype=np.float64)
-    out = np.empty(len(weight_samples))
-    for idx, w in enumerate(weight_samples):
-        logits = feats @ np.asarray(w, dtype=np.float64).T
-        per_vertex = _log_normaliser(logits) - (targets * logits).sum(axis=1)
-        out[idx] = per_vertex.mean()
-    return out
+def _vertex_context(responsibilities, features, vertex_set) -> ObjectiveContext:
+    """The distinct feature rows of a vertex set and their targets.
+
+    The prior width does not enter the cross-entropy term or the argmax.
+    """
+    vertex_set = np.asarray(vertex_set)
+    return ObjectiveContext(np.asarray(features)[vertex_set],
+                            np.asarray(responsibilities)[vertex_set], sigma=1.0)
+
+
+def _sample_logits(weight_samples, ctx: ObjectiveContext):
+    """Batches of retained samples (S x B x D) with their logits on the distinct rows (S x U x B)."""
+    stack = np.asarray(weight_samples, dtype=np.float64)
+    batch = max(1, _BATCH_LOGITS // max(1, ctx.rows.shape[0] * ctx.num_blocks))
+    for start in range(0, len(stack), batch):
+        weights = stack[start:start + batch]
+        yield weights, _row_logits(weights, ctx)
 
 
 def cross_entropy_loss(weight_samples, responsibilities, features, vertex_set) -> float:
     """Mean over retained weight samples of the per-vertex soft cross-entropy.
 
     responsibilities and features cover all vertices; vertex_set selects the
-    rows to score (training or test side of the split).
+    rows to score (training or test side of the split).  Each sample's loss
+    is the weight objective's cross-entropy term divided by the vertex count.
     """
     vertex_set = np.asarray(vertex_set)
     if vertex_set.size == 0:
         raise ValueError("empty vertex set")
     if len(weight_samples) == 0:
         raise ValueError("need at least one weight sample")
-    feats = np.asarray(features)[vertex_set]
-    targ = np.asarray(responsibilities)[vertex_set]
-    return float(_losses_per_sample(weight_samples, targ, feats).mean())
+    ctx = _vertex_context(responsibilities, features, vertex_set)
+    total = sum(float(_cross_entropy(weights, _log_normaliser(logits)[0], ctx).sum())
+                for weights, logits in _sample_logits(weight_samples, ctx))
+    return total / (len(weight_samples) * ctx.size)
 
 
 def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np.ndarray:
@@ -131,19 +149,18 @@ def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np
     assignment.  Blocks with no vertices in the set get NaN (undefined rather
     than zero, so averages are not dragged down).
     """
-    vertex_set = np.asarray(vertex_set)
-    targ = np.asarray(responsibilities)[vertex_set]
-    feats = np.asarray(features, dtype=np.float64)[vertex_set]
-    num_blocks = targ.shape[1]
-    assigned = targ.argmax(axis=1)
+    ctx = _vertex_context(responsibilities, features, vertex_set)
+    assigned = ctx.targets.argmax(axis=1)
 
-    agree = np.zeros(len(vertex_set), dtype=np.int64)
-    for w in weight_samples:
-        logits = feats @ np.asarray(w, dtype=np.float64).T
-        agree += logits.argmax(axis=1) == assigned
+    # votes[u, j]: samples whose classifier puts distinct row u in block j.
+    votes = np.zeros((ctx.rows.shape[0], ctx.num_blocks), dtype=np.int64)
+    for _, logits in _sample_logits(weight_samples, ctx):
+        predicted = logits.argmax(axis=-1)
+        votes += (predicted[..., None] == np.arange(ctx.num_blocks)).sum(axis=0)
+    agree = votes[ctx.inverse, assigned]
 
-    out = np.full(num_blocks, np.nan)
-    for j in range(num_blocks):
+    out = np.full(ctx.num_blocks, np.nan)
+    for j in range(ctx.num_blocks):
         members = assigned == j
         if members.any():
             out[j] = agree[members].sum() / (members.sum() * len(weight_samples))

@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 
 from .dataio import DataFormatError
+from .graph import check_train_fraction
+from .mala import WeightChainConfig
 
 
 @dataclass
@@ -51,6 +53,15 @@ class RunConfig:
             raise ValueError("need at least one repetition")
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
+        # The later stages' own validators, so that a bad value fails before
+        # the partition chain runs (which checks its own values as it starts).
+        check_train_fraction(self.train_fraction)
+        WeightChainConfig(iterations=self.theta_iters, burn_in=self.theta_burn_in,
+                          thinning=self.theta_thinning, sigma=self.sigma, step_scale=self.step_scale)
+        if self.reduce_dim is not None:
+            WeightChainConfig(iterations=self.reduced_theta_iters, burn_in=self.reduced_theta_burn_in,
+                              thinning=self.reduced_theta_thinning, sigma=self.sigma,
+                              step_scale=self.reduced_step_scale)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

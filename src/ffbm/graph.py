@@ -133,13 +133,18 @@ class VertexSplit:
             raise ValueError(f"train/test sets overlap: {sorted(overlap)[:5]}")
 
 
+def check_train_fraction(fraction: float) -> None:
+    """The split's range rule: the train fraction lies strictly inside (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
+
+
 def split_vertices(num_vertices: int, fraction: float, seed) -> VertexSplit:
     """Uniform split with round-half-up train size round(fraction * N).
 
     Deterministic given the seed; train and test indices are returned sorted.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
+    check_train_fraction(fraction)
     if num_vertices < 2:
         raise ValueError("need at least 2 vertices to split")
     n_train = int(np.floor(fraction * num_vertices + 0.5))

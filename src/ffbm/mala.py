@@ -65,7 +65,7 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
     if step <= 0:
         raise ValueError("step size must be positive")
     drift = to - frm + step * grad_frm
-    return -float((drift * drift).sum()) / (4.0 * step)
+    return -float(np.vdot(drift, drift)) / (4.0 * step)
 
 
 def _log_alpha(current, u_cur, proposal, u_prop, grad_prop, log_fwd, step) -> float:
@@ -82,39 +82,48 @@ def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveCon
 
 
 def run_weight_chain(ctx: ObjectiveContext, cfg: WeightChainConfig) -> WeightChainResult:
-    """Sample the weight posterior; the initial state is a prior draw."""
+    """Sample the weight posterior; the initial state is a prior draw.
+
+    U is checked where the chain's value changes: a non-finite U at the
+    initial draw or at an accepted proposal, or a NaN proposal U, raises
+    ArithmeticError naming the iteration.  A proposal with U = +inf is an
+    ordinary rejection.
+    """
+    steps = [step_size(t, cfg, ctx.size) for t in range(cfg.iterations)]
     rng = np.random.default_rng(cfg.seed)
     shape = (ctx.num_blocks, ctx.num_features)
     weights = rng.normal(0.0, cfg.sigma, shape)
     value, grad = objective_and_gradient(weights, ctx)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"weight-chain objective is {value} at the initial draw")
 
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     keep_set = frozenset(keep)
     trace = np.empty(cfg.iterations + 1)
     trace[0] = value
-    samples = []
-    if 0 in keep_set:
-        samples.append(weights.copy())
+    # No state is modified in place (an accepted proposal replaces it), so
+    # the samples can hold the chain's own arrays.
+    samples = [weights] if 0 in keep_set else []
 
     accepted = np.zeros(cfg.iterations, dtype=bool)
-    n_ctx = ctx.size
-    for t in range(cfg.iterations):
-        h = step_size(t, cfg, n_ctx)
+    for t, h in enumerate(steps):
         noise = rng.standard_normal(shape)
         proposal = weights - h * grad + math.sqrt(2.0 * h) * noise
         prop_value, prop_grad = objective_and_gradient(proposal, ctx)
+        if math.isnan(prop_value):
+            raise ArithmeticError(f"weight-chain objective is nan at the proposal of iteration {t + 1}")
         # Forward density shortcut: the drift residual is exactly the noise.
-        log_fwd = -float((noise * noise).sum()) / 2.0
+        log_fwd = -float(np.vdot(noise, noise)) / 2.0
         log_alpha = _log_alpha(weights, value, proposal, prop_value, prop_grad, log_fwd, h)
         if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
+            if not math.isfinite(prop_value):
+                raise ArithmeticError(f"weight-chain objective is {prop_value} at iteration {t + 1}")
             weights, value, grad = proposal, prop_value, prop_grad
             accepted[t] = True
         trace[t + 1] = value
         if t + 1 in keep_set:
-            samples.append(weights.copy())
+            samples.append(weights)
 
-    if not np.isfinite(trace).all():
-        raise ArithmeticError("objective became non-finite during weight sampling")
     return WeightChainResult(
         samples=samples,
         retained=keep,

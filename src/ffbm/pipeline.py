@@ -10,6 +10,7 @@ import numpy as np
 from .analysis import (
     EvaluationReport,
     block_accuracy,
+    check_target_dim,
     cross_entropy_loss,
     mean_description_length,
     reduce_dimension,
@@ -141,13 +142,24 @@ def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
 
 def _repetition_task(args):
     net, cfg, repetition, keep_artifacts = args
-    report, artifacts = run_repetition(net, cfg, repetition)
+    try:
+        report, artifacts = run_repetition(net, cfg, repetition)
+    except Exception as exc:
+        # Same type, so the exit code stays; the message says which repetition failed.
+        exc.args = (f"repetition {repetition} (master seed {cfg.seed}): {exc}",)
+        raise
     return report, (artifacts if keep_artifacts else None)
 
 
 def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_artifacts: bool = False):
-    """All repetitions, optionally in parallel processes; order is by index."""
+    """All repetitions, optionally in parallel processes; order is by index.
+
+    A failing repetition raises its exception, of its own type, with the
+    repetition index and the master seed in the message.
+    """
     require_features(net)
+    if cfg.reduce_dim is not None:
+        check_target_dim(cfg.reduce_dim, net.num_features)
     tasks = [(net, cfg, rep, keep_artifacts) for rep in range(cfg.repetitions)]
     if jobs > 1 and cfg.repetitions > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

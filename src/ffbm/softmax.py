@@ -10,7 +10,7 @@ weights is a soft cross-entropy plus a Gaussian ridge penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +24,23 @@ class ObjectiveContext:
         memberships); each row must sum to 1, which is the only property
         the gradient identity relies on.
     sigma: prior standard deviation of each weight entry.
+
+    The objective depends on the data only through the distinct feature
+    rows, their counts and targets.T @ features, so these are derived once:
+    rows (U x D, the distinct rows), counts (U), weighted_rows
+    (counts[:, None] * rows), inverse (the index into rows of each vertex)
+    and target_moments (B x D).  Binary flags repeat, so U is usually far
+    below the number of vertices; real-valued features have U = N.
     """
 
     features: np.ndarray
     targets: np.ndarray
     sigma: float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    weighted_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    target_moments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -42,6 +54,13 @@ class ObjectiveContext:
             raise ValueError("prior standard deviation must be positive")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targ)
+        rows, inverse, counts = np.unique(feats, axis=0, return_inverse=True, return_counts=True)
+        counts = counts.astype(np.float64)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "weighted_rows", counts[:, None] * rows)
+        object.__setattr__(self, "inverse", inverse.reshape(-1))
+        object.__setattr__(self, "target_moments", targ.T @ feats)
 
     @property
     def size(self) -> int:
@@ -65,9 +84,30 @@ def class_probabilities(weights: np.ndarray, features: np.ndarray) -> np.ndarray
     return p
 
 
-def _log_normaliser(logits: np.ndarray) -> np.ndarray:
-    peak = logits.max(axis=1, keepdims=True)
-    return (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))[:, 0]
+def _row_logits(weights: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
+    """Logits of every distinct row: U x B for one weight matrix, S x U x B for a stack of S."""
+    return ctx.rows @ weights.swapaxes(-1, -2)
+
+
+def _log_normaliser(logits: np.ndarray):
+    """log sum_j exp(logit_j) along the last axis, shifted by the peak so
+    extreme logits cannot overflow; also returns the shifted exponentials
+    and their sums, from which the softmax follows."""
+    peak = logits.max(axis=-1, keepdims=True)
+    shifted = np.exp(logits - peak)
+    total = shifted.sum(axis=-1, keepdims=True)
+    return (peak + np.log(total))[..., 0], shifted, total
+
+
+def _cross_entropy(weights: np.ndarray, log_z: np.ndarray, ctx: ObjectiveContext):
+    """The objective's soft cross-entropy term, sum_i (logZ_i - sum_j y_ij logit_ij).
+
+    Summed over distinct rows: counts . logZ - <W, targets.T @ features>.
+    log_z holds the log-normalisers of the distinct rows under weights;
+    weights may be one B x D matrix or a stack of them (one value each).
+    """
+    flat = weights.reshape(*weights.shape[:-2], -1)
+    return log_z @ ctx.counts - flat @ ctx.target_moments.ravel()
 
 
 def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
@@ -77,15 +117,14 @@ def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
     sum_ij y_ij log(1/a_ij) + |W|^2 / (2 sigma^2), computed through the
     log-normaliser so extreme logits cannot underflow:
     sum_j y_ij log(1/a_ij) = logZ_i - sum_j y_ij logit_ij.
-    Row k of the gradient is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2.
+    Row k of the gradient is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2;
+    both sums run over the distinct rows, weighted by their counts.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    logits = ctx.features @ weights.T
-    log_z = _log_normaliser(logits)
-    cross = log_z.sum() - float((ctx.targets * logits).sum())
-    value = cross + float((weights * weights).sum()) / (2.0 * ctx.sigma**2)
-    probs = np.exp(logits - log_z[:, None])
-    grad = (probs - ctx.targets).T @ ctx.features + weights / ctx.sigma**2
+    log_z, shifted, total = _log_normaliser(_row_logits(weights, ctx))
+    value = (float(_cross_entropy(weights, log_z, ctx))
+             + float(np.vdot(weights, weights)) / (2.0 * ctx.sigma**2))
+    grad = (shifted / total).T @ ctx.weighted_rows - ctx.target_moments + weights / ctx.sigma**2
     return value, grad
 
 

@@ -216,3 +216,37 @@ def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monke
     code = main([command, "--set", f"edges={inst / 'edges.txt'}", "--set", "num_blocks=2",
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("setting", ["train_fraction=1.5", "sigma=-1", "step_scale=0",
+                                     "theta_thinning=0", "theta_burn_in=1.2", "reduce_dim=7"])
+def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting):
+    import ffbm.pipeline as pipeline_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the partition chain ran with a configuration a later stage rejects")
+
+    monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
+    code = main(["run", "--set", "repetitions=1", "--set", setting, "--out-dir", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("error, code", [(ArithmeticError, 3), (ValueError, 2)])
+def test_failing_repetition_names_itself(synthetic_dir, tmp_path, monkeypatch, capsys,
+                                         jobs, error, code):
+    # The patch reaches --jobs 2 workers because they are forked from this process.
+    import ffbm.pipeline as pipeline_mod
+
+    real = pipeline_mod.run_repetition
+
+    def fail_second(net, cfg, repetition):
+        if repetition == 1:
+            raise error("chain broke")
+        return real(net, cfg, repetition)
+
+    monkeypatch.setattr(pipeline_mod, "run_repetition", fail_second)
+    _, cfg = synthetic_dir
+    assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
+                 "--out-dir", str(tmp_path / "out")]) == code
+    assert "repetition 1 (master seed 4): chain broke" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ffbm.mala as mala_mod
 from ffbm import (
     ObjectiveContext,
     WeightChainConfig,
@@ -178,3 +179,62 @@ def test_annealed_acceptance_improves():
     early = res.accepted[:window].mean()
     late = res.accepted[-window:].mean()
     assert late > early
+
+
+def test_chain_flags_do_not_depend_on_row_order():
+    # The objective sees sorted distinct rows, so shuffling the vertices
+    # may move only the last digits of U.  The step is moderate: with a step
+    # far past the curvature the proposal map expands such differences.
+    rng = np.random.default_rng(11)
+    feats = (rng.random((60, 3)) < 0.5).astype(float)
+    raw = rng.random((60, 3))
+    ctx = ObjectiveContext(feats, raw / raw.sum(axis=1, keepdims=True), 1.0)
+    perm = rng.permutation(60)
+    shuffled = ObjectiveContext(ctx.features[perm], ctx.targets[perm], 1.0)
+    cfg = WeightChainConfig(iterations=2000, burn_in=0.0, thinning=1, step_scale=4.0, seed=12)
+    a = run_weight_chain(ctx, cfg)
+    b = run_weight_chain(shuffled, cfg)
+    assert 0.0 < a.acceptance_ratio < 1.0
+    assert np.array_equal(a.accepted, b.accepted)
+    assert np.allclose(a.u_trace, b.u_trace, rtol=1e-12, atol=0.0)
+
+
+def test_empty_context_is_rejected():
+    ctx = ObjectiveContext(np.zeros((0, 2)), np.zeros((0, 3)), 1.0)
+    with pytest.raises(ValueError):
+        run_weight_chain(ctx, WeightChainConfig(iterations=10))
+
+
+def _objective_failing_at(monkeypatch, call, value):
+    """Make the chain's objective call number `call` (0 is the initial draw) return value."""
+    calls = []
+
+    def patched(weights, ctx):
+        calls.append(None)
+        u, grad = objective_and_gradient(weights, ctx)
+        return (value, grad) if len(calls) - 1 == call else (u, grad)
+
+    monkeypatch.setattr(mala_mod, "objective_and_gradient", patched)
+
+
+@pytest.mark.parametrize("call, value, where", [
+    (0, math.nan, "initial draw"),
+    (0, math.inf, "initial draw"),
+    (5, math.nan, "iteration 5"),
+    (3, -math.inf, "iteration 3"),
+])
+def test_weight_chain_names_the_non_finite_step(monkeypatch, call, value, where):
+    _objective_failing_at(monkeypatch, call, value)
+    cfg = WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=13)
+    with pytest.raises(ArithmeticError, match=where):
+        run_weight_chain(separated_context(), cfg)
+
+
+def test_weight_chain_rejects_an_infinite_proposal(monkeypatch):
+    cfg = WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=13)
+    plain = run_weight_chain(separated_context(), cfg)
+    assert plain.accepted[6]
+    _objective_failing_at(monkeypatch, 7, math.inf)
+    res = run_weight_chain(separated_context(), cfg)
+    assert not res.accepted[6]
+    assert np.isfinite(res.u_trace).all()

@@ -100,6 +100,50 @@ def test_objective_nonnegative():
         assert objective(w, ctx) >= 0.0
 
 
+def full_row_objective(weights, features, targets, sigma):
+    """Value and gradient summed over every row, as computed before the rows were compressed."""
+    logits = features @ weights.T
+    peak = logits.max(axis=1, keepdims=True)
+    log_z = (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))[:, 0]
+    value = (log_z.sum() - float((targets * logits).sum())
+             + float((weights * weights).sum()) / (2.0 * sigma**2))
+    probs = np.exp(logits - log_z[:, None])
+    grad = (probs - targets).T @ features + weights / sigma**2
+    return value, grad
+
+
+@given(num_blocks=st.integers(1, 5), num_features=st.integers(1, 6), distinct=st.integers(1, 6),
+       size=st.integers(1, 40), real_valued=st.booleans(), zero_row=st.booleans(),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_compressed_objective_matches_full_row_oracle(num_blocks, num_features, distinct, size,
+                                                       real_valued, zero_row, seed):
+    # Vertices draw their rows from a few distinct ones, so rows repeat.
+    rng = np.random.default_rng(seed)
+    if real_valued:
+        base = rng.normal(size=(distinct, num_features))
+    else:
+        base = (rng.random((distinct, num_features)) < 0.5).astype(float)
+    if zero_row:
+        base[0] = 0.0
+    picks = rng.integers(0, distinct, size)
+    picks[0] = 0
+    feats = base[picks]
+    raw = rng.random((size, num_blocks))
+    targets = raw / raw.sum(axis=1, keepdims=True)
+    sigma = float(rng.uniform(0.5, 2.0))
+    ctx = ObjectiveContext(feats, targets, sigma)
+    assert np.array_equal(ctx.rows[ctx.inverse], ctx.features)
+    assert len(np.unique(ctx.rows, axis=0)) == len(ctx.rows) <= distinct
+    assert ctx.counts.sum() == size
+
+    w = rng.normal(scale=3.0, size=(num_blocks, num_features))
+    value, grad = objective_and_gradient(w, ctx)
+    want_value, want_grad = full_row_objective(w, feats, targets, sigma)
+    assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    assert np.abs(grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
+
+
 def test_context_validates_rows():
     with pytest.raises(ValueError):
         ObjectiveContext(np.zeros((2, 1)), np.array([[0.7, 0.2], [0.5, 0.5]]), 1.0)
