@@ -104,12 +104,17 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     return total / (num_vertices + num_edges)
 
 
-def _vertex_context(responsibilities, features, vertex_set) -> ObjectiveContext:
+def _vertex_context(responsibilities, features, vertex_set, weight_samples) -> ObjectiveContext:
     """The distinct feature rows of a vertex set and their targets.
 
-    The prior width does not enter the cross-entropy term or the argmax.
+    Both metrics need at least one vertex and one weight sample.  The prior
+    width does not enter the cross-entropy term or the argmax.
     """
     vertex_set = np.asarray(vertex_set)
+    if vertex_set.size == 0:
+        raise ValueError("empty vertex set")
+    if len(weight_samples) == 0:
+        raise ValueError("need at least one weight sample")
     return ObjectiveContext(np.asarray(features)[vertex_set],
                             np.asarray(responsibilities)[vertex_set], sigma=1.0)
 
@@ -130,12 +135,7 @@ def cross_entropy_loss(weight_samples, responsibilities, features, vertex_set) -
     rows to score (training or test side of the split).  Each sample's loss
     is the weight objective's cross-entropy term divided by the vertex count.
     """
-    vertex_set = np.asarray(vertex_set)
-    if vertex_set.size == 0:
-        raise ValueError("empty vertex set")
-    if len(weight_samples) == 0:
-        raise ValueError("need at least one weight sample")
-    ctx = _vertex_context(responsibilities, features, vertex_set)
+    ctx = _vertex_context(responsibilities, features, vertex_set, weight_samples)
     total = sum(float(_cross_entropy(weights, _log_normaliser(logits)[0], ctx).sum())
                 for weights, logits in _sample_logits(weight_samples, ctx))
     return total / (len(weight_samples) * ctx.size)
@@ -149,7 +149,7 @@ def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np
     assignment.  Blocks with no vertices in the set get NaN (undefined rather
     than zero, so averages are not dragged down).
     """
-    ctx = _vertex_context(responsibilities, features, vertex_set)
+    ctx = _vertex_context(responsibilities, features, vertex_set, weight_samples)
     assigned = ctx.targets.argmax(axis=1)
 
     # votes[u, j]: samples whose classifier puts distinct row u in block j.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +57,14 @@ class BlockChainResult:
     final_state: BlockState
 
 
-def _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas):
+def _proposal_probs(state, i, r, s, w, loops, ki, eps):
     """Forward and reverse proposal probabilities of the move b_i: r -> s.
 
     Both include the 1/N vertex factor and the 1/k_i neighbour average so the
-    values are genuine transition probabilities.
+    values are genuine transition probabilities.  The reverse move is scored
+    on the post-move counts, read off the current state: e_rr - 2 m_r - A_ii,
+    e_rs + m_r - m_s and e_rt - w_t, where m_r counts i's non-loop half-edges
+    into r and m_s those into s.
     """
     e, e_row, B = state.e, state.e_row, state.B
     eps_b = eps * B
@@ -76,25 +78,21 @@ def _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas):
     if s == r:
         return forward, forward
 
-    # Post-move neighbour weights: only the self-loop mass changes block.
-    w_post = w
-    if loops:
-        w_post = dict(w)
-        w_post[r] = w_post.get(r, 0) - loops
-        if w_post[r] == 0:
-            del w_post[r]
-        w_post[s] = w_post.get(s, 0) + loops
-
+    # After the move, i's loop half-edges count towards s instead of r; the
+    # terms are summed in the order of w, with s last if w lacks it.
+    e_r = e[r]
+    m_r = w.get(r, 0) - loops
+    m_s = w.get(s, 0)
     reverse = 0.0
-    for t, wt in w_post.items():
-        key = (t, r) if t <= r else (r, t)
-        e_tr = e[min(t, r)][max(t, r)] + pair_deltas.get(key, 0)
-        row = e_row[t]
+    for t, wt in w.items():
         if t == r:
-            row -= ki
+            reverse += m_r * (e_r[r] - 2 * m_r - loops + eps) / (e_row[r] - ki + eps_b)
         elif t == s:
-            row += ki
-        reverse += wt * (e_tr + eps) / (row + eps_b)
+            reverse += (wt + loops) * (e_r[s] + m_r - m_s + eps) / (e_row[s] + ki + eps_b)
+        else:
+            reverse += wt * (e_r[t] - wt + eps) / (e_row[t] + eps_b)
+    if loops and not m_s:
+        reverse += loops * (e_r[s] + m_r + eps) / (e_row[s] + ki + eps_b)
     reverse *= scale
     return forward, reverse
 
@@ -104,15 +102,27 @@ def _draw_move(state: BlockState, rng: random.Random, eps: float, half_edges):
 
     The vertex is uniform.  An isolated vertex gets a uniform target; any
     other picks a uniform half-edge, whose far end lies in block t, and then
-    target s with probability (e_ts + eps) / (e_t + eps B).
+    target s with probability (e_ts + eps) / (e_t + eps B).  The two uniform
+    integers are drawn as ``random.Random.randrange`` draws them, by
+    rejection on getrandbits(n.bit_length()), so the chain consumes the same
+    random stream as randrange without its call overhead.
     """
-    B = state.B
-    i = rng.randrange(half_edges.num_vertices)
+    getrandbits = rng.getrandbits
+    n = half_edges.num_vertices
+    i = getrandbits(half_edges.vertex_bits)
+    while i >= n:
+        if not n:
+            raise ValueError("cannot draw a vertex from an empty network")
+        i = getrandbits(half_edges.vertex_bits)
     ki = half_edges.degree[i]
+    B = state.B
     if ki == 0:
         return i, rng.randrange(B)
-    x = rng.randrange(ki)
-    t = state.b[half_edges.neighbours[i][bisect_right(half_edges.cumulative[i], x)]]
+    k = half_edges.bits[i]
+    x = getrandbits(k)
+    while x >= ki:
+        x = getrandbits(k)
+    t = state.b[half_edges.ends[i][x]]
     e_t = state.e[t]
     u = rng.random() * (state.e_row[t] + eps * B)
     run = 0.0
@@ -135,10 +145,8 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     if ki == 0:
         log_q = -math.log(net.num_vertices * state.B)
         return i, s, log_q, log_q
-    r = state.b[i]
     w, loops = _neighbor_block_weights(state, i)
-    pair_deltas = _pair_deltas(r, s, w, loops) if s != r else {}
-    forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, smoothing, pair_deltas)
+    forward, reverse = _proposal_probs(state, i, state.b[i], s, w, loops, ki, smoothing)
     return i, s, math.log(forward), math.log(reverse)
 
 
@@ -157,19 +165,18 @@ def _mh_step_impl(state, rng, eps, half_edges):
     if state.n[r] == 1:
         return False, 0.0  # would empty the source block
     w, loops = _neighbor_block_weights(state, i)
-    pair_deltas = _pair_deltas(r, s, w, loops)
     ki = half_edges.degree[i]
     if ki == 0:
         log_ratio = 0.0  # uniform proposal, symmetric by construction
     else:
-        forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps, pair_deltas)
+        forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps)
         log_ratio = math.log(reverse) - math.log(forward)
     out = [0.0] * state.B
     _move_deltas(state, i, r, w, loops, (s,), out)
     delta = out[s]
     log_alpha = -delta + log_ratio
     if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-        _apply_from_stats(state, i, r, s, pair_deltas)
+        _apply_from_stats(state, i, r, s, _pair_deltas(r, s, w, loops))
         return True, delta
     return False, 0.0
 

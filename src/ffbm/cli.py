@@ -8,8 +8,9 @@ Subcommands:
     report         run the full experiment (all repetitions) and write report.json
     run            like report, but also writes per-repetition artifacts
 
-Exit codes: 0 success, 1 usage error, 2 data or configuration error,
-3 numeric failure inside a sampler.
+Exit codes: 0 success, 1 usage error, 2 data or configuration error
+(including a path that cannot be read or written, such as a directory
+given as a data file), 3 numeric failure inside a sampler.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _run_command(args)
-    except (DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (DataFormatError, OSError, ValueError) as exc:
         print(f"ffbm: data error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -85,27 +85,25 @@ class LabelledNetwork:
 
 
 class HalfEdgeTable:
-    """Per-vertex lists for drawing the far end of a uniformly chosen half-edge.
+    """Flat per-vertex lists for drawing the far end of a uniformly chosen half-edge.
 
-    For a uniform integer x in [0, degree[i]), the half-edge's far end is
-    neighbours[i][bisect_right(cumulative[i], x)].
+    ends[i] holds one entry per half-edge of vertex i: each neighbour j
+    appears a_ij times in adjacency order, so a vertex with m self-loops
+    appears 2m times in its own list.  For a uniform integer x in
+    [0, degree[i]), the half-edge's far end is ends[i][x].  bits[i] is
+    degree[i].bit_length() and vertex_bits is num_vertices.bit_length():
+    the widths that ``random.Random.randrange`` draws with.
     """
 
-    __slots__ = ("num_vertices", "degree", "neighbours", "cumulative")
+    __slots__ = ("num_vertices", "vertex_bits", "degree", "bits", "ends")
 
     def __init__(self, net: LabelledNetwork):
-        self.num_vertices = net.num_vertices
+        self.num_vertices = int(net.num_vertices)
+        self.vertex_bits = self.num_vertices.bit_length()
         self.degree = [int(x) for x in net.degrees]
-        self.neighbours = []
-        self.cumulative = []
-        for i in range(net.num_vertices):
-            js, acc, run = [], [], 0
-            for j, a in net.adjacency[i]:
-                js.append(j)
-                run += a
-                acc.append(run)
-            self.neighbours.append(js)
-            self.cumulative.append(acc)
+        self.bits = [k.bit_length() for k in self.degree]
+        self.ends = [[j for j, a in net.adjacency[i] for _ in range(a)]
+                     for i in range(net.num_vertices)]
 
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:

@@ -53,14 +53,15 @@ class PartitionCountTable:
     Exact big-integer dynamic programming on the recurrence
     q(m, n) = q(m, n-1) + q(m-n, n), with q(0, n) = 1 and q(m, 0) = 0 for
     m > 0.  Rows are built lazily; n is clamped to m since parts larger
-    than m never occur.  Log values are cached separately as floats.
+    than m never occur.  Log values are cached as floats in log_cache,
+    keyed by the (m, n) asked for.
     """
 
     def __init__(self):
         # _rows[n][m] = q(m, n); row 0 is the base case.
         self._rows = [[1]]
         self._max_m = 0
-        self._log_cache = {}
+        self.log_cache = {}
 
     def _grow(self, m: int, n: int) -> None:
         if m > self._max_m:
@@ -102,21 +103,19 @@ class PartitionCountTable:
 
     def log_count(self, m: int, n: int) -> float:
         """log q(m, n); requires q(m, n) > 0 (i.e. not m > 0 with n = 0)."""
-        if m == 0:
-            return 0.0
-        key = (m, min(n, m))
-        cached = self._log_cache.get(key)
+        cached = self.log_cache.get((m, n))
         if cached is None:
             q = self.count(m, n)
             if q == 0:
                 raise ValueError(f"log q({m}, {n}) of zero count")
             cached = math.log(q)
-            self._log_cache[key] = cached
+            self.log_cache[m, n] = cached
         return cached
 
 
 # Module-level singleton: chains within one process share the DP work.
 _PARTITION_TABLE = PartitionCountTable()
+_LOG_Q = _PARTITION_TABLE.log_cache
 
 
 def count_partitions(m: int, n: int) -> int:
@@ -125,4 +124,11 @@ def count_partitions(m: int, n: int) -> int:
 
 
 def log_count_partitions(m: int, n: int) -> float:
-    return _PARTITION_TABLE.log_count(m, n)
+    """log q(m, n): one dict lookup once (m, n) has been seen.
+
+    The move-delta kernel calls this 2B + 2 times per greedy visit.
+    """
+    try:
+        return _LOG_Q[m, n]
+    except KeyError:
+        return _PARTITION_TABLE.log_count(m, n)

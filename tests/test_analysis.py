@@ -221,6 +221,18 @@ def test_block_accuracy_undefined_for_empty_block():
     assert np.isnan(acc[1])
 
 
+@pytest.mark.parametrize("metric", [cross_entropy_loss, block_accuracy])
+@pytest.mark.parametrize("samples, vertex_set, message", [
+    ([], np.arange(2), "need at least one weight sample"),
+    ([np.zeros((2, 1))], np.array([], dtype=int), "empty vertex set"),
+])
+def test_metrics_reject_empty_inputs(metric, samples, vertex_set, message):
+    y = np.array([[0.9, 0.1], [0.2, 0.8]])
+    feats = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match=message):
+        metric(samples, y, feats, vertex_set)
+
+
 def test_block_accuracy_matches_naive_loop():
     rng = np.random.default_rng(4)
     feats = (rng.random((12, 3)) < 0.5).astype(float)

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffbm import (
     BlockChainConfig,
@@ -23,7 +26,7 @@ from ffbm import (
     run_block_chain,
 )
 from ffbm import block_chain
-from ffbm.block_chain import _mh_step_impl, _proposal_probs
+from ffbm.block_chain import _draw_move, _mh_step_impl, _proposal_probs
 from ffbm.dcsbm import _neighbor_block_weights, _pair_deltas, apply_move
 from ffbm.sampling import retained_indices
 
@@ -83,8 +86,7 @@ def test_propose_forward_probabilities_sum_to_one(bowtie):
         w, loops = _neighbor_block_weights(state, i)
         total = 0.0
         for s in range(2):
-            pd = _pair_deltas(r, s, w, loops) if s != r else {}
-            fwd, _ = _proposal_probs(state, i, r, s, w, loops, ki, 1.0, pd)
+            fwd, _ = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
             total += fwd
         assert math.isclose(total, 1.0 / 5, rel_tol=1e-12)
 
@@ -145,13 +147,11 @@ def test_propose_reverse_matches_forward_of_reversed_state(bowtie):
         s = 1 - r
         ki = int(bowtie.degrees[i])
         w, loops = _neighbor_block_weights(state, i)
-        pd = _pair_deltas(r, s, w, loops)
-        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0, pd)
+        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
         moved = state.copy()
         apply_move(moved, i, s)
         w2, loops2 = _neighbor_block_weights(moved, i)
-        pd2 = _pair_deltas(s, r, w2, loops2)
-        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0, pd2)
+        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0)
         assert abs(math.log(rev) - math.log(fwd2)) < 1e-10
         assert abs(math.log(rev2) - math.log(fwd)) < 1e-10
 
@@ -172,19 +172,130 @@ def test_detailed_balance_spot_check(bowtie):
         delta = delta_description_length(state, i, s)
         ki = int(bowtie.degrees[i])
         w, loops = _neighbor_block_weights(state, i)
-        pd = _pair_deltas(r, s, w, loops)
-        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0, pd)
+        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
         moved = state.copy()
         apply_move(moved, i, s)
         w2, loops2 = _neighbor_block_weights(moved, i)
-        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0,
-                                     _pair_deltas(s, r, w2, loops2))
+        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0)
         log_acc_fwd = min(0.0, -delta + math.log(rev) - math.log(fwd))
         log_acc_rev = min(0.0, delta + math.log(rev2) - math.log(fwd2))
         lhs = -description_length(bowtie, state) + math.log(fwd) + log_acc_fwd
         rhs = -description_length(bowtie, moved) + math.log(fwd2) + log_acc_rev
         assert abs(lhs - rhs) < 1e-9
         checked += 1
+
+
+def _randrange_draw(state, rng, eps, neighbours, cumulative):
+    """The proposal draw written with randrange and a bisect over cumulative
+    multiplicities, as the chain drew it before the flat half-edge table."""
+    net, num_blocks = state.net, state.B
+    i = rng.randrange(net.num_vertices)
+    ki = int(net.degrees[i])
+    if ki == 0:
+        return i, rng.randrange(num_blocks)
+    x = rng.randrange(ki)
+    t = state.b[neighbours[i][bisect_right(cumulative[i], x)]]
+    u = rng.random() * (state.e_row[t] + eps * num_blocks)
+    run = 0.0
+    for s in range(num_blocks):
+        run += state.e[t][s] + eps
+        if u < run:
+            return i, s
+    return i, num_blocks - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draw_move_consumes_the_randrange_stream(seed):
+    # Loops (one with multiplicity 2), parallel edges, degrees that are powers
+    # of two and an isolated vertex (7); 8 vertices make the vertex draw reject.
+    net = network_from_edges(8, [(0, 1, 3), (0, 0), (1, 2), (2, 2, 2), (2, 3), (3, 4, 2),
+                                 (4, 5), (5, 6), (6, 0), (1, 5), (3, 3)])
+    neighbours = [[j for j, _ in net.adjacency[i]] for i in range(8)]
+    cumulative = [list(itertools.accumulate(a for _, a in net.adjacency[i])) for i in range(8)]
+    ours = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
+    theirs = ours.copy()
+    rng_new, rng_old = random.Random(seed), random.Random(seed)
+    moves = 0
+    for _ in range(5000):
+        move = _draw_move(ours, rng_new, 0.5, net.half_edges)
+        assert move == _randrange_draw(theirs, rng_old, 0.5, neighbours, cumulative)
+        i, s = move
+        if s != ours.b[i] and ours.n[ours.b[i]] > 1:
+            apply_move(ours, i, s)
+            apply_move(theirs, i, s)
+            moves += 1
+    assert rng_new.getstate() == rng_old.getstate()
+    assert moves > 500
+
+
+def test_draw_move_rejects_an_empty_network():
+    net = network_from_edges(0, [])
+    with pytest.raises(ValueError):
+        propose_move(BlockState(net, [], 1), random.Random(0))
+
+
+def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
+    """The proposal probabilities with the reverse move read through _pair_deltas,
+    as they were computed before the reverse was scored on the state directly."""
+    e, e_row, num_blocks = state.e, state.e_row, state.B
+    eps_b = eps * num_blocks
+    scale = 1.0 / (state.net.num_vertices * ki)
+    forward = 0.0
+    for t, wt in w.items():
+        forward += wt * (e[t][s] + eps) / (e_row[t] + eps_b)
+    forward *= scale
+    if s == r:
+        return forward, forward
+    pair_deltas = _pair_deltas(r, s, w, loops)
+    w_post = w
+    if loops:
+        w_post = dict(w)
+        w_post[r] = w_post.get(r, 0) - loops
+        if w_post[r] == 0:
+            del w_post[r]
+        w_post[s] = w_post.get(s, 0) + loops
+    reverse = 0.0
+    for t, wt in w_post.items():
+        key = (t, r) if t <= r else (r, t)
+        e_tr = e[min(t, r)][max(t, r)] + pair_deltas.get(key, 0)
+        row = e_row[t]
+        if t == r:
+            row -= ki
+        elif t == s:
+            row += ki
+        reverse += wt * (e_tr + eps) / (row + eps_b)
+    reverse *= scale
+    return forward, reverse
+
+
+@given(st.integers(2, 5).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops and repeated
+    # pairs are parallel edges.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10),
+    st.sampled_from([0.25, 1.0, 3.0]))))
+@settings(max_examples=120, deadline=None)
+def test_proposal_probs_match_the_pair_delta_formula_and_the_moved_state(case):
+    num_blocks, edges, labels, eps = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    for i in range(10):
+        ki = net.half_edges.degree[i]
+        if ki == 0:
+            continue
+        r = state.b[i]
+        w, loops = _neighbor_block_weights(state, i)
+        for s in range(num_blocks):
+            fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, eps)
+            old_fwd, old_rev = _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps)
+            assert fwd.hex() == old_fwd.hex() and rev.hex() == old_rev.hex()
+            moved = state.copy()
+            apply_move(moved, i, s)
+            w2, loops2 = _neighbor_block_weights(moved, i)
+            fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, eps)
+            assert math.isclose(rev, fwd2, rel_tol=1e-12)
+            assert math.isclose(rev2, fwd, rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------- MH stepping
@@ -323,6 +434,19 @@ def test_mdl_partition_pinned_planted():
 
 
 # ------------------------------------------------------------------ full runs
+
+def test_run_block_chain_pinned_polbooks():
+    # SHA-256 of the S trace's float64 bytes and of the retained partitions,
+    # recorded with the randrange draw and the pair-delta reverse score.
+    res = run_block_chain(load_polbooks(), 3, BlockChainConfig(iterations=300, seed=11,
+                                                               init_restarts=2))
+    assert res.s_trace[0] == 1347.6289107484477
+    assert res.s_trace[-1] == 1345.9324468019654
+    assert hashlib.sha256(res.s_trace.tobytes()).hexdigest() == (
+        "47ccef8594c92829f750c34cfea4201162c9db4331e85e3efb7a9ed12ef2f9d8")
+    assert hashlib.sha256(np.stack(res.samples).astype(np.int64).tobytes()).hexdigest() == (
+        "f6d090c15a8e21ce2cd8bc555888bd858636604f18f8b7d6fe48bdd4f699f162")
+
 
 def test_run_block_chain_shapes(bowtie):
     cfg = BlockChainConfig(iterations=40, burn_in=0.2, thinning=4, seed=1)

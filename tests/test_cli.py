@@ -250,3 +250,41 @@ def test_failing_repetition_names_itself(synthetic_dir, tmp_path, monkeypatch, c
     assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
                  "--out-dir", str(tmp_path / "out")]) == code
     assert "repetition 1 (master seed 4): chain broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample-blocks", "sample-theta", "reduce", "report", "run"])
+@pytest.mark.parametrize("case", ["edges-dir", "features-dir", "config-dir", "out-dir-file",
+                                  "malformed-edges"])
+def test_unreadable_or_malformed_input_exits_two(synthetic_dir, tmp_path, monkeypatch, capsys,
+                                                 command, case):
+    import ffbm.pipeline as pipeline_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the partition chain ran on input that cannot be read")
+
+    monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
+    _, cfg = synthetic_dir
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    bad_edges = tmp_path / "bad_edges.txt"
+    bad_edges.write_text("0 1\n1 two\n")
+    as_file = tmp_path / "a_file"
+    as_file.write_text("")
+    args = {
+        "edges-dir": ["--config", str(cfg), "--set", f"edges={folder}"],
+        "features-dir": ["--config", str(cfg), "--set", f"features={folder}"],
+        "config-dir": ["--config", str(folder)],
+        "out-dir-file": ["--config", str(cfg), "--out-dir", str(as_file)],
+        "malformed-edges": ["--config", str(cfg), "--set", f"edges={bad_edges}"],
+    }[case]
+    if case != "out-dir-file":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ffbm: data error:") and "Traceback" not in err
+
+
+def test_generate_into_a_file_exits_two(tmp_path):
+    as_file = tmp_path / "a_file"
+    as_file.write_text("")
+    assert main(["generate", "--num-vertices", "10", "--out-dir", str(as_file)]) == 2

@@ -63,6 +63,13 @@ def test_log_count_partitions():
         log_count_partitions(3, 0)
 
 
+@pytest.mark.parametrize("m, n", [(7, 3), (30, 4), (7, 7), (7, 20), (1, 1), (0, 0), (0, 5)])
+def test_log_count_partitions_is_the_log_of_the_count(m, n):
+    # Asked twice: the first call fills the cache, the second reads it.
+    for _ in range(2):
+        assert log_count_partitions(m, n) == math.log(count_partitions(m, n))
+
+
 def test_fresh_table_growth():
     table = PartitionCountTable()
     assert table.count(100, 100) == count_partitions(100, 100)
