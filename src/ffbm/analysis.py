@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +57,19 @@ def feature_scores(summary: WeightSummary, multiplier: float) -> np.ndarray:
     over blocks of the interval's distance bound min(|low|, |high|).  A
     feature survives a cutoff c exactly when its score is >= c.
     """
-    if multiplier <= 0:
-        raise ValueError("interval multiplier must be positive")
+    check_multiplier(multiplier)
     low = summary.mean - multiplier * summary.std
     high = summary.mean + multiplier * summary.std
     straddles = (low <= 0.0) & (high >= 0.0)
     low = np.where(straddles, 0.0, low)
     high = np.where(straddles, 0.0, high)
     return np.minimum(np.abs(low), np.abs(high)).max(axis=0)
+
+
+def check_multiplier(multiplier: float) -> None:
+    """The screen's interval rule: the multiplier k is finite and positive."""
+    if not 0 < multiplier < math.inf:
+        raise ValueError(f"interval multiplier must be finite and positive, got {multiplier}")
 
 
 def check_target_dim(target_dim: int, num_features: int) -> None:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
-from .dataio import DataFormatError
+from .analysis import check_multiplier
+from .dataio import DataFormatError, content_lines, read_text
 from .graph import check_train_fraction
 from .mala import WeightChainConfig
 
@@ -53,9 +55,13 @@ class RunConfig:
             raise ValueError("need at least one repetition")
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         # The later stages' own validators, so that a bad value fails before
         # the partition chain runs (which checks its own values as it starts).
         check_train_fraction(self.train_fraction)
+        check_multiplier(self.reduce_multiplier)
         WeightChainConfig(iterations=self.theta_iters, burn_in=self.theta_burn_in,
                           thinning=self.theta_thinning, sigma=self.sigma, step_scale=self.step_scale)
         if self.reduce_dim is not None:
@@ -71,12 +77,15 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _STRING_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "str"}
 _INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
+_FLOAT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "float"}
+_NULLABLE_FIELDS = {f.name for f in dataclasses.fields(RunConfig) if f.default is None}
 
 
 def _coerce(key: str, value):
     if key not in _FIELD_TYPES:
         raise DataFormatError(f"unknown configuration key {key!r}")
-    if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
+    if key in _NULLABLE_FIELDS and (
+            value is None or (isinstance(value, str) and value.lower() in ("none", "null", ""))):
         return None
     if key in _STRING_FIELDS:
         return str(value)
@@ -89,30 +98,25 @@ def _coerce(key: str, value):
         if key in _INT_FIELDS:
             return int(value)
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataFormatError(f"configuration key {key!r} has non-numeric value {value!r}") from None
 
 
 def parse_config_file(path) -> dict:
     """Read a config file: JSON object, or 'key = value' lines with # comments."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = read_text(path)
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataFormatError(f"{path}: invalid JSON config: {exc}") from None
         if not isinstance(data, dict):
             raise DataFormatError(f"{path}: JSON config must be an object")
         return data
     data = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
-            raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         data[key.strip()] = value.strip()
     return data

@@ -1,13 +1,14 @@
 """File formats: edge lists, feature matrices, chain outputs, reports.
 
-All formats are plain text (whitespace edge lists, CSV, JSON) so runs can
-be diffed and the weight plots reproduced from the sample files alone.
+All formats are plain UTF-8 text (whitespace edge lists, CSV, JSON) so runs
+can be diffed and the weight plots reproduced from the sample files alone.
 Vertex ids are 0-based everywhere.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from importlib import resources
 from pathlib import Path
@@ -21,57 +22,117 @@ class DataFormatError(ValueError):
     """Malformed input data (maps to exit code 2 in the CLI)."""
 
 
+def read_text(path) -> str:
+    """The whole of an input file, decoded as UTF-8 with line endings kept."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def content_lines(text):
+    """(line number, content) of each line that is not blank once '#' comments are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_edge_list(path):
     """Read 'u v [multiplicity]' lines; '#' comments and blanks are skipped.
 
     Repeated pairs accumulate multiplicity; u v and v u are the same edge.
     """
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise DataFormatError(f"{path}:{lineno}: expected 'u v [m]', got {raw.rstrip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                m = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer token in {raw.rstrip()!r}") from None
-            if u < 0 or v < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative vertex id")
-            if m <= 0:
-                raise DataFormatError(f"{path}:{lineno}: multiplicity must be positive, got {m}")
-            edges.append((u, v, m))
+    for lineno, line in content_lines(read_text(path)):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise DataFormatError(f"{path}:{lineno}: expected 'u v [m]', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            m = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-integer token in {line!r}") from None
+        if u < 0 or v < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative vertex id")
+        if m <= 0:
+            raise DataFormatError(f"{path}:{lineno}: multiplicity must be positive, got {m}")
+        edges.append((u, v, m))
     return edges
 
 
-def _read_feature_rows(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty feature file") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not header or header[0].strip() != "vertex":
-        raise DataFormatError(f"{path}: first header column must be 'vertex'")
-    return [h.strip() for h in header[1:]], rows
+def _read_table(path, key):
+    """Columns and rows of a CSV file whose first column holds integer keys.
 
-
-def _vertex_id(path, row, num_vertices, seen):
+    Cells are stripped and rows of blank cells skipped.  Returns the column
+    names after `key` and one (line number, key, other cells) triple per row,
+    each row checked to have one cell per column.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        vid = int(row[0])
-    except ValueError:
-        raise DataFormatError(f"{path}: non-integer vertex id {row[0]!r}") from None
-    if not 0 <= vid < num_vertices:
-        raise DataFormatError(f"{path}: vertex id {vid} outside [0, {num_vertices})")
-    if vid in seen:
-        raise DataFormatError(f"{path}: duplicate vertex id {vid}")
-    seen.add(vid)
-    return vid
+        header = [cell.strip() for cell in next(reader, [])]
+        if not header or header[0] != key:
+            raise DataFormatError(f"{path}: first header column must be {key!r}")
+        rows = []
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: row has {len(cells)} cells, expected {len(header)}")
+            try:
+                rows.append((reader.line_num, int(cells[0]), cells[1:]))
+            except ValueError:
+                raise DataFormatError(f"{path}:{reader.line_num}: non-integer {key} {cells[0]!r}") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    return header[1:], rows
+
+
+def _read_vertex_table(path, num_vertices=None):
+    """Columns and per-vertex cells of a CSV file keyed by a 'vertex' column.
+
+    Every vertex id in [0, N) must appear exactly once; N defaults to the
+    number of rows.
+    """
+    columns, rows = _read_table(path, "vertex")
+    if num_vertices is None:
+        num_vertices = len(rows)
+    cells = [None] * num_vertices
+    for lineno, vid, row in rows:
+        if not 0 <= vid < num_vertices:
+            raise DataFormatError(f"{path}:{lineno}: vertex id {vid} outside [0, {num_vertices})")
+        if cells[vid] is not None:
+            raise DataFormatError(f"{path}:{lineno}: duplicate vertex id {vid}")
+        cells[vid] = row
+    missing = [vid for vid, row in enumerate(cells) if row is None]
+    if missing:
+        raise DataFormatError(f"{path}: missing vertices {missing[:5]}")
+    return columns, cells
+
+
+def _binary_flags(path, columns, cells):
+    for vid, row in enumerate(cells):
+        for cell in row:
+            if cell not in ("0", "1"):
+                raise DataFormatError(f"{path}: entry {cell!r} for vertex {vid} is not a binary flag")
+    return np.array(cells, dtype=np.int8).reshape(len(cells), len(columns)), tuple(columns)
+
+
+def _one_hot(path, columns, cells):
+    names = []
+    index = {}
+    for c, col in enumerate(columns):
+        for val in sorted({row[c] for row in cells}):
+            index[(c, val)] = len(names)
+            names.append(f"{col}-{val}")
+    matrix = np.zeros((len(cells), len(names)), dtype=np.int8)
+    for vid, row in enumerate(cells):
+        for c, val in enumerate(row):
+            matrix[vid, index[(c, val)]] = 1
+    return matrix, tuple(names)
 
 
 def parse_features(path, num_vertices: int):
@@ -80,22 +141,7 @@ def parse_features(path, num_vertices: int):
     Every vertex in [0, N) must appear exactly once; entries must be 0 or 1.
     Returns (matrix, names).
     """
-    names, rows = _read_feature_rows(path)
-    matrix = np.zeros((num_vertices, len(names)), dtype=np.int8)
-    seen = set()
-    for row in rows:
-        if len(row) != len(names) + 1:
-            raise DataFormatError(f"{path}: row has {len(row)} cells, expected {len(names) + 1}")
-        vid = _vertex_id(path, row, num_vertices, seen)
-        for d, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise DataFormatError(f"{path}: entry {cell!r} for vertex {vid} is not a binary flag")
-            matrix[vid, d] = int(cell)
-    if len(seen) != num_vertices:
-        missing = sorted(set(range(num_vertices)) - seen)[:5]
-        raise DataFormatError(f"{path}: missing vertices {missing}")
-    return matrix, tuple(names)
+    return _binary_flags(path, *_read_vertex_table(path, num_vertices))
 
 
 def parse_categorical_features(path, num_vertices: int):
@@ -104,62 +150,29 @@ def parse_categorical_features(path, num_vertices: int):
     Each column c with observed values v becomes flags named 'c-v'; flag
     order is column order, then sorted values within a column.
     """
-    columns, rows = _read_feature_rows(path)
-    seen = set()
-    values = {}
-    for row in rows:
-        if len(row) != len(columns) + 1:
-            raise DataFormatError(f"{path}: row has {len(row)} cells, expected {len(columns) + 1}")
-        vid = _vertex_id(path, row, num_vertices, seen)
-        values[vid] = [cell.strip() for cell in row[1:]]
-    if len(seen) != num_vertices:
-        missing = sorted(set(range(num_vertices)) - seen)[:5]
-        raise DataFormatError(f"{path}: missing vertices {missing}")
-
-    names = []
-    index = {}
-    for c, col in enumerate(columns):
-        for val in sorted({values[v][c] for v in range(num_vertices)}):
-            index[(c, val)] = len(names)
-            names.append(f"{col}-{val}")
-    matrix = np.zeros((num_vertices, len(names)), dtype=np.int8)
-    for vid in range(num_vertices):
-        for c in range(len(columns)):
-            matrix[vid, index[(c, values[vid][c])]] = 1
-    return matrix, tuple(names)
+    return _one_hot(path, *_read_vertex_table(path, num_vertices))
 
 
-def load_network(edges_path, features_path=None, categorical_path=None,
-                 num_vertices=None) -> LabelledNetwork:
+def load_network(edges_path, features_path=None, categorical_path=None) -> LabelledNetwork:
     """Assemble a network from an edge list and optional feature files.
 
-    The vertex count comes from the feature file when given, otherwise from
-    num_vertices, otherwise from the largest edge endpoint.
+    The vertex count N is the row count of the first feature file given,
+    otherwise the largest edge endpoint + 1.
     """
     edges = parse_edge_list(edges_path)
-    if num_vertices is None and features_path is None and categorical_path is None:
+    num_vertices, matrices, names = None, [], []
+    for path, expand in ((features_path, _binary_flags), (categorical_path, _one_hot)):
+        if path is not None:
+            columns, cells = _read_vertex_table(path, num_vertices)
+            num_vertices = len(cells)
+            matrix, block_names = expand(path, columns, cells)
+            matrices.append(matrix)
+            names.extend(block_names)
+    if num_vertices is None:
         num_vertices = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-
-    feats, names = None, None
-    if features_path is not None or categorical_path is not None:
-        if num_vertices is None:
-            with open(features_path or categorical_path, newline="") as fh:
-                num_vertices = max(sum(1 for line in fh if line.strip()) - 1, 0)
-        blocks = []
-        all_names = []
-        if features_path is not None:
-            m, n = parse_features(features_path, num_vertices)
-            blocks.append(m)
-            all_names.extend(n)
-        if categorical_path is not None:
-            m, n = parse_categorical_features(categorical_path, num_vertices)
-            blocks.append(m)
-            all_names.extend(n)
-        feats = np.hstack(blocks)
-        names = tuple(all_names)
-
+    feats = np.hstack(matrices) if matrices else None
     try:
-        return network_from_edges(num_vertices, edges, feats, names)
+        return network_from_edges(num_vertices, edges, feats, tuple(names))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 
@@ -180,47 +193,38 @@ def load_polbooks() -> LabelledNetwork:
 
 # ---------------------------------------------------------------- writers
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_edge_list(path, edges, comment=None):
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for u, v, m in edges:
-            fh.write(f"{u} {v}\n" if m == 1 else f"{u} {v} {m}\n")
+    lines = [f"# {comment}\n"] if comment else []
+    lines.extend(f"{u} {v}\n" if m == 1 else f"{u} {v} {m}\n" for u, v, m in edges)
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def write_features(path, matrix, names):
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", *names])
-        for vid in range(matrix.shape[0]):
-            writer.writerow([vid, *(int(x) for x in matrix[vid])])
+    _write_csv(path, ["vertex", *names],
+               ([vid, *(int(x) for x in row)] for vid, row in enumerate(matrix)))
 
 
 def write_block_samples(path, samples, retained):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n = len(samples[0]) if samples else 0
-        writer.writerow(["t", *(f"v{i}" for i in range(n))])
-        for t, sample in zip(retained, samples):
-            writer.writerow([t, *(int(x) for x in sample)])
+    n = len(samples[0]) if samples else 0
+    _write_csv(path, ["t", *(f"v{i}" for i in range(n))],
+               ([t, *(int(x) for x in sample)] for t, sample in zip(retained, samples)))
 
 
 def write_trace(path, values, column):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", column])
-        for t, val in enumerate(values):
-            writer.writerow([t, repr(float(val))])
+    _write_csv(path, ["t", column], ([t, repr(float(val))] for t, val in enumerate(values)))
 
 
 def write_responsibilities(path, matrix):
     matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", *(f"block{j}" for j in range(matrix.shape[1]))])
-        for vid in range(matrix.shape[0]):
-            writer.writerow([vid, *(repr(float(x)) for x in matrix[vid])])
+    _write_csv(path, ["vertex", *(f"block{j}" for j in range(matrix.shape[1]))],
+               ([vid, *(repr(float(x)) for x in row)] for vid, row in enumerate(matrix)))
 
 
 def weight_column_names(num_blocks, feature_names):
@@ -234,58 +238,42 @@ def write_weight_samples(path, samples, retained, feature_names):
     from this file alone.
     """
     num_blocks = samples[0].shape[0] if samples else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *weight_column_names(num_blocks, feature_names)])
-        for t, w in zip(retained, samples):
-            writer.writerow([t, *(repr(float(x)) for x in np.asarray(w).ravel())])
+    _write_csv(path, ["t", *weight_column_names(num_blocks, feature_names)],
+               ([t, *(repr(float(x)) for x in np.asarray(w).ravel())]
+                for t, w in zip(retained, samples)))
 
 
 def read_weight_samples(path):
     """Inverse of write_weight_samples: returns (samples, retained, feature_names)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    cols, rows = _read_table(path, "t")
+    blocks = [col.partition(".")[0] for col in cols]
+    num_blocks = len(set(blocks))
+    names = [col.partition(".")[2] for col, blk in zip(cols, blocks) if blk == "0"]
+    if not cols or cols != weight_column_names(num_blocks, names):
+        raise DataFormatError(f"{path}: columns are not 'block.feature' for blocks 0, 1, ...")
+    samples, retained = [], []
+    for lineno, t, cells in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty weight sample file") from None
-        if not header or header[0] != "t":
-            raise DataFormatError(f"{path}: expected a 't' column first")
-        cols = header[1:]
-        split_cols = []
-        for col in cols:
-            blk, _, name = col.partition(".")
-            try:
-                split_cols.append((int(blk), name))
-            except ValueError:
-                raise DataFormatError(f"{path}: column {col!r} is not 'block.feature'") from None
-        num_blocks = 1 + max(b for b, _ in split_cols)
-        names = [name for blk, name in split_cols if blk == 0]
-        num_features = len(names)
-        if num_blocks * num_features != len(cols):
-            raise DataFormatError(f"{path}: inconsistent weight columns")
-        samples, retained = [], []
-        for row in reader:
-            if not row:
-                continue
-            retained.append(int(row[0]))
-            flat = np.array([float(x) for x in row[1:]])
-            samples.append(flat.reshape(num_blocks, num_features))
+            flat = np.array([float(x) for x in cells])
+        except ValueError:
+            flat = None
+        if flat is None or not np.isfinite(flat).all():
+            raise DataFormatError(f"{path}:{lineno}: row t={t} has a weight that is not a finite number")
+        samples.append(flat.reshape(num_blocks, len(names)))
+        retained.append(t)
     if not samples:
         raise DataFormatError(f"{path}: no weight samples")
     return samples, retained, tuple(names)
 
 
 def write_reduction(path, reduction, feature_names):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "name", "score", "kept"])
-        kept = set(int(k) for k in reduction.kept)
-        for d, score in enumerate(reduction.scores):
-            writer.writerow([d, feature_names[d], repr(float(score)), int(d in kept)])
+    kept = set(int(k) for k in reduction.kept)
+    _write_csv(path, ["feature", "name", "score", "kept"],
+               ([d, feature_names[d], repr(float(score)), int(d in kept)]
+                for d, score in enumerate(reduction.scores)))
 
 
 def write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write payload as indented JSON; NaN and infinities are refused (they are not JSON)."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ffbm import build_config, load_network
+import ffbm
+from ffbm import RunConfig, build_config, load_network
 from ffbm.cli import main
 from ffbm.dataio import DataFormatError
 
@@ -219,7 +226,10 @@ def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monke
 
 
 @pytest.mark.parametrize("setting", ["train_fraction=1.5", "sigma=-1", "step_scale=0",
-                                     "theta_thinning=0", "theta_burn_in=1.2", "reduce_dim=7"])
+                                     "theta_thinning=0", "theta_burn_in=1.2", "reduce_dim=7",
+                                     "proposal_smoothing=nan", "sigma=nan", "step_scale=inf",
+                                     "reduced_step_scale=inf", "reduce_multiplier=nan",
+                                     "reduce_multiplier=0", "num_blocks=none"])
 def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting):
     import ffbm.pipeline as pipeline_mod
 
@@ -229,6 +239,13 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting)
     monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
     code = main(["run", "--set", "repetitions=1", "--set", setting, "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**{name: value})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -254,7 +271,7 @@ def test_failing_repetition_names_itself(synthetic_dir, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("command", ["sample-blocks", "sample-theta", "reduce", "report", "run"])
 @pytest.mark.parametrize("case", ["edges-dir", "features-dir", "config-dir", "out-dir-file",
-                                  "malformed-edges"])
+                                  "malformed-edges", "bad-bytes"])
 def test_unreadable_or_malformed_input_exits_two(synthetic_dir, tmp_path, monkeypatch, capsys,
                                                  command, case):
     import ffbm.pipeline as pipeline_mod
@@ -270,21 +287,48 @@ def test_unreadable_or_malformed_input_exits_two(synthetic_dir, tmp_path, monkey
     bad_edges.write_text("0 1\n1 two\n")
     as_file = tmp_path / "a_file"
     as_file.write_text("")
+    bad_bytes = tmp_path / "bad_bytes.csv"
+    bad_bytes.write_bytes(b"vertex,caf\xe9\n")
     args = {
         "edges-dir": ["--config", str(cfg), "--set", f"edges={folder}"],
         "features-dir": ["--config", str(cfg), "--set", f"features={folder}"],
         "config-dir": ["--config", str(folder)],
         "out-dir-file": ["--config", str(cfg), "--out-dir", str(as_file)],
         "malformed-edges": ["--config", str(cfg), "--set", f"edges={bad_edges}"],
+        "bad-bytes": ["--config", str(cfg), "--set", f"features={bad_bytes}"],
     }[case]
     if case != "out-dir-file":
         args += ["--out-dir", str(tmp_path / "out")]
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ffbm: data error:") and "Traceback" not in err
+    if case == "bad-bytes":
+        assert f"{bad_bytes}: not UTF-8" in err
 
 
 def test_generate_into_a_file_exits_two(tmp_path):
     as_file = tmp_path / "a_file"
     as_file.write_text("")
     assert main(["generate", "--num-vertices", "10", "--out-dir", str(as_file)]) == 2
+
+
+def test_outputs_do_not_depend_on_the_locale(synthetic_dir, tmp_path):
+    inst, cfg = synthetic_dir
+    features = inst / "features.csv"
+    features.write_bytes(features.read_bytes().replace(b"f0", "café".encode(), 1))
+    src = Path(ffbm.__file__).resolve().parents[1]
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    outputs = {}
+    for name, env in locales.items():
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffbm.cli", "sample-theta", "--config", str(cfg),
+             "--seed", "3", "--out-dir", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), **env}, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "0.café,".encode() in outputs["ascii"]["theta_samples.csv"]

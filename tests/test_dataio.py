@@ -11,10 +11,12 @@ from ffbm import (
     parse_edge_list,
     parse_features,
 )
+from ffbm.config import parse_config_file
 from ffbm.dataio import (
     read_weight_samples,
     write_edge_list,
     write_features,
+    write_json,
     write_weight_samples,
 )
 
@@ -107,6 +109,49 @@ def test_load_network_infers_vertex_count(tmp_path):
     (tmp_path / "e.txt").write_text("0 4\n")
     net = load_network(tmp_path / "e.txt")
     assert net.num_vertices == 5
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("features", "vertex,flag\n0,1\n1,0\n2,1\n,\n"),
+    ("categorical", 'vertex,title\n0,"two\nlines"\n1,x\n2,y\n'),
+])
+def test_load_network_counts_parsed_rows(tmp_path, kind, text):
+    (tmp_path / "e.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "f.csv").write_text(text)
+    net = load_network(tmp_path / "e.txt", **{f"{kind}_path": tmp_path / "f.csv"})
+    assert net.num_vertices == 3
+
+
+@pytest.mark.parametrize("reader, name, text", [
+    (parse_edge_list, "edges.txt", b"0 1\n1 \xff2\n"),
+    (lambda p: parse_features(p, 2), "features.csv", b"vertex,a\n0,1\n1,\xff\n"),
+    (lambda p: parse_categorical_features(p, 2), "cats.csv", b"vertex,c\n0,caf\xe9\n1,x\n"),
+    (parse_config_file, "run.cfg", b"num_blocks = 2 # \xfe\n"),
+    (read_weight_samples, "theta_samples.csv", b"t,0.a\n0,0.5\xff\n"),
+], ids=["edges", "features", "categorical", "config", "theta-samples"])
+def test_invalid_utf8_names_the_file(tmp_path, reader, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    with pytest.raises(DataFormatError, match="not UTF-8") as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("row", ["20,0.1,abc", "20,0.1", "20,0.1,0.2,0.3", "2x,0.1,0.2", "20,0.1,nan"],
+                         ids=["bad-cell", "short-row", "long-row", "non-integer-t", "non-finite"])
+def test_malformed_weight_samples_name_the_file_and_row(tmp_path, row):
+    path = tmp_path / "theta_samples.csv"
+    path.write_text(f"t,0.a,1.a\n10,0.5,-0.5\n{row}\n")
+    with pytest.raises(DataFormatError) as info:
+        read_weight_samples(path)
+    assert f"{path}:3:" in str(info.value)
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"loss": float("nan")})
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------- round trips
