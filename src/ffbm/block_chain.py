@@ -25,7 +25,7 @@ from .dcsbm import (
     description_length,
 )
 from .graph import LabelledNetwork
-from .sampling import retained_indices
+from .sampling import check_retention, retained_indices
 
 
 @dataclass
@@ -45,7 +45,7 @@ class BlockChainConfig:
         if self.init_restarts < 1:
             raise ValueError("need at least one greedy restart")
         # Raises if the retained set would be empty or parameters are bad.
-        retained_indices(self.iterations, self.burn_in, self.thinning)
+        check_retention(self.iterations, self.burn_in, self.thinning)
 
 
 @dataclass

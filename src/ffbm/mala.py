@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import retained_indices
+from .sampling import check_retention, retained_indices
 from .softmax import ObjectiveContext, objective_and_gradient
 
 
@@ -39,7 +39,7 @@ class WeightChainConfig:
             raise ValueError("step-size scaling must be positive")
         if not 0.5 < self.schedule_decay <= 1.0:
             raise ValueError("schedule decay must lie in (1/2, 1]")
-        retained_indices(self.iterations, self.burn_in, self.thinning)
+        check_retention(self.iterations, self.burn_in, self.thinning)
 
 
 @dataclass

@@ -15,12 +15,10 @@ _STREAMS = {
 }
 
 
-def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
-    """Sample indices kept after burn-in and thinning.
+def check_retention(iterations: int, burn_in: float, thinning: int) -> None:
+    """Raise ValueError unless the settings give a nonempty retained set.
 
-    Returns {round(T*kappa) + i*lam : 0 <= i <= floor((T - round(T*kappa))/lam)},
-    a nonempty list ending at or before index T (states are indexed 0..T,
-    index 0 being the initial state).
+    Constant time, so a config can be checked without building the list.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -28,6 +26,16 @@ def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
         raise ValueError(f"burn-in fraction must be in [0, 1), got {burn_in}")
     if thinning < 1:
         raise ValueError(f"thinning stride must be >= 1, got {thinning}")
+
+
+def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
+    """Sample indices kept after burn-in and thinning.
+
+    Returns {round(T*kappa) + i*lam : 0 <= i <= floor((T - round(T*kappa))/lam)},
+    a nonempty list ending at or before index T (states are indexed 0..T,
+    index 0 being the initial state).
+    """
+    check_retention(iterations, burn_in, thinning)
     start = int(np.floor(iterations * burn_in + 0.5))
     count = (iterations - start) // thinning
     return [start + i * thinning for i in range(count + 1)]

@@ -1,10 +1,12 @@
 """Shared combinatorial tables: log-factorials and restricted partition counts.
 
-Everything here is exact (integer DP) or table-driven (float log-factorials),
-and grows on demand.  All logs are natural logs.
+Both tables hold floats and grow on demand; the partition counts behind the
+second are exact integers (see PartitionCountTable).  All logs are natural
+logs.
 """
 
 import math
+from array import array
 
 # Log-factorial lookup, extended geometrically on demand.  The hot paths
 # (move deltas in the block sampler) must be plain list indexing.
@@ -47,88 +49,111 @@ def log_multiset(n: int, m: int) -> float:
     return log_binomial(n + m - 1, m)
 
 
-class PartitionCountTable:
-    """Restricted partition counts q(m, n): partitions of m into at most n parts.
+def _extend_row(tail, below, n: int) -> list:
+    """Row n of q continued past its tail, by q(m, n) = q(m, n-1) + q(m-n, n).
 
-    Exact big-integer dynamic programming on the recurrence
-    q(m, n) = q(m, n-1) + q(m-n, n), with q(0, n) = 1 and q(m, 0) = 0 for
-    m > 0.  Rows are built lazily; n is clamped to m since parts larger
-    than m never occur.  Log values are cached as floats in log_cache,
-    keyed by the (m, n) asked for.
+    tail holds row n's n exact values before the new columns (zeros stand
+    for m < 0); below holds row n-1's exact values at the new columns.
+    Returns tail followed by row n's values at the new columns.
+    """
+    seq = list(tail)
+    append = seq.append
+    for j, q_below in enumerate(below):
+        append(q_below + seq[j])
+    return seq
+
+
+def _check_arguments(m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError(f"q({m}, {n}) undefined for negative arguments")
+
+
+def count_partitions(m: int, n: int) -> int:
+    """Exact q(m, n), the number of partitions of m into at most n parts.
+
+    Computed on demand, in O(m min(m, n)) big-integer additions, by the
+    recurrence that fills PartitionCountTable.
+    """
+    _check_arguments(m, n)
+    if m == 0:
+        return 1
+    row = [1] + [0] * m  # q(., 0)
+    for k in range(1, min(n, m) + 1):
+        row = _extend_row([0] * k, row, k)[k:]
+    return row[m]
+
+
+class PartitionCountTable:
+    """log q(m, n), where q(m, n) counts the partitions of m into at most n parts.
+
+    rows[n][m] is math.log(q(m, n)) for 1 <= n < len(rows) and 0 <= m <= the
+    table's width, one array('d') row per n.  Row 0 holds only q(0, 0) = 1:
+    q(m, 0) = 0 for m > 0 has no log, and reading it misses the row.  Above
+    the diagonal, rows[n][m] = rows[m][m], since q(m, n) = q(m, m) for n > m.
+
+    The cells come from the exact integer recurrence
+    q(m, n) = q(m, n-1) + q(m-n, n), so each is the log of the exact count.
+    The table keeps only the integers that growth needs: the last row in
+    full, to add rows, and the last n values of each row n (its tail), to
+    widen every row in place.  That is about n^2/2 integers beside the
+    n * width floats.
     """
 
     def __init__(self):
-        # _rows[n][m] = q(m, n); row 0 is the base case.
-        self._rows = [[1]]
-        self._max_m = 0
-        self.log_cache = {}
+        self.rows = [array("d", [0.0])]
+        self._width = 0
+        self._tails = [[]]  # _tails[n]: row n's exact values at m = width-n+1 .. width
+        self._last = [1]  # the last row's exact values at m = 0 .. width
 
-    def _grow(self, m: int, n: int) -> None:
-        if m > self._max_m:
-            new_max = max(m, 2 * self._max_m)
-            row0 = self._rows[0]
-            row0.extend([0] * (new_max - len(row0) + 1))
-            for n_row in range(1, len(self._rows)):
-                row = self._rows[n_row]
-                prev = self._rows[n_row - 1]
-                for mm in range(len(row), new_max + 1):
-                    val = prev[mm]
-                    if mm >= n_row:
-                        val += row[mm - n_row]
-                    row.append(val)
-            self._max_m = new_max
-        while len(self._rows) <= n:
-            n_row = len(self._rows)
-            prev = self._rows[n_row - 1]
-            row = [1]
-            for mm in range(1, self._max_m + 1):
-                val = prev[mm]
-                if mm >= n_row:
-                    val += row[mm - n_row]
-                row.append(val)
-            self._rows.append(row)
+    def _widen(self, width: int) -> None:
+        below = [0] * (width - self._width)  # q(m, 0) = 0 for m > 0
+        for n in range(1, len(self.rows)):
+            seq = _extend_row(self._tails[n], below, n)
+            below = seq[n:]
+            self._tails[n] = seq[-n:]
+            self.rows[n].fromlist(list(map(math.log, below)))
+        self._last.extend(below)
+        self._width = width
 
-    def count(self, m: int, n: int) -> int:
-        """Exact q(m, n)."""
-        if m < 0 or n < 0:
-            raise ValueError(f"q({m}, {n}) undefined for negative arguments")
-        if m == 0:
-            return 1
-        n = min(n, m)
-        if n == 0:
-            return 0
-        if m > self._max_m or n >= len(self._rows):
-            self._grow(m, n)
-        return self._rows[n][m]
+    def _deepen(self, n_max: int) -> None:
+        below = self._last
+        for n in range(len(self.rows), n_max + 1):
+            seq = _extend_row([0] * n, below, n)
+            below = seq[n:]
+            self._tails.append(seq[-n:])
+            self.rows.append(array("d", list(map(math.log, below))))
+        self._last = below
+
+    count = staticmethod(count_partitions)
 
     def log_count(self, m: int, n: int) -> float:
         """log q(m, n); requires q(m, n) > 0 (i.e. not m > 0 with n = 0)."""
-        cached = self.log_cache.get((m, n))
-        if cached is None:
-            q = self.count(m, n)
-            if q == 0:
-                raise ValueError(f"log q({m}, {n}) of zero count")
-            cached = math.log(q)
-            self.log_cache[m, n] = cached
-        return cached
+        _check_arguments(m, n)
+        n = min(n, m)
+        if n == 0 and m > 0:
+            raise ValueError(f"log q({m}, {n}) of zero count")
+        if m > self._width:
+            # Rows widen in place, so a step of a quarter recomputes nothing
+            # and leaves at most a fifth of the columns unread.
+            self._widen(max(m, self._width + self._width // 4))
+        if n >= len(self.rows):
+            self._deepen(n)
+        return self.rows[n][m]
 
 
 # Module-level singleton: chains within one process share the DP work.
 _PARTITION_TABLE = PartitionCountTable()
-_LOG_Q = _PARTITION_TABLE.log_cache
-
-
-def count_partitions(m: int, n: int) -> int:
-    """Number of partitions of m into at most n parts."""
-    return _PARTITION_TABLE.count(m, n)
+_ROWS = _PARTITION_TABLE.rows
 
 
 def log_count_partitions(m: int, n: int) -> float:
-    """log q(m, n): one dict lookup once (m, n) has been seen.
+    """log q(m, n): two list indexings once the table covers (m, n).
 
     The move-delta kernel calls this 2B + 2 times per greedy visit.
     """
-    try:
-        return _LOG_Q[m, n]
-    except KeyError:
-        return _PARTITION_TABLE.log_count(m, n)
+    if m >= 0 and n >= 0:
+        try:
+            return _ROWS[n][m]
+        except IndexError:
+            pass
+    return _PARTITION_TABLE.log_count(m, n)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,19 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting)
 def test_run_config_rejects_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=name):
         RunConfig(**{name: value})
+
+
+def test_run_config_checks_long_chains_without_listing_their_samples():
+    # Each chain would keep 6 x 10^8 samples: listing their indices to check
+    # the settings would take gigabytes.
+    tracemalloc.start()
+    try:
+        RunConfig(theta_iters=10**9, theta_thinning=1, reduce_dim=1,
+                  reduced_theta_iters=10**9, reduced_theta_thinning=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -26,9 +26,7 @@ def tables(draw):
 
 
 CONFIG_KEYS = st.sampled_from([f.name for f in dataclasses.fields(RunConfig)] + ["bogus"])
-# Short values: a long digit string as an iteration count would ask the
-# config's retained-index check for a list of that length.
-CONFIG_VALUES = st.text(alphabet="0123456789.-e+naifNul ", max_size=6) | st.text(max_size=6)
+CONFIG_VALUES = st.text(alphabet="0123456789.-e+naifNul ", max_size=20) | st.text(max_size=20)
 CONFIG_TEXT = st.lists(st.builds("{} = {}".format, CONFIG_KEYS, CONFIG_VALUES),
                        max_size=4).map("\n".join)
 

@@ -1,7 +1,10 @@
+import functools
 import math
+import tracemalloc
+from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffbm.tables import (
     PartitionCountTable,
@@ -74,6 +77,102 @@ def test_fresh_table_growth():
     table = PartitionCountTable()
     assert table.count(100, 100) == count_partitions(100, 100)
     assert table.count(7, 3) == enumerate_partitions(7, 3)
+
+
+class BigIntegerTable:
+    """Reference: the exact big-integer DP that stored every q(m, n) as an int.
+
+    _rows[n][m] = q(m, n), grown lazily on q(m, n) = q(m, n-1) + q(m-n, n).
+    """
+
+    def __init__(self):
+        self._rows = [[1]]
+        self._max_m = 0
+
+    def _grow(self, m, n):
+        if m > self._max_m:
+            new_max = max(m, 2 * self._max_m)
+            row0 = self._rows[0]
+            row0.extend([0] * (new_max - len(row0) + 1))
+            for n_row in range(1, len(self._rows)):
+                row = self._rows[n_row]
+                prev = self._rows[n_row - 1]
+                for mm in range(len(row), new_max + 1):
+                    val = prev[mm]
+                    if mm >= n_row:
+                        val += row[mm - n_row]
+                    row.append(val)
+            self._max_m = new_max
+        while len(self._rows) <= n:
+            n_row = len(self._rows)
+            prev = self._rows[n_row - 1]
+            row = [1]
+            for mm in range(1, self._max_m + 1):
+                val = prev[mm]
+                if mm >= n_row:
+                    val += row[mm - n_row]
+                row.append(val)
+            self._rows.append(row)
+
+    def count(self, m, n):
+        if m == 0:
+            return 1
+        n = min(n, m)
+        self._grow(m, n)
+        return self._rows[n][m]
+
+
+# Requests below ask for m <= 400 and n <= 80.  The table never widens past
+# twice the largest m asked for, which the reference rows cover.
+MAX_M, MAX_N = 400, 80
+
+
+@functools.cache
+def reference_log_rows():
+    """math.log(q(m, n)) for m = 0 .. 2 MAX_M, as the bytes of one array('d') per n."""
+    reference = BigIntegerTable()
+    reference._grow(2 * MAX_M, MAX_N)
+    return {n: array("d", map(math.log, row)).tobytes()
+            for n, row in enumerate(reference._rows) if n}
+
+
+@given(st.lists(st.tuples(st.integers(0, MAX_M), st.integers(0, MAX_N))
+                | st.tuples(st.integers(0, MAX_N // 2), st.integers(0, MAX_N)),
+                min_size=1, max_size=12))
+@example([(0, 7), (5, 60), (400, 3), (12, 80), (3, 0), (200, 80), (0, 0)])
+@settings(max_examples=60, deadline=None)
+def test_cells_are_the_logs_of_exact_counts_under_any_growth_order(requests):
+    # Requests interleave widening (larger m) with new rows (larger n), and
+    # include n > m (clamped) and m = 0.  After each, every stored cell must
+    # be math.log of the exact count, bit for bit.
+    reference = BigIntegerTable()
+    expected_rows = reference_log_rows()
+    table = PartitionCountTable()
+    for m, n in requests:
+        if m > 0 and n == 0:
+            with pytest.raises(ValueError):
+                table.log_count(m, n)
+            continue
+        assert table.log_count(m, n).hex() == math.log(reference.count(m, n)).hex()
+        for k in range(1, len(table.rows)):
+            row = table.rows[k].tobytes()
+            assert row == expected_rows[k][:len(row)], (m, n, k)
+
+
+def test_table_stores_about_one_float_per_cell():
+    # Bound: 16 bytes per cell, twice the 8 of the stored float.  The other 8
+    # cover the exact integers kept for growth (the last row and each row's
+    # last n values) and the fill's transient rows.  A table of big-integer
+    # rows takes several times the bound.
+    m, n = 3000, 300
+    tracemalloc.start()
+    try:
+        table = PartitionCountTable()
+        table.log_count(m, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (m + 1) * n
 
 
 def test_log_factorial_against_lgamma():
