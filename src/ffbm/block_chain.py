@@ -18,10 +18,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .dcsbm import (
     BlockState,
-    _apply_from_stats,
+    _apply_move,
     _move_deltas,
     _neighbor_block_weights,
-    _pair_deltas,
     description_length,
 )
 from .graph import LabelledNetwork
@@ -176,7 +175,7 @@ def _mh_step_impl(state, rng, eps, half_edges):
     delta = out[s]
     log_alpha = -delta + log_ratio
     if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-        _apply_from_stats(state, i, r, s, _pair_deltas(r, s, w, loops))
+        _apply_move(state, i, r, s, w, loops)
         return True, delta
     return False, 0.0
 
@@ -246,8 +245,7 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
                 if deltas[s] < best_delta:
                     best_target, best_delta = s, deltas[s]
             if best_target != r:
-                _apply_from_stats(state, i, r, best_target,
-                                  _pair_deltas(r, best_target, w, loops))
+                _apply_move(state, i, r, best_target, w, loops)
                 improved = True
     return state
 

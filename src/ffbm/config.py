@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import check_multiplier
+from .block_chain import BlockChainConfig
 from .dataio import DataFormatError, content_lines, read_text
 from .graph import check_train_fraction
 from .mala import WeightChainConfig
@@ -58,20 +59,33 @@ class RunConfig:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
-        # The later stages' own validators, so that a bad value fails before
-        # the partition chain runs (which checks its own values as it starts).
+        # Every stage's own validators, so that a bad value fails before any
+        # stage runs; a chain's message names the keys of that chain.
         check_train_fraction(self.train_fraction)
         check_multiplier(self.reduce_multiplier)
-        WeightChainConfig(iterations=self.theta_iters, burn_in=self.theta_burn_in,
-                          thinning=self.theta_thinning, sigma=self.sigma, step_scale=self.step_scale)
+        chains = [("partition chain", BlockChainConfig, _BLOCK_KEYS),
+                  ("weight chain", WeightChainConfig, _THETA_KEYS)]
         if self.reduce_dim is not None:
-            WeightChainConfig(iterations=self.reduced_theta_iters, burn_in=self.reduced_theta_burn_in,
-                              thinning=self.reduced_theta_thinning, sigma=self.sigma,
-                              step_scale=self.reduced_step_scale)
+            chains.append(("reduced weight chain", WeightChainConfig, _REDUCED_KEYS))
+        for stage, make, keys in chains:
+            try:
+                make(**{name: getattr(self, key) for name, key in keys.items()})
+            except ValueError as exc:
+                raise ValueError(f"{stage} settings ({', '.join(keys.values())}): {exc}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+
+# Each chain config's fields and the RunConfig keys that set them.
+_BLOCK_KEYS = {"iterations": "block_iters", "burn_in": "block_burn_in",
+               "thinning": "block_thinning", "smoothing": "proposal_smoothing",
+               "init_restarts": "init_restarts"}
+_THETA_KEYS = {"iterations": "theta_iters", "burn_in": "theta_burn_in",
+               "thinning": "theta_thinning", "sigma": "sigma", "step_scale": "step_scale"}
+_REDUCED_KEYS = {"iterations": "reduced_theta_iters", "burn_in": "reduced_theta_burn_in",
+                 "thinning": "reduced_theta_thinning", "sigma": "sigma",
+                 "step_scale": "reduced_step_scale"}
 
 # Annotations are strings here (postponed evaluation, see the __future__ import).
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -70,9 +70,7 @@ class BlockState:
             eta[r][k] = eta[r].get(k, 0) + 1
         for u, v, m in net.edges:
             r, s = labels[u], labels[v]
-            if u == v:
-                e[r][r] += 2 * m
-            elif r == s:
+            if r == s:  # includes every loop
                 e[r][r] += 2 * m
             else:
                 e[r][s] += m
@@ -161,37 +159,18 @@ def description_length(net: LabelledNetwork, state: BlockState) -> float:
 
 
 def _neighbor_block_weights(state: BlockState, i: int):
-    """Half-edge weight of vertex i towards each block, and the loop weight A_ii."""
-    w = {}
-    loops = 0
-    b = state.b
-    for j, a in state.net.adjacency[i]:
-        if j == i:
-            loops = a
-        t = b[j]
-        w[t] = w.get(t, 0) + a
-    return w, loops
+    """Half-edge weight of vertex i towards each block, and the loop weight A_ii.
 
-
-def _pair_deltas(r: int, s: int, w, loops):
-    """Changes to the upper-triangle entries of e when a vertex moves r -> s, r != s.
-
-    Keys are (min(t,u), max(t,u)); diagonal entries carry the doubled count.
-    With r != s every key below is distinct, so each is assigned once.
+    Blocks enter w in the order their first half-edge appears in
+    half_edges.ends[i]; every float sum over w follows that order.
     """
-    m_r = w.get(r, 0) - loops
-    m_s = w.get(s, 0)
-    deltas = {
-        (r, r): -2 * m_r - loops,
-        (s, s): 2 * m_s + loops,
-        (r, s) if r < s else (s, r): m_r - m_s,
-    }
-    for t, wt in w.items():
-        if t == r or t == s:
-            continue
-        deltas[(r, t) if r < t else (t, r)] = -wt
-        deltas[(s, t) if s < t else (t, s)] = wt
-    return deltas
+    w = {}
+    b = state.b
+    ends = state.net.half_edges.ends[i]
+    for j in ends:
+        t = b[j]
+        w[t] = w.get(t, 0) + 1
+    return w, ends.count(i)
 
 
 def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> None:
@@ -288,18 +267,31 @@ def apply_move(state: BlockState, i: int, target: int) -> None:
     if target == r:
         return
     w, loops = _neighbor_block_weights(state, i)
-    _apply_from_stats(state, i, r, target, _pair_deltas(r, target, w, loops))
+    _apply_move(state, i, r, target, w, loops)
 
 
-def _apply_from_stats(state: BlockState, i: int, r: int, s: int, pair_deltas) -> None:
+def _apply_move(state: BlockState, i: int, r: int, s: int, w, loops) -> None:
+    """Move vertex i from block r to block s != r; w and loops as read before the move.
+
+    i's m_r non-loop half-edges into r leave e_rr (two ends each) for e_rs,
+    its m_s half-edges into s move from e_rs to e_ss, its loops move from e_rr
+    to e_ss, and each other block t's w_t half-edges move from e_rt to e_st.
+    """
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
     ki = state.net.half_edges.degree[i]
-    for (t, u), d in pair_deltas.items():
-        if d == 0:
-            continue
-        e[t][u] += d
-        if t != u:
-            e[u][t] += d
+    e_r, e_s = e[r], e[s]
+    m_r = w.get(r, 0) - loops
+    m_s = w.get(s, 0)
+    e_r[r] -= 2 * m_r + loops
+    e_s[s] += 2 * m_s + loops
+    e_r[s] += m_r - m_s
+    e_s[r] += m_r - m_s
+    for t, wt in w.items():
+        if t != r and t != s:
+            e_r[t] -= wt
+            e[t][r] -= wt
+            e_s[t] += wt
+            e[t][s] += wt
     e_row[r] -= ki
     e_row[s] += ki
     n[r] -= 1

@@ -12,11 +12,11 @@ import numpy as np
 class LabelledNetwork:
     """Undirected multigraph with a binary feature matrix.
 
-    Edges are stored as canonical (u, v, multiplicity) triples with u <= v;
-    self-loops are allowed and contribute 2 to their vertex's degree.  The
-    adjacency convention follows the half-edge count: ``adjacency[i]`` lists
-    (j, a_ij) pairs where a_ij is the edge multiplicity for j != i and twice
-    the loop multiplicity for j == i, so that degree(i) = sum_j a_ij.
+    Edges are stored as canonical (u, v, multiplicity) triples with u <= v,
+    sorted and with repeated pairs merged; self-loops are allowed.  Degrees
+    count half-edges: an edge of multiplicity m adds m to each endpoint, so a
+    loop of multiplicity m adds 2m to its vertex.  The per-vertex neighbour
+    lists live in ``half_edges``, one entry per half-edge.
 
     Instances are immutable after construction and safe to share between
     concurrently running samplers.
@@ -29,7 +29,6 @@ class LabelledNetwork:
 
     # Derived, filled in __post_init__.
     degrees: np.ndarray = field(default=None, repr=False)
-    adjacency: tuple = field(default=None, repr=False)
     num_edges: int = field(default=0)
 
     def __post_init__(self):
@@ -55,24 +54,17 @@ class LabelledNetwork:
             merged[key] = merged.get(key, 0) + m
             total += m
 
-        adj = [[] for _ in range(n)]
+        edges = tuple((u, v, m) for (u, v), m in sorted(merged.items()))
         deg = np.zeros(n, dtype=np.int64)
-        for (u, v), m in sorted(merged.items()):
-            if u == v:
-                adj[u].append((u, 2 * m))
-                deg[u] += 2 * m
-            else:
-                adj[u].append((v, m))
-                adj[v].append((u, m))
-                deg[u] += m
-                deg[v] += m
+        for u, v, m in edges:
+            deg[u] += m
+            deg[v] += m
 
-        object.__setattr__(self, "edges", tuple((u, v, m) for (u, v), m in sorted(merged.items())))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "features", feats.astype(np.int8))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "num_edges", total)
         object.__setattr__(self, "degrees", deg)
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
     def num_features(self) -> int:
@@ -87,9 +79,10 @@ class LabelledNetwork:
 class HalfEdgeTable:
     """Flat per-vertex lists for drawing the far end of a uniformly chosen half-edge.
 
-    ends[i] holds one entry per half-edge of vertex i: each neighbour j
-    appears a_ij times in adjacency order, so a vertex with m self-loops
-    appears 2m times in its own list.  For a uniform integer x in
+    ends[i] holds one entry per half-edge of vertex i, in the order of
+    ``net.edges``: an edge (u, v, m) puts v m times in ends[u] and u m times
+    in ends[v], so a loop of multiplicity m puts i 2m times in ends[i] and
+    len(ends[i]) is vertex i's degree.  For a uniform integer x in
     [0, degree[i]), the half-edge's far end is ends[i][x].  bits[i] is
     degree[i].bit_length() and vertex_bits is num_vertices.bit_length():
     the widths that ``random.Random.randrange`` draws with.
@@ -102,8 +95,11 @@ class HalfEdgeTable:
         self.vertex_bits = self.num_vertices.bit_length()
         self.degree = [int(x) for x in net.degrees]
         self.bits = [k.bit_length() for k in self.degree]
-        self.ends = [[j for j, a in net.adjacency[i] for _ in range(a)]
-                     for i in range(net.num_vertices)]
+        ends = [[] for _ in range(self.num_vertices)]
+        for u, v, m in net.edges:
+            ends[u].extend([v] * m)
+            ends[v].extend([u] * m)
+        self.ends = ends
 
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:

@@ -4,7 +4,7 @@ Proposals drift down the objective gradient with injected Gaussian noise,
 theta' = theta - h grad U(theta) + sqrt(2h) xi, and every proposal passes
 through the exact Metropolis-Hastings correction (no unadjusted Langevin
 shortcut).  The step size follows a polynomially decaying schedule
-h_t = (250 s / n) (offset + t)^(-decay), which keeps late-chain acceptance
+h_t = (250 s / n) (1000 + t)^(-0.8), which keeps late-chain acceptance
 high while early steps move fast.
 """
 
@@ -18,6 +18,10 @@ import numpy as np
 from .sampling import check_retention, retained_indices
 from .softmax import ObjectiveContext, objective_and_gradient
 
+# The step-size schedule's offset and decay exponent.
+SCHEDULE_OFFSET = 1000.0
+SCHEDULE_DECAY = 0.8
+
 
 @dataclass
 class WeightChainConfig:
@@ -28,8 +32,6 @@ class WeightChainConfig:
     thinning: int = 10
     sigma: float = 1.0
     step_scale: float = 0.05
-    schedule_offset: float = 1000.0
-    schedule_decay: float = 0.8
     seed: object = 0
 
     def __post_init__(self):
@@ -37,8 +39,6 @@ class WeightChainConfig:
             raise ValueError("prior standard deviation must be positive")
         if self.step_scale <= 0:
             raise ValueError("step-size scaling must be positive")
-        if not 0.5 < self.schedule_decay <= 1.0:
-            raise ValueError("schedule decay must lie in (1/2, 1]")
         check_retention(self.iterations, self.burn_in, self.thinning)
 
 
@@ -57,7 +57,7 @@ def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
     if num_points < 1:
         raise ValueError("context must contain at least one vertex")
     alpha = 250.0 * cfg.step_scale / num_points
-    return alpha * (cfg.schedule_offset + t) ** (-cfg.schedule_decay)
+    return alpha * (SCHEDULE_OFFSET + t) ** (-SCHEDULE_DECAY)
 
 
 def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, step: float) -> float:

@@ -124,8 +124,6 @@ class PartitionCountTable:
             self.rows.append(array("d", list(map(math.log, below))))
         self._last = below
 
-    count = staticmethod(count_partitions)
-
     def log_count(self, m: int, n: int) -> float:
         """log q(m, n); requires q(m, n) > 0 (i.e. not m > 0 with n = 0)."""
         _check_arguments(m, n)

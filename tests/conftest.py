@@ -27,6 +27,40 @@ def random_multigraph(rng, num_vertices, num_edges, loops=True):
     return network_from_edges(num_vertices, edges)
 
 
+def neighbour_pairs(net):
+    """Per vertex, (j, a_ij) pairs in the order of net.edges, where a_ij is the
+    edge multiplicity for j != i and twice the loop multiplicity for j == i."""
+    pairs = [[] for _ in range(net.num_vertices)]
+    for u, v, m in net.edges:
+        if u == v:
+            pairs[u].append((u, 2 * m))
+        else:
+            pairs[u].append((v, m))
+            pairs[v].append((u, m))
+    return pairs
+
+
+def pair_deltas(r, s, w, loops):
+    """Changes to the upper-triangle entries of e when a vertex moves r -> s, r != s.
+
+    Keys are (min(t,u), max(t,u)); diagonal entries carry the doubled count.
+    w and loops are the vertex's block weights and loop weight before the move.
+    """
+    m_r = w.get(r, 0) - loops
+    m_s = w.get(s, 0)
+    deltas = {
+        (r, r): -2 * m_r - loops,
+        (s, s): 2 * m_s + loops,
+        (r, s) if r < s else (s, r): m_r - m_s,
+    }
+    for t, wt in w.items():
+        if t == r or t == s:
+            continue
+        deltas[(r, t) if r < t else (t, r)] = -wt
+        deltas[(s, t) if s < t else (t, s)] = wt
+    return deltas
+
+
 def two_cliques(size):
     """Two disjoint complete graphs of the given size."""
     edges = []

@@ -27,10 +27,10 @@ from ffbm import (
 )
 from ffbm import block_chain
 from ffbm.block_chain import _draw_move, _mh_step_impl, _proposal_probs
-from ffbm.dcsbm import _neighbor_block_weights, _pair_deltas, apply_move
+from ffbm.dcsbm import _neighbor_block_weights, apply_move
 from ffbm.sampling import retained_indices
 
-from conftest import two_cliques
+from conftest import neighbour_pairs, pair_deltas, two_cliques
 
 
 # ------------------------------------------------------------- retained sets
@@ -95,6 +95,7 @@ def closed_form_proposal_probs(state, eps=1.0):
     """Independent evaluation of the neighbour-mixture proposal law:
     P(i, s) = (1/N) sum_t (w_t / k_i) (e_ts + eps) / (e_t + eps B)."""
     n_vert, num_blocks = len(state.b), state.B
+    pairs = neighbour_pairs(state.net)
     probs = {}
     for i in range(n_vert):
         ki = int(state.net.degrees[i])
@@ -103,7 +104,7 @@ def closed_form_proposal_probs(state, eps=1.0):
                 probs[(i, s)] = 1.0 / (n_vert * num_blocks)
             continue
         w = Counter()
-        for j, a in state.net.adjacency[i]:
+        for j, a in pairs[i]:
             w[state.b[j]] += a
         for s in range(num_blocks):
             p = sum(wt / ki * (state.e[t][s] + eps) / (state.e_row[t] + eps * num_blocks)
@@ -210,8 +211,9 @@ def test_draw_move_consumes_the_randrange_stream(seed):
     # of two and an isolated vertex (7); 8 vertices make the vertex draw reject.
     net = network_from_edges(8, [(0, 1, 3), (0, 0), (1, 2), (2, 2, 2), (2, 3), (3, 4, 2),
                                  (4, 5), (5, 6), (6, 0), (1, 5), (3, 3)])
-    neighbours = [[j for j, _ in net.adjacency[i]] for i in range(8)]
-    cumulative = [list(itertools.accumulate(a for _, a in net.adjacency[i])) for i in range(8)]
+    pairs = neighbour_pairs(net)
+    neighbours = [[j for j, _ in pairs[i]] for i in range(8)]
+    cumulative = [list(itertools.accumulate(a for _, a in pairs[i])) for i in range(8)]
     ours = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
     theirs = ours.copy()
     rng_new, rng_old = random.Random(seed), random.Random(seed)
@@ -235,7 +237,7 @@ def test_draw_move_rejects_an_empty_network():
 
 
 def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
-    """The proposal probabilities with the reverse move read through _pair_deltas,
+    """The proposal probabilities with the reverse move read through the pair-delta dict,
     as they were computed before the reverse was scored on the state directly."""
     e, e_row, num_blocks = state.e, state.e_row, state.B
     eps_b = eps * num_blocks
@@ -246,7 +248,7 @@ def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
     forward *= scale
     if s == r:
         return forward, forward
-    pair_deltas = _pair_deltas(r, s, w, loops)
+    deltas = pair_deltas(r, s, w, loops)
     w_post = w
     if loops:
         w_post = dict(w)
@@ -257,7 +259,7 @@ def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
     reverse = 0.0
     for t, wt in w_post.items():
         key = (t, r) if t <= r else (r, t)
-        e_tr = e[min(t, r)][max(t, r)] + pair_deltas.get(key, 0)
+        e_tr = e[min(t, r)][max(t, r)] + deltas.get(key, 0)
         row = e_row[t]
         if t == r:
             row -= ki

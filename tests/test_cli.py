@@ -242,6 +242,18 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting)
     assert code == 2
 
 
+def test_chain_settings_are_checked_when_the_config_is_built():
+    with pytest.raises(DataFormatError, match="block_burn_in") as block:
+        build_config(overrides=["block_burn_in=1.5"])
+    with pytest.raises(DataFormatError, match="theta_burn_in") as theta:
+        build_config(overrides=["theta_burn_in=1.5"])
+    assert "theta" not in str(block.value) and "block" not in str(theta.value)
+    with pytest.raises(DataFormatError, match="reduced_theta_burn_in"):
+        build_config(overrides=["reduced_theta_burn_in=1.5", "reduce_dim=1"])
+    with pytest.raises(DataFormatError, match="init_restarts"):
+        build_config(overrides=["init_restarts=0"])
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_run_config_rejects_non_finite_floats(name, value):

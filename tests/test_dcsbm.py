@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffbm import (
     BlockState,
@@ -18,10 +18,10 @@ from ffbm import (
     log_stub_pairings,
     network_from_edges,
 )
-from ffbm.dcsbm import INFINITE_DELTA, _move_deltas, _neighbor_block_weights, _pair_deltas
+from ffbm.dcsbm import INFINITE_DELTA, _move_deltas, _neighbor_block_weights
 from ffbm.tables import log_count_partitions, log_double_factorial_even, log_factorial
 
-from conftest import random_multigraph
+from conftest import pair_deltas, random_multigraph
 
 
 # ------------------------------------------------------------ state building
@@ -211,7 +211,7 @@ def _sequential_delta(state, i, r, s):
     delta = 0.0
     delta += log_factorial(e_row[r] - ki) - log_factorial(e_row[r])
     delta += log_factorial(e_row[s] + ki) - log_factorial(e_row[s])
-    for (t, u), d in _pair_deltas(r, s, w, loops).items():
+    for (t, u), d in pair_deltas(r, s, w, loops).items():
         if d == 0:
             continue
         if t == u:
@@ -261,16 +261,59 @@ def test_apply_move_keeps_statistics_consistent():
     rng = np.random.default_rng(4)
     net = random_multigraph(rng, 15, 40)
     state = BlockState(net, rng.integers(0, 4, 15), 4)
+    applied = 0
     for _ in range(300):
         i = int(rng.integers(0, 15))
         s = int(rng.integers(0, 4))
-        if math.isfinite(delta_description_length(state, i, s)):
-            apply_move(state, i, s)
-    rebuilt = BlockState(net, state.b, 4)
-    assert state.e == rebuilt.e
-    assert state.n == rebuilt.n
-    assert state.e_row == rebuilt.e_row
-    assert state.eta == rebuilt.eta
+        if not math.isfinite(delta_description_length(state, i, s)):
+            continue
+        apply_move(state, i, s)
+        applied += 1
+        assert state.b[i] == s
+        rebuilt = BlockState(net, state.b, 4)
+        assert state.b == rebuilt.b
+        assert state.e == rebuilt.e
+        assert state.n == rebuilt.n
+        assert state.e_row == rebuilt.e_row
+        assert state.eta == rebuilt.eta
+    assert applied > 100
+
+
+def edge_order_block_weights(state, i):
+    """Oracle: vertex i's block weights summed over net.edges in edge order, and A_ii."""
+    w = {}
+    loops = 0
+    for u, v, m in state.net.edges:
+        if u == v == i:
+            loops += 2 * m
+            w[state.b[i]] = w.get(state.b[i], 0) + 2 * m
+        elif i in (u, v):
+            t = state.b[v if u == i else u]
+            w[t] = w.get(t, 0) + m
+    return w, loops
+
+
+@given(st.integers(1, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops, repeated pairs
+    # are parallel edges, and multiplicities reach 3.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=30),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10))))
+@example((3, [(0, 0, 2), (0, 1), (1, 0, 2), (2, 0), (0, 0), (3, 3, 3), (3, 4)],
+          [0, 1, 0, 2, 2, 0, 1, 2, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_neighbor_block_weights_follow_the_edge_order(case):
+    # The order of w decides the order of every float sum over it, so the
+    # items must come out in the order of their first edge, not just equal.
+    num_blocks, edges, labels = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    for i in range(10):
+        w, loops = _neighbor_block_weights(state, i)
+        expected, expected_loops = edge_order_block_weights(state, i)
+        assert list(w.items()) == list(expected.items())
+        assert loops == expected_loops
+    assert _neighbor_block_weights(state, 9) == ({}, 0)
 
 
 # --------------------------------------- likelihood normalisation at tiny scale

@@ -53,9 +53,9 @@ def test_duplicate_edges_accumulate():
 
 def test_loop_weight():
     net = network_from_edges(2, [(0, 0, 2), (0, 1)])
-    # A_ii, twice the loop multiplicity, is vertex i's own adjacency entry.
-    assert dict(net.adjacency[0]).get(0, 0) == 4
-    assert dict(net.adjacency[1]).get(1, 0) == 0
+    # A_ii, twice the loop multiplicity, is how often i appears in its own half-edge list.
+    assert net.half_edges.ends[0].count(0) == 4
+    assert net.half_edges.ends[1].count(1) == 0
     assert net.degrees.tolist() == [5, 1]
 
 

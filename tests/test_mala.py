@@ -53,8 +53,6 @@ def test_step_size_validation():
     with pytest.raises(ValueError):
         step_size(0, cfg, 0)
     with pytest.raises(ValueError):
-        WeightChainConfig(schedule_decay=0.4)
-    with pytest.raises(ValueError):
         WeightChainConfig(step_scale=-1.0)
 
 
