@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dcsbm import (
     BlockState,
@@ -291,25 +290,113 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
                             reference=reference, final_state=state)
 
 
+def _min_cost_assignment(cost) -> list:
+    """Column of each row in a minimum-cost assignment of a square cost matrix.
+
+    ``cost`` is a list of rows of Python ints.  This is SciPy's
+    ``linear_sum_assignment`` (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 52(4):1679, 2016): each row in turn
+    grows a shortest augmenting path, scanning the unvisited columns from a
+    list that starts in reverse order and loses a visited column by taking
+    the last one into its slot.  Among columns at equal reduced cost it takes
+    the first in that scan order, except that an unassigned column beats an
+    assigned one.  The arithmetic is exact on ints, as SciPy's is in doubles
+    on integers below 2**53, so both return the same assignment, ties
+    included; a constant matrix gives the identity.
+    """
+    n = len(cost)
+    u = [0] * n
+    v = [0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur in range(n):
+        remaining = list(range(n - 1, -1, -1))
+        spc = [math.inf] * n  # shortest-path cost to each column
+        rows_seen = []
+        cols_seen = []
+        min_val = 0
+        i = cur
+        while True:
+            rows_seen.append(i)
+            row = cost[i]
+            base = min_val - u[i]
+            lowest = math.inf
+            index = -1
+            for pos, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                c = spc[j]
+                if c < lowest or (c == lowest and row4col[j] < 0):
+                    lowest = c
+                    index = pos
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        while True:  # augment along the path from the sink back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _check_labels(labels: np.ndarray, num_blocks: int, which: str) -> None:
+    bad = labels[(labels < 0) | (labels >= num_blocks)]
+    if bad.size:
+        raise ValueError(f"{which} partition has label {bad.flat[0]} outside [0, {num_blocks})")
+
+
+def _align_samples(samples, reference, num_blocks: int) -> np.ndarray:
+    """Each row of the S x N label array relabelled to best overlap the reference.
+
+    All S contingency tables come from one bincount; each is then solved as
+    an assignment on the score overlap * (B + 1) + [label kept], so overlap
+    ties go to keeping labels fixed, then to the solver's scan order.
+    """
+    samples = np.asarray(samples)
+    reference = np.asarray(reference)
+    if reference.ndim != 1 or samples.ndim != 2 or samples.shape[1] != reference.shape[0]:
+        raise ValueError("sample and reference partitions differ in length")
+    _check_labels(samples, num_blocks, "sample")
+    _check_labels(reference, num_blocks, "reference")
+    num_samples = samples.shape[0]
+    sample_index = np.arange(num_samples)[:, None]
+    cells = (sample_index * num_blocks + samples) * num_blocks + reference
+    tables = np.bincount(cells.ravel(), minlength=num_samples * num_blocks * num_blocks)
+    tables = tables.reshape(num_samples, num_blocks, num_blocks)
+    score = tables * (num_blocks + 1) + np.eye(num_blocks, dtype=np.int64)
+    perms = np.array([_min_cost_assignment(cost) for cost in (-score).tolist()], dtype=np.int64)
+    return perms[sample_index, samples]
+
+
 def align_labels(sample: np.ndarray, reference: np.ndarray, num_blocks: int) -> np.ndarray:
     """Relabel a partition to best overlap the reference partition.
 
     Solves the optimal assignment on the B x B contingency table.  Overlap
     ties are broken towards keeping labels fixed (which makes alignment
-    idempotent), then by the assignment solver's deterministic scan order.
+    idempotent).  Remaining ties follow the solver's rule: sample labels are
+    placed in increasing order, each by a shortest augmenting path whose
+    scan over the reference labels starts from B-1 downwards and, among
+    equally cheap labels, takes the first one scanned, preferring one that no
+    sample label holds yet (``_min_cost_assignment``).  A label outside
+    [0, B) in either partition raises ``ValueError``.
     """
-    sample = np.asarray(sample)
-    reference = np.asarray(reference)
-    if sample.shape != reference.shape:
-        raise ValueError("sample and reference partitions differ in length")
-    overlap = np.zeros((num_blocks, num_blocks), dtype=np.int64)
-    np.add.at(overlap, (sample, reference), 1)
-    # Lexicographic objective: overlap first, fixed labels second.
-    score = overlap * (num_blocks + 1) + np.eye(num_blocks, dtype=np.int64)
-    rows, cols = linear_sum_assignment(-score)
-    perm = np.empty(num_blocks, dtype=np.int64)
-    perm[rows] = cols
-    return perm[sample]
+    return _align_samples(np.asarray(sample)[None], reference, num_blocks)[0]
 
 
 def estimate_responsibilities(samples, reference: np.ndarray, num_blocks: int) -> np.ndarray:
@@ -317,13 +404,13 @@ def estimate_responsibilities(samples, reference: np.ndarray, num_blocks: int) -
 
     Each sample is aligned to the reference partition before averaging the
     one-hot memberships, so label switching across samples cannot wash the
-    estimate out towards uniform.
+    estimate out towards uniform.  A label outside [0, B) raises
+    ``ValueError``, as in ``align_labels``.
     """
     if len(samples) == 0:
         raise ValueError("need at least one retained sample")
     n_vert = len(reference)
-    counts = np.zeros((n_vert, num_blocks), dtype=np.int64)
-    rows = np.arange(n_vert)
-    for sample in samples:
-        counts[rows, align_labels(sample, reference, num_blocks)] += 1
-    return counts / len(samples)
+    aligned = _align_samples(samples, reference, num_blocks)
+    counts = np.bincount((np.arange(n_vert) * num_blocks + aligned).ravel(),
+                         minlength=n_vert * num_blocks)
+    return counts.reshape(n_vert, num_blocks) / len(samples)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import check_multiplier
 from .block_chain import BlockChainConfig
@@ -63,29 +64,43 @@ class RunConfig:
         # stage runs; a chain's message names the keys of that chain.
         check_train_fraction(self.train_fraction)
         check_multiplier(self.reduce_multiplier)
-        chains = [("partition chain", BlockChainConfig, _BLOCK_KEYS),
-                  ("weight chain", WeightChainConfig, _THETA_KEYS)]
+        chains = [PARTITION_CHAIN, WEIGHT_CHAIN]
         if self.reduce_dim is not None:
-            chains.append(("reduced weight chain", WeightChainConfig, _REDUCED_KEYS))
-        for stage, make, keys in chains:
+            chains.append(REDUCED_WEIGHT_CHAIN)
+        for chain in chains:
             try:
-                make(**{name: getattr(self, key) for name, key in keys.items()})
+                chain_config(self, chain)
             except ValueError as exc:
-                raise ValueError(f"{stage} settings ({', '.join(keys.values())}): {exc}") from None
+                keys = ", ".join(chain.keys.values())
+                raise ValueError(f"{chain.stage} settings ({keys}): {exc}") from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-# Each chain config's fields and the RunConfig keys that set them.
-_BLOCK_KEYS = {"iterations": "block_iters", "burn_in": "block_burn_in",
-               "thinning": "block_thinning", "smoothing": "proposal_smoothing",
-               "init_restarts": "init_restarts"}
-_THETA_KEYS = {"iterations": "theta_iters", "burn_in": "theta_burn_in",
-               "thinning": "theta_thinning", "sigma": "sigma", "step_scale": "step_scale"}
-_REDUCED_KEYS = {"iterations": "reduced_theta_iters", "burn_in": "reduced_theta_burn_in",
-                 "thinning": "reduced_theta_thinning", "sigma": "sigma",
-                 "step_scale": "reduced_step_scale"}
+class ChainKeys(NamedTuple):
+    """A chain's config class and the RunConfig key that sets each of its fields."""
+
+    stage: str
+    make: type
+    keys: dict
+
+
+PARTITION_CHAIN = ChainKeys("partition chain", BlockChainConfig, {
+    "iterations": "block_iters", "burn_in": "block_burn_in", "thinning": "block_thinning",
+    "smoothing": "proposal_smoothing", "init_restarts": "init_restarts"})
+WEIGHT_CHAIN = ChainKeys("weight chain", WeightChainConfig, {
+    "iterations": "theta_iters", "burn_in": "theta_burn_in", "thinning": "theta_thinning",
+    "sigma": "sigma", "step_scale": "step_scale"})
+REDUCED_WEIGHT_CHAIN = ChainKeys("reduced weight chain", WeightChainConfig, {
+    "iterations": "reduced_theta_iters", "burn_in": "reduced_theta_burn_in",
+    "thinning": "reduced_theta_thinning", "sigma": "sigma", "step_scale": "reduced_step_scale"})
+
+
+def chain_config(cfg: RunConfig, chain: ChainKeys, seed=0):
+    """The chain's config, each field read from its RunConfig key, with the given seed."""
+    return chain.make(seed=seed, **{field: getattr(cfg, key) for field, key in chain.keys.items()})
+
 
 # Annotations are strings here (postponed evaluation, see the __future__ import).
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

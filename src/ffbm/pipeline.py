@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,11 @@ from .analysis import (
     reduce_dimension,
     summarize_weights,
 )
-from .block_chain import BlockChainConfig, estimate_responsibilities, run_block_chain
-from .config import RunConfig
+from .block_chain import estimate_responsibilities, run_block_chain
+from .config import PARTITION_CHAIN, REDUCED_WEIGHT_CHAIN, WEIGHT_CHAIN, RunConfig, chain_config
 from .dataio import DataFormatError, load_network, load_polbooks
 from .graph import LabelledNetwork, split_vertices
-from .mala import WeightChainConfig, run_weight_chain
+from .mala import run_weight_chain
 from .sampling import stream_seed_int, stream_seed_sequence
 from .softmax import ObjectiveContext
 
@@ -48,33 +47,18 @@ def load_config_network(cfg: RunConfig) -> LabelledNetwork:
 
 def partition_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int) -> RepetitionArtifacts:
     """Stage 1: the partition chain and the aligned block-membership estimate."""
-    block_cfg = BlockChainConfig(
-        iterations=cfg.block_iters,
-        burn_in=cfg.block_burn_in,
-        thinning=cfg.block_thinning,
-        smoothing=cfg.proposal_smoothing,
-        init_restarts=cfg.init_restarts,
-        seed=stream_seed_int(cfg.seed, "block-chain", repetition),
-    )
+    block_cfg = chain_config(cfg, PARTITION_CHAIN,
+                             seed=stream_seed_int(cfg.seed, "block-chain", repetition))
     block_res = run_block_chain(net, cfg.num_blocks, block_cfg)
     responsibilities = estimate_responsibilities(
         block_res.samples, block_res.reference, cfg.num_blocks)
     return RepetitionArtifacts(block_result=block_res, responsibilities=responsibilities)
 
 
-def _weight_chain(cfg: RunConfig, art: RepetitionArtifacts, features, seed,
-                  iterations, burn_in, thinning, step_scale):
+def _weight_chain(cfg: RunConfig, art: RepetitionArtifacts, features, chain, seed):
     """The weight chain on the training rows of the given feature columns."""
     ctx = ObjectiveContext(features[art.split.train], art.responsibilities[art.split.train], cfg.sigma)
-    weight_cfg = WeightChainConfig(
-        iterations=iterations,
-        burn_in=burn_in,
-        thinning=thinning,
-        sigma=cfg.sigma,
-        step_scale=step_scale,
-        seed=seed,
-    )
-    return run_weight_chain(ctx, weight_cfg)
+    return run_weight_chain(ctx, chain_config(cfg, chain, seed=seed))
 
 
 def require_features(net: LabelledNetwork) -> None:
@@ -90,8 +74,8 @@ def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
     art.split = split_vertices(net.num_vertices, cfg.train_fraction,
                                stream_seed_sequence(cfg.seed, "split", repetition))
     art.weight_result = _weight_chain(
-        cfg, art, net.features, stream_seed_sequence(cfg.seed, "weight-chain", repetition),
-        cfg.theta_iters, cfg.theta_burn_in, cfg.theta_thinning, cfg.step_scale)
+        cfg, art, net.features, WEIGHT_CHAIN,
+        stream_seed_sequence(cfg.seed, "weight-chain", repetition))
 
 
 def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
@@ -100,10 +84,8 @@ def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
     summary = summarize_weights(art.weight_result.samples)
     art.reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
     art.reduced_weight_result = _weight_chain(
-        cfg, art, net.features[:, art.reduction.kept],
-        stream_seed_sequence(cfg.seed, "reduced-weight-chain", repetition),
-        cfg.reduced_theta_iters, cfg.reduced_theta_burn_in, cfg.reduced_theta_thinning,
-        cfg.reduced_step_scale)
+        cfg, art, net.features[:, art.reduction.kept], REDUCED_WEIGHT_CHAIN,
+        stream_seed_sequence(cfg.seed, "reduced-weight-chain", repetition))
 
 
 def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
@@ -162,6 +144,10 @@ def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_art
         check_target_dim(cfg.reduce_dim, net.num_features)
     tasks = [(net, cfg, rep, keep_artifacts) for rep in range(cfg.repetitions)]
     if jobs > 1 and cfg.repetitions > 1:
+        # Imported here: the process pool costs about 20 ms of imports,
+        # which a serial run need not pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_repetition_task, tasks))
     else:

@@ -7,7 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ffbm import (
     BlockChainConfig,
@@ -26,7 +27,7 @@ from ffbm import (
     run_block_chain,
 )
 from ffbm import block_chain
-from ffbm.block_chain import _draw_move, _mh_step_impl, _proposal_probs
+from ffbm.block_chain import _draw_move, _min_cost_assignment, _mh_step_impl, _proposal_probs
 from ffbm.dcsbm import _neighbor_block_weights, apply_move
 from ffbm.sampling import retained_indices
 
@@ -510,6 +511,48 @@ def test_burn_in_decreases_s_from_random_start():
     assert np.mean(trace[-50:]) < s0
 
 
+# ------------------------------------------------------- the assignment solver
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _score_form(overlap):
+    """align_labels' cost: -(overlap * (B + 1) + [label kept])."""
+    n = len(overlap)
+    return [[-(o * (n + 1) + (r == c)) for c, o in enumerate(row)] for r, row in enumerate(overlap)]
+
+
+def _scipy_columns(cost):
+    rows, cols = linear_sum_assignment(np.array(cost, dtype=np.int64))
+    assert rows.tolist() == list(range(len(cost)))
+    return cols.tolist()
+
+
+# Narrow entry ranges make ties the rule rather than the exception.
+@given(st.integers(1, 8).flatmap(lambda n: st.one_of(
+    _square(n, st.integers(-1, 1)),
+    _square(n, st.integers(-6, 6)),
+    _square(n, st.integers(0, 3)).map(_score_form))))
+@example([[7]])
+@example([[2] * 5 for _ in range(5)])
+@example(_score_form([[0, 2], [2, 0]]))
+@example(_score_form([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
+@settings(max_examples=400, deadline=None)
+def test_min_cost_assignment_matches_scipy(cost):
+    assert _min_cost_assignment(cost) == _scipy_columns(cost)
+
+
+def test_min_cost_assignment_examples():
+    assert _min_cost_assignment([[7]]) == [0]
+    # A constant matrix gives the identity.
+    assert _min_cost_assignment([[2] * 5 for _ in range(5)]) == [0, 1, 2, 3, 4]
+    # Labels 0, 0, 1, 1 against the reference 1, 1, 0, 0: the labels swap.
+    assert _min_cost_assignment(_score_form([[0, 2], [2, 0]])) == [1, 0]
+    # Equal overlaps: labels stay.
+    assert _min_cost_assignment(_score_form([[1, 1], [1, 1]])) == [0, 1]
+
+
 # ----------------------------------------------------------- label alignment
 
 def test_align_labels_swap():
@@ -558,6 +601,52 @@ def test_responsibilities_rows_stochastic(bowtie):
     y = estimate_responsibilities(res.samples, res.reference, 2)
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-9)
     assert (y >= 0).all()
+
+
+def _scipy_alignment(sample, reference, num_blocks):
+    """The alignment as SciPy solves it, one sample at a time."""
+    overlap = np.zeros((num_blocks, num_blocks), dtype=np.int64)
+    np.add.at(overlap, (sample, reference), 1)
+    score = overlap * (num_blocks + 1) + np.eye(num_blocks, dtype=np.int64)
+    rows, cols = linear_sum_assignment(-score)
+    perm = np.empty(num_blocks, dtype=np.int64)
+    perm[rows] = cols
+    return perm[sample]
+
+
+@given(st.integers(1, 6).flatmap(lambda num_blocks: st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(num_blocks),
+    st.lists(st.integers(0, num_blocks - 1), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, num_blocks - 1), min_size=n, max_size=n),
+             min_size=1, max_size=8)))))
+@settings(max_examples=200, deadline=None)
+def test_responsibilities_match_a_scipy_oracle(case):
+    num_blocks, reference, samples = case
+    reference = np.array(reference)
+    samples = [np.array(sample) for sample in samples]
+    counts = np.zeros((len(reference), num_blocks), dtype=np.int64)
+    for sample in samples:
+        aligned = _scipy_alignment(sample, reference, num_blocks)
+        assert align_labels(sample, reference, num_blocks).tolist() == aligned.tolist()
+        counts[np.arange(len(reference)), aligned] += 1
+    expected = counts / len(samples)
+    y = estimate_responsibilities(samples, reference, num_blocks)
+    assert y.dtype == expected.dtype and y.shape == expected.shape
+    assert y.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("which", ["sample", "reference"])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_alignment_rejects_out_of_range_labels(which, label):
+    good = np.array([0, 1, 2, 1])
+    bad = good.copy()
+    bad[2] = label
+    sample, reference = (bad, good) if which == "sample" else (good, bad)
+    message = f"{which} partition has label {label} outside"
+    with pytest.raises(ValueError, match=message):
+        align_labels(sample, reference, 3)
+    with pytest.raises(ValueError, match=message):
+        estimate_responsibilities([good, sample], reference, 3)
 
 
 def test_responsibilities_empty_error():

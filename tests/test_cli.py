@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ffbm
-from ffbm import RunConfig, build_config, load_network
+from ffbm import RunConfig, build_config, load_network, load_polbooks, pipeline
 from ffbm.cli import main
 from ffbm.dataio import DataFormatError
 
@@ -259,6 +259,46 @@ def test_chain_settings_are_checked_when_the_config_is_built():
 def test_run_config_rejects_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=name):
         RunConfig(**{name: value})
+
+
+def test_pipeline_runs_the_chain_settings_it_validates(monkeypatch):
+    cfg = RunConfig(block_iters=12, block_burn_in=0.25, block_thinning=3, proposal_smoothing=0.5,
+                    init_restarts=2, theta_iters=30, theta_burn_in=0.1, theta_thinning=2,
+                    sigma=1.5, step_scale=0.3, reduce_dim=1, reduced_theta_iters=20,
+                    reduced_theta_burn_in=0.2, reduced_theta_thinning=4, reduced_step_scale=0.7)
+    seen = []
+    run_block_chain, run_weight_chain = pipeline.run_block_chain, pipeline.run_weight_chain
+    monkeypatch.setattr(pipeline, "run_block_chain",
+                        lambda net, b, chain_cfg: seen.append(chain_cfg) or run_block_chain(net, b, chain_cfg))
+    monkeypatch.setattr(pipeline, "run_weight_chain",
+                        lambda ctx, chain_cfg: seen.append(chain_cfg) or run_weight_chain(ctx, chain_cfg))
+    pipeline.run_repetition(load_polbooks(), cfg, 0)
+    block, weight, reduced = seen
+    assert (block.iterations, block.burn_in, block.thinning, block.smoothing,
+            block.init_restarts) == (12, 0.25, 3, 0.5, 2)
+    assert (weight.iterations, weight.burn_in, weight.thinning, weight.sigma,
+            weight.step_scale) == (30, 0.1, 2, 1.5, 0.3)
+    assert (reduced.iterations, reduced.burn_in, reduced.thinning, reduced.sigma,
+            reduced.step_scale) == (20, 0.2, 4, 1.5, 0.7)
+
+
+def test_runs_with_scipy_blocked():
+    # ffbm needs only numpy and the standard library, and a serial run
+    # loads no process pool.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ffbm\n"
+        "cfg = ffbm.RunConfig(repetitions=2, block_iters=50, theta_iters=500, seed=1)\n"
+        "reports, _ = ffbm.run_experiment(ffbm.load_polbooks(), cfg)\n"
+        "assert len(reports) == 2\n"
+        "roots = ('scipy', 'concurrent', 'multiprocessing')\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] in roots and mod))\n")
+    src = Path(ffbm.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_config_checks_long_chains_without_listing_their_samples():
