@@ -15,6 +15,7 @@ from .analysis import (
     block_accuracy,
     cross_entropy_loss,
     feature_scores,
+    loss_and_accuracy,
     mean_description_length,
     reduce_dimension,
     summarize_weights,

@@ -110,21 +110,6 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     return total / (num_vertices + num_edges)
 
 
-def _vertex_context(responsibilities, features, vertex_set, weight_samples) -> ObjectiveContext:
-    """The distinct feature rows of a vertex set and their targets.
-
-    Both metrics need at least one vertex and one weight sample.  The prior
-    width does not enter the cross-entropy term or the argmax.
-    """
-    vertex_set = np.asarray(vertex_set)
-    if vertex_set.size == 0:
-        raise ValueError("empty vertex set")
-    if len(weight_samples) == 0:
-        raise ValueError("need at least one weight sample")
-    return ObjectiveContext(np.asarray(features)[vertex_set],
-                            np.asarray(responsibilities)[vertex_set], sigma=1.0)
-
-
 def _sample_logits(weight_samples, ctx: ObjectiveContext):
     """Batches of retained samples (S x B x D) with their logits on the distinct rows (S x U x B)."""
     stack = np.asarray(weight_samples, dtype=np.float64)
@@ -134,43 +119,54 @@ def _sample_logits(weight_samples, ctx: ObjectiveContext):
         yield weights, _row_logits(weights, ctx)
 
 
-def cross_entropy_loss(weight_samples, responsibilities, features, vertex_set) -> float:
-    """Mean over retained weight samples of the per-vertex soft cross-entropy.
+def loss_and_accuracy(weight_samples, responsibilities, features, vertex_set):
+    """Cross-entropy loss and per-block accuracy of a vertex set, in one pass over the samples.
 
     responsibilities and features cover all vertices; vertex_set selects the
-    rows to score (training or test side of the split).  Each sample's loss
-    is the weight objective's cross-entropy term divided by the vertex count.
+    rows to score (training or test side of the split).  The loss is the
+    mean over retained samples of the weight objective's cross-entropy term
+    divided by the vertex count.  A block's accuracy is the fraction, over
+    its vertices and all samples, of classifier argmax predictions that
+    match the posterior argmax; a block with no vertices in the set gets NaN
+    (undefined rather than zero, so averages are not dragged down).
     """
-    ctx = _vertex_context(responsibilities, features, vertex_set, weight_samples)
-    total = sum(float(_cross_entropy(weights, _log_normaliser(logits)[0], ctx).sum())
-                for weights, logits in _sample_logits(weight_samples, ctx))
-    return total / (len(weight_samples) * ctx.size)
-
-
-def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np.ndarray:
-    """Agreement rate between classifier argmax and posterior argmax, per block.
-
-    Returns one value per block: the fraction, over that block's vertices and
-    all retained samples, of classifier predictions matching the posterior
-    assignment.  Blocks with no vertices in the set get NaN (undefined rather
-    than zero, so averages are not dragged down).
-    """
-    ctx = _vertex_context(responsibilities, features, vertex_set, weight_samples)
+    vertex_set = np.asarray(vertex_set)
+    if vertex_set.size == 0:
+        raise ValueError("empty vertex set")
+    if len(weight_samples) == 0:
+        raise ValueError("need at least one weight sample")
+    # The prior width enters neither the cross-entropy term nor the argmax.
+    ctx = ObjectiveContext(np.asarray(features)[vertex_set],
+                           np.asarray(responsibilities)[vertex_set], sigma=1.0)
     assigned = ctx.targets.argmax(axis=1)
 
+    losses = []
     # votes[u, j]: samples whose classifier puts distinct row u in block j.
     votes = np.zeros((ctx.rows.shape[0], ctx.num_blocks), dtype=np.int64)
-    for _, logits in _sample_logits(weight_samples, ctx):
+    for weights, logits in _sample_logits(weight_samples, ctx):
+        losses.append(float(_cross_entropy(weights, _log_normaliser(logits)[0], ctx).sum()))
         predicted = logits.argmax(axis=-1)
         votes += (predicted[..., None] == np.arange(ctx.num_blocks)).sum(axis=0)
+    # sum() compensates rounding on Python 3.12+, so += could move the last bit.
+    loss = sum(losses) / (len(weight_samples) * ctx.size)
     agree = votes[ctx.inverse, assigned]
 
-    out = np.full(ctx.num_blocks, np.nan)
+    accuracy = np.full(ctx.num_blocks, np.nan)
     for j in range(ctx.num_blocks):
         members = assigned == j
         if members.any():
-            out[j] = agree[members].sum() / (members.sum() * len(weight_samples))
-    return out
+            accuracy[j] = agree[members].sum() / (members.sum() * len(weight_samples))
+    return loss, accuracy
+
+
+def cross_entropy_loss(weight_samples, responsibilities, features, vertex_set) -> float:
+    """The loss of loss_and_accuracy."""
+    return loss_and_accuracy(weight_samples, responsibilities, features, vertex_set)[0]
+
+
+def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np.ndarray:
+    """The per-block accuracy of loss_and_accuracy."""
+    return loss_and_accuracy(weight_samples, responsibilities, features, vertex_set)[1]
 
 
 @dataclass

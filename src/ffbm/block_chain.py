@@ -52,7 +52,6 @@ class BlockChainResult:
     retained: list  # their iteration indices
     s_trace: np.ndarray  # S(b) after each iteration, incl. the initial state
     reference: np.ndarray  # greedy MDL initial partition (alignment reference)
-    final_state: BlockState
 
 
 def _proposal_probs(state, i, r, s, w, loops, ki, eps):
@@ -62,9 +61,13 @@ def _proposal_probs(state, i, r, s, w, loops, ki, eps):
     values are genuine transition probabilities.  The reverse move is scored
     on the post-move counts, read off the current state: e_rr - 2 m_r - A_ii,
     e_rs + m_r - m_s and e_rt - w_t, where m_r counts i's non-loop half-edges
-    into r and m_s those into s.
+    into r and m_s those into s.  An isolated vertex (k_i = 0) draws its
+    target uniformly, so both probabilities are 1/(N B).
     """
     e, e_row, B = state.e, state.e_row, state.B
+    if ki == 0:
+        uniform = 1.0 / (state.net.num_vertices * B)
+        return uniform, uniform
     eps_b = eps * B
     scale = 1.0 / (state.net.num_vertices * ki)
 
@@ -137,14 +140,11 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     Returns (vertex, target, log_forward, log_reverse) where the log values
     are the exact proposal probabilities of the move and of its reversal.
     """
-    net = state.net
-    i, s = _draw_move(state, rng, smoothing, net.half_edges)
-    ki = net.half_edges.degree[i]
-    if ki == 0:
-        log_q = -math.log(net.num_vertices * state.B)
-        return i, s, log_q, log_q
+    half_edges = state.net.half_edges
+    i, s = _draw_move(state, rng, smoothing, half_edges)
     w, loops = _neighbor_block_weights(state, i)
-    forward, reverse = _proposal_probs(state, i, state.b[i], s, w, loops, ki, smoothing)
+    forward, reverse = _proposal_probs(state, i, state.b[i], s, w, loops,
+                                       half_edges.degree[i], smoothing)
     return i, s, math.log(forward), math.log(reverse)
 
 
@@ -163,12 +163,8 @@ def _mh_step_impl(state, rng, eps, half_edges):
     if state.n[r] == 1:
         return False, 0.0  # would empty the source block
     w, loops = _neighbor_block_weights(state, i)
-    ki = half_edges.degree[i]
-    if ki == 0:
-        log_ratio = 0.0  # uniform proposal, symmetric by construction
-    else:
-        forward, reverse = _proposal_probs(state, i, r, s, w, loops, ki, eps)
-        log_ratio = math.log(reverse) - math.log(forward)
+    forward, reverse = _proposal_probs(state, i, r, s, w, loops, half_edges.degree[i], eps)
+    log_ratio = math.log(reverse) - math.log(forward)
     out = [0.0] * state.B
     _move_deltas(state, i, r, w, loops, (s,), out)
     delta = out[s]
@@ -286,8 +282,7 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
     if not abs(s_now - fresh) <= 1e-6:
         raise ArithmeticError(
             f"accumulated description length {s_now!r} differs from a fresh evaluation {fresh!r}")
-    return BlockChainResult(samples=samples, retained=keep, s_trace=trace,
-                            reference=reference, final_state=state)
+    return BlockChainResult(samples=samples, retained=keep, s_trace=trace, reference=reference)
 
 
 def _min_cost_assignment(cost) -> list:

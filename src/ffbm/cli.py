@@ -59,8 +59,12 @@ def _common_flags(parser):
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes for repetitions")
+
+
+def _positive_int(text):
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser():
@@ -88,7 +92,11 @@ def _build_parser():
         ("report", "run all repetitions and write report.json"),
         ("run", "full pipeline with per-repetition artifacts"),
     ):
-        _common_flags(sub.add_parser(name, help=helptext))
+        command = sub.add_parser(name, help=helptext)
+        _common_flags(command)
+        if name in ("report", "run"):  # the commands that run repetitions
+            command.add_argument("--jobs", type=_positive_int, default=1,
+                                 help="parallel worker processes for repetitions")
     return parser
 
 
@@ -112,10 +120,13 @@ def _write_theta_outputs(out: Path, artifacts, net, prefix=""):
 
 
 def _cmd_generate(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     num_blocks = args.num_blocks
     num_features = args.num_features if args.num_features is not None else num_blocks
+    # Both size arrays, so they are checked before any is built.
+    if num_blocks < 1:
+        raise ValueError(f"--num-blocks must be at least 1, got {num_blocks}")
+    if num_features < 0:
+        raise ValueError(f"--num-features must be nonnegative, got {num_features}")
     weights = np.zeros((num_blocks, num_features))
     for j in range(min(num_blocks, num_features)):
         weights[j, j] = args.weight_scale
@@ -129,6 +140,8 @@ def _cmd_generate(args) -> int:
         seed=args.seed,
     )
     net, truth = generate(spec)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_edge_list(out / "edges.txt", net.edges, comment="synthetic planted-block instance")
     write_features(out / "features.csv", net.features, net.feature_names)
     write_json(out / "truth.json", {

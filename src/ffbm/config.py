@@ -55,6 +55,10 @@ class RunConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if self.num_blocks < 1:
+            raise ValueError(f"num_blocks must be at least 1, got {self.num_blocks}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
         for name in _FLOAT_FIELDS:

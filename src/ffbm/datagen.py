@@ -26,6 +26,10 @@ class GeneratorSpec:
     feature_probs: per-column Bernoulli rates used when features is None.
     features: explicit binary feature matrix, overrides feature_probs.
     propensities: per-vertex positive degree multipliers, default all 1.
+
+    Construction checks every value: N >= 0, at least one block, finite
+    weights, a finite, nonnegative, symmetric affinity, one rate in [0, 1]
+    per feature column, N finite positive propensities and seed >= 0.
     """
 
     num_vertices: int
@@ -39,13 +43,51 @@ class GeneratorSpec:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.affinity = np.asarray(self.affinity, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be a B x D matrix")
-        b = self.weights.shape[0]
+        if self.num_vertices < 0:
+            raise ValueError(f"num_vertices must be nonnegative, got {self.num_vertices}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.weights.ndim != 2 or self.weights.shape[0] < 1:
+            raise ValueError("weights must be a B x D matrix with at least one block")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
+        b, d = self.weights.shape
         if self.affinity.shape != (b, b):
             raise ValueError("affinity must be square with one row per block")
+        _check_affinity(self.affinity)
         if self.features is None and self.feature_probs is None:
             raise ValueError("provide either features or feature_probs")
+        if self.feature_probs is not None:
+            probs = np.asarray(self.feature_probs, dtype=np.float64)
+            if probs.shape != (d,):
+                raise ValueError(f"feature_probs must hold one rate per feature column ({d}), "
+                                 f"got shape {probs.shape}")
+            if not ((probs >= 0) & (probs <= 1)).all():
+                raise ValueError("feature_probs entries must lie in [0, 1]")
+        _degree_propensities(self.propensities, self.num_vertices)
+
+
+def _check_affinity(affinity: np.ndarray) -> None:
+    """The block model's rule for an affinity matrix: finite, nonnegative and symmetric."""
+    if not np.isfinite(affinity).all():
+        raise ValueError("affinity entries must be finite")
+    if not np.allclose(affinity, affinity.T):
+        raise ValueError("affinity matrix must be symmetric")
+    if (affinity < 0).any():
+        raise ValueError("affinity entries must be nonnegative")
+
+
+def _degree_propensities(propensities, num_vertices: int) -> np.ndarray:
+    """Per-vertex degree multipliers as floats: all 1 for None, else N finite positive values."""
+    if propensities is None:
+        return np.ones(num_vertices)
+    propensities = np.asarray(propensities, dtype=np.float64)
+    if propensities.shape != (num_vertices,):
+        raise ValueError(f"propensities must hold one value per vertex ({num_vertices}), "
+                         f"got shape {propensities.shape}")
+    if not (np.isfinite(propensities) & (propensities > 0)).all():
+        raise ValueError("degree propensities must be finite and positive")
+    return propensities
 
 
 def sample_memberships(features: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -65,16 +107,9 @@ def sample_poisson_graph(memberships, affinity, propensities, rng: np.random.Gen
     """
     memberships = np.asarray(memberships)
     affinity = np.asarray(affinity, dtype=np.float64)
-    if not np.allclose(affinity, affinity.T):
-        raise ValueError("affinity matrix must be symmetric")
-    if (affinity < 0).any():
-        raise ValueError("affinity entries must be nonnegative")
+    _check_affinity(affinity)
     n = len(memberships)
-    if propensities is None:
-        propensities = np.ones(n)
-    propensities = np.asarray(propensities, dtype=np.float64)
-    if (propensities <= 0).any():
-        raise ValueError("degree propensities must be positive")
+    propensities = _degree_propensities(propensities, n)
 
     iu, ju = np.triu_indices(n)
     means = propensities[iu] * propensities[ju] * affinity[memberships[iu], memberships[ju]]
@@ -124,24 +159,16 @@ def sample_microcanonical_graph(memberships, edge_counts, degrees, rng: np.rando
         cursors[r] = lo + count
         return stubs[r][lo:cursors[r]]
 
-    multiplicity = {}
-
-    def add_edge(u, v):
-        key = (u, v) if u <= v else (v, u)
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-
+    pairs = []
     for r in range(num_blocks):
         for s in range(r + 1, num_blocks):
             left = take(r, int(e[r][s]))
             right = take(s, int(e[r][s]))
-            for u, v in zip(left, right):
-                add_edge(int(u), int(v))
+            pairs.extend(zip(left.tolist(), right.tolist()))
     for r in range(num_blocks):
-        own = take(r, int(e[r][r]))
-        for idx in range(0, len(own), 2):
-            add_edge(int(own[idx]), int(own[idx + 1]))
-
-    return [(u, v, m) for (u, v), m in sorted(multiplicity.items())]
+        own = take(r, int(e[r][r])).tolist()
+        pairs.extend(zip(own[0::2], own[1::2]))
+    return list(network_from_edges(len(memberships), pairs).edges)
 
 
 def generate(spec: GeneratorSpec):

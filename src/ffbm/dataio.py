@@ -113,7 +113,13 @@ def _read_vertex_table(path, num_vertices=None):
     return columns, cells
 
 
-def _binary_flags(path, columns, cells):
+def parse_features(path, num_vertices: int = None):
+    """Read a binary feature CSV with header 'vertex,<name1>,...,<nameD>'.
+
+    Every vertex in [0, N) must appear exactly once; entries must be 0 or 1.
+    N defaults to the number of rows.  Returns (matrix, names).
+    """
+    columns, cells = _read_vertex_table(path, num_vertices)
     for vid, row in enumerate(cells):
         for cell in row:
             if cell not in ("0", "1"):
@@ -121,7 +127,14 @@ def _binary_flags(path, columns, cells):
     return np.array(cells, dtype=np.int8).reshape(len(cells), len(columns)), tuple(columns)
 
 
-def _one_hot(path, columns, cells):
+def parse_categorical_features(path, num_vertices: int = None):
+    """Read a categorical CSV and one-hot expand it into binary flags.
+
+    Each column c with observed values v becomes flags named 'c-v'; flag
+    order is column order, then sorted values within a column.  N defaults
+    to the number of rows.  Returns (matrix, names).
+    """
+    columns, cells = _read_vertex_table(path, num_vertices)
     names = []
     index = {}
     for c, col in enumerate(columns):
@@ -135,24 +148,6 @@ def _one_hot(path, columns, cells):
     return matrix, tuple(names)
 
 
-def parse_features(path, num_vertices: int):
-    """Read a binary feature CSV with header 'vertex,<name1>,...,<nameD>'.
-
-    Every vertex in [0, N) must appear exactly once; entries must be 0 or 1.
-    Returns (matrix, names).
-    """
-    return _binary_flags(path, *_read_vertex_table(path, num_vertices))
-
-
-def parse_categorical_features(path, num_vertices: int):
-    """Read a categorical CSV and one-hot expand it into binary flags.
-
-    Each column c with observed values v becomes flags named 'c-v'; flag
-    order is column order, then sorted values within a column.
-    """
-    return _one_hot(path, *_read_vertex_table(path, num_vertices))
-
-
 def load_network(edges_path, features_path=None, categorical_path=None) -> LabelledNetwork:
     """Assemble a network from an edge list and optional feature files.
 
@@ -161,11 +156,11 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
     """
     edges = parse_edge_list(edges_path)
     num_vertices, matrices, names = None, [], []
-    for path, expand in ((features_path, _binary_flags), (categorical_path, _one_hot)):
+    for path, parse in ((features_path, parse_features),
+                        (categorical_path, parse_categorical_features)):
         if path is not None:
-            columns, cells = _read_vertex_table(path, num_vertices)
-            num_vertices = len(cells)
-            matrix, block_names = expand(path, columns, cells)
+            matrix, block_names = parse(path, num_vertices)
+            num_vertices = matrix.shape[0]
             matrices.append(matrix)
             names.extend(block_names)
     if num_vertices is None:

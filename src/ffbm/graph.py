@@ -119,7 +119,6 @@ class VertexSplit:
 
     train: np.ndarray
     test: np.ndarray
-    fraction: float
 
     def __post_init__(self):
         overlap = set(self.train.tolist()) & set(self.test.tolist())
@@ -147,4 +146,4 @@ def split_vertices(num_vertices: int, fraction: float, seed) -> VertexSplit:
     perm = rng.permutation(num_vertices)
     train = np.sort(perm[:n_train])
     test = np.sort(perm[n_train:])
-    return VertexSplit(train=train, test=test, fraction=fraction)
+    return VertexSplit(train=train, test=test)

@@ -8,9 +8,8 @@ import numpy as np
 
 from .analysis import (
     EvaluationReport,
-    block_accuracy,
     check_target_dim,
-    cross_entropy_loss,
+    loss_and_accuracy,
     mean_description_length,
     reduce_dimension,
     summarize_weights,
@@ -97,26 +96,29 @@ def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
 
     block_res, weight_res = art.block_result, art.weight_result
     responsibilities, split = art.responsibilities, art.split
-    features = net.features.astype(np.float64)
+    loss_train, accuracy_train = loss_and_accuracy(
+        weight_res.samples, responsibilities, net.features, split.train)
+    loss_test, accuracy_test = loss_and_accuracy(
+        weight_res.samples, responsibilities, net.features, split.test)
     retained_s = block_res.s_trace[block_res.retained]
     report = EvaluationReport(
         mean_dl=mean_description_length(retained_s, net.num_vertices, net.num_edges,
                                         cfg.num_blocks),
-        loss_train=cross_entropy_loss(weight_res.samples, responsibilities, features, split.train),
-        loss_test=cross_entropy_loss(weight_res.samples, responsibilities, features, split.test),
-        accuracy_train=block_accuracy(weight_res.samples, responsibilities, features, split.train).tolist(),
-        accuracy_test=block_accuracy(weight_res.samples, responsibilities, features, split.test).tolist(),
+        loss_train=loss_train,
+        loss_test=loss_test,
+        accuracy_train=accuracy_train.tolist(),
+        accuracy_test=accuracy_test.tolist(),
         acceptance_ratio=weight_res.acceptance_ratio,
         mean_objective=weight_res.mean_objective,
     )
     if art.reduction is not None:
         reduced_res = art.reduced_weight_result
-        reduced_features = features[:, art.reduction.kept]
+        reduced_features = net.features[:, art.reduction.kept]
         report.cutoff = art.reduction.cutoff
         report.kept_features = [int(d) for d in art.reduction.kept]
-        report.reduced_loss_train = cross_entropy_loss(
+        report.reduced_loss_train, _ = loss_and_accuracy(
             reduced_res.samples, responsibilities, reduced_features, split.train)
-        report.reduced_loss_test = cross_entropy_loss(
+        report.reduced_loss_test, _ = loss_and_accuracy(
             reduced_res.samples, responsibilities, reduced_features, split.test)
         report.reduced_acceptance_ratio = reduced_res.acceptance_ratio
     return report, art

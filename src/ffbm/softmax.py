@@ -78,10 +78,8 @@ class ObjectiveContext:
 def class_probabilities(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Row-wise softmax of features @ weights.T (one row per vertex)."""
     logits = np.asarray(features, dtype=np.float64) @ np.asarray(weights, dtype=np.float64).T
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    _, shifted, total = _log_normaliser(logits)
+    return shifted / total
 
 
 def _row_logits(weights: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ffbm import (
+    ObjectiveContext,
     WeightSummary,
     block_accuracy,
     class_probabilities,
     cross_entropy_loss,
     feature_scores,
+    loss_and_accuracy,
     mean_description_length,
     reduce_dimension,
     summarize_weights,
 )
+from ffbm.analysis import _BATCH_LOGITS
+from ffbm.softmax import _cross_entropy, _log_normaliser, _row_logits
 
 
 # ------------------------------------------------------------------ summaries
@@ -265,3 +270,58 @@ def test_block_accuracy_relabelling_invariant():
     inv = np.argsort(perm)
     permuted = block_accuracy([w[inv] for w in samples], y[:, inv], feats, np.arange(15))
     assert np.allclose(base, permuted[perm], equal_nan=True)
+
+
+def _two_pass_metrics(weight_samples, responsibilities, features, vertex_set):
+    """The loss and the per-block accuracy as two separate passes over the
+    samples, each batching the logits as the scoring code does."""
+    ctx = ObjectiveContext(features[vertex_set], responsibilities[vertex_set], sigma=1.0)
+    stack = np.asarray(weight_samples, dtype=np.float64)
+    batch = max(1, _BATCH_LOGITS // max(1, ctx.rows.shape[0] * ctx.num_blocks))
+    batches = [stack[k:k + batch] for k in range(0, len(stack), batch)]
+    loss = sum(float(_cross_entropy(w, _log_normaliser(_row_logits(w, ctx))[0], ctx).sum())
+               for w in batches) / (len(stack) * ctx.size)
+
+    assigned = ctx.targets.argmax(axis=1)
+    votes = np.zeros((ctx.rows.shape[0], ctx.num_blocks), dtype=np.int64)
+    for w in batches:
+        predicted = _row_logits(w, ctx).argmax(axis=-1)
+        votes += (predicted[..., None] == np.arange(ctx.num_blocks)).sum(axis=0)
+    agree = votes[ctx.inverse, assigned]
+    accuracy = np.full(ctx.num_blocks, np.nan)
+    for j in range(ctx.num_blocks):
+        members = assigned == j
+        if members.any():
+            accuracy[j] = agree[members].sum() / (members.sum() * len(stack))
+    return loss, accuracy
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_vertices=st.integers(1, 30),
+       num_blocks=st.integers(1, 4), num_features=st.integers(1, 4),
+       num_samples=st.integers(1, 40), real_features=st.booleans(),
+       empty_block=st.booleans())
+# 28 distinct rows x 4 blocks x 200 samples is past _BATCH_LOGITS: two batches.
+@example(seed=1, num_vertices=40, num_blocks=4, num_features=3, num_samples=200,
+         real_features=True, empty_block=True)
+@settings(max_examples=100, deadline=None)
+def test_loss_and_accuracy_equal_the_two_pass_metrics(seed, num_vertices, num_blocks, num_features,
+                                                      num_samples, real_features, empty_block):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(num_vertices, num_features))
+    if not real_features:
+        feats = (feats < 0).astype(np.int8)
+    raw = rng.random((num_vertices, num_blocks))
+    if empty_block and num_blocks > 1:
+        raw[:, -1] = 0.0  # no vertex is assigned to the last block
+    y = raw / raw.sum(axis=1, keepdims=True)
+    samples = [rng.normal(scale=3.0, size=(num_blocks, num_features)) for _ in range(num_samples)]
+    subset = np.flatnonzero(rng.random(num_vertices) < 0.7)
+    if subset.size == 0:
+        subset = np.arange(num_vertices)
+
+    loss, accuracy = loss_and_accuracy(samples, y, feats, subset)
+    ref_loss, ref_accuracy = _two_pass_metrics(samples, y, feats, subset)
+    assert loss.hex() == ref_loss.hex()
+    assert accuracy.tobytes() == ref_accuracy.tobytes()
+    assert cross_entropy_loss(samples, y, feats, subset) == loss
+    assert block_accuracy(samples, y, feats, subset).tobytes() == accuracy.tobytes()

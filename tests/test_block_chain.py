@@ -285,10 +285,14 @@ def test_proposal_probs_match_the_pair_delta_formula_and_the_moved_state(case):
     state = BlockState(net, labels, num_blocks)
     for i in range(10):
         ki = net.half_edges.degree[i]
-        if ki == 0:
-            continue
         r = state.b[i]
         w, loops = _neighbor_block_weights(state, i)
+        if ki == 0:
+            # An isolated vertex draws its target uniformly, both ways.
+            uniform = 1.0 / (10 * num_blocks)
+            for s in range(num_blocks):
+                assert _proposal_probs(state, i, r, s, w, loops, ki, eps) == (uniform, uniform)
+            continue
         for s in range(num_blocks):
             fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, eps)
             old_fwd, old_rev = _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps)

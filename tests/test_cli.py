@@ -131,17 +131,29 @@ def test_report_with_reduction(synthetic_dir, tmp_path):
 
 
 def test_parallel_jobs_match_sequential(synthetic_dir, tmp_path):
+    # The worker processes ship each repetition's artifacts back; the files
+    # written from them equal a serial run's.
     _, cfg = synthetic_dir
     seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["report", "--config", str(cfg), "--seed", "9", "--out-dir", str(seq)]) == 0
-    assert main(["report", "--config", str(cfg), "--seed", "9", "--out-dir", str(par),
-                 "--jobs", "2"]) == 0
-    assert (seq / "report.json").read_bytes() == (par / "report.json").read_bytes()
+    common = ["run", "--config", str(cfg), "--seed", "9", "--set", "reduce_dim=1",
+              "--set", "reduced_theta_iters=100"]
+    assert main([*common, "--out-dir", str(seq)]) == 0
+    assert main([*common, "--out-dir", str(par), "--jobs", "2"]) == 0
+    files = sorted(str(p.relative_to(seq)) for p in seq.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(par)) for p in par.rglob("*") if p.is_file())
+    assert "rep001/reduction.csv" in files
+    for name in files:
+        assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
 
 def test_usage_errors_exit_one():
     assert main(["nosuchcommand"]) == 1
     assert main([]) == 1
+    # --jobs belongs to the commands that run repetitions, and counts processes.
+    for command in ("sample-blocks", "sample-theta", "reduce"):
+        assert main([command, "--jobs", "2"]) == 1
+    for jobs in ("0", "-1", "two"):
+        assert main(["report", "--jobs", jobs]) == 1
 
 
 def test_numeric_failure_exits_three(monkeypatch, tmp_path):
@@ -230,7 +242,8 @@ def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monke
                                      "theta_thinning=0", "theta_burn_in=1.2", "reduce_dim=7",
                                      "proposal_smoothing=nan", "sigma=nan", "step_scale=inf",
                                      "reduced_step_scale=inf", "reduce_multiplier=nan",
-                                     "reduce_multiplier=0", "num_blocks=none"])
+                                     "reduce_multiplier=0", "num_blocks=none", "num_blocks=0",
+                                     "seed=-1"])
 def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting):
     import ffbm.pipeline as pipeline_mod
 
@@ -252,6 +265,12 @@ def test_chain_settings_are_checked_when_the_config_is_built():
         build_config(overrides=["reduced_theta_burn_in=1.5", "reduce_dim=1"])
     with pytest.raises(DataFormatError, match="init_restarts"):
         build_config(overrides=["init_restarts=0"])
+
+
+@pytest.mark.parametrize("override, key", [("seed=-1", "seed"), ("num_blocks=0", "num_blocks")])
+def test_seed_and_block_count_are_checked_when_the_config_is_built(override, key):
+    with pytest.raises(DataFormatError, match=key):
+        build_config(overrides=[override])
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"])
@@ -376,6 +395,26 @@ def test_generate_into_a_file_exits_two(tmp_path):
     as_file = tmp_path / "a_file"
     as_file.write_text("")
     assert main(["generate", "--num-vertices", "10", "--out-dir", str(as_file)]) == 2
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--feature-prob=1.5", "feature_probs"),
+    ("--feature-prob=nan", "feature_probs"),
+    ("--weight-scale=nan", "weights"),
+    ("--num-vertices=-3", "num_vertices"),
+    ("--num-blocks=0", "--num-blocks"),
+    ("--num-blocks=-2", "--num-blocks"),
+    ("--num-features=-1", "--num-features"),
+    ("--affinity-diag=inf", "affinity"),
+    ("--affinity-off=-0.5", "affinity"),
+    ("--seed=-1", "seed"),
+])
+def test_bad_generate_arguments_exit_two_and_write_nothing(tmp_path, capsys, flag, name):
+    out = tmp_path / "inst"
+    assert main(["generate", "--num-vertices", "20", flag, "--out-dir", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("ffbm: data error:") and name in err
 
 
 def test_outputs_do_not_depend_on_the_locale(synthetic_dir, tmp_path):

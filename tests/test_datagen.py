@@ -15,6 +15,8 @@ from ffbm import (
     sample_poisson_graph,
 )
 
+from conftest import random_multigraph
+
 
 # ------------------------------------------------------------- block sampling
 
@@ -132,6 +134,47 @@ def test_microcanonical_reproduces_edge_counts():
         assert net.degrees.tolist() == k
 
 
+def _dict_merge_microcanonical(memberships, edge_counts, degrees, rng):
+    """Reference: the sampler's stub pairing, its pairs merged in a dict keyed
+    by (smaller, larger) endpoint and returned in key order."""
+    memberships, degrees, e = np.asarray(memberships), np.asarray(degrees), np.asarray(edge_counts)
+    stubs, cursors = [], []
+    for r in range(e.shape[0]):
+        members = np.nonzero(memberships == r)[0]
+        lst = np.repeat(members, degrees[members])
+        rng.shuffle(lst)
+        stubs.append(lst)
+        cursors.append(0)
+
+    def take(r, count):
+        cursors[r] += count
+        return stubs[r][cursors[r] - count:cursors[r]]
+
+    pairs = []
+    for r in range(e.shape[0]):
+        for s in range(r + 1, e.shape[0]):
+            pairs.extend(zip(take(r, int(e[r][s])), take(s, int(e[r][s]))))
+    for r in range(e.shape[0]):
+        own = take(r, int(e[r][r]))
+        pairs.extend(zip(own[0::2], own[1::2]))
+    multiplicity = {}
+    for u, v in pairs:
+        key = (int(min(u, v)), int(max(u, v)))
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    return [(u, v, m) for (u, v), m in sorted(multiplicity.items())]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_microcanonical_equals_the_dict_merge(seed):
+    rng = np.random.default_rng(seed)
+    num_vertices, num_blocks = int(rng.integers(2, 16)), int(rng.integers(1, 5))
+    labels = rng.permutation(np.arange(num_vertices) % num_blocks)
+    net = random_multigraph(rng, num_vertices, int(rng.integers(0, 30)))
+    e = np.array(BlockState(net, labels.tolist(), num_blocks).e)
+    got = sample_microcanonical_graph(labels, e, net.degrees, np.random.default_rng(seed + 100))
+    assert got == _dict_merge_microcanonical(labels, e, net.degrees, np.random.default_rng(seed + 100))
+
+
 def test_microcanonical_rejects_inconsistent_constraints():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError):
@@ -160,3 +203,25 @@ def test_generate_explicit_features_validated():
     with pytest.raises(ValueError):
         GeneratorSpec(num_vertices=5, weights=np.eye(2), affinity=np.eye(3),
                       feature_probs=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("num_vertices", -1, id="negative-num-vertices"),
+    pytest.param("seed", -1, id="negative-seed"),
+    pytest.param("weights", np.zeros((0, 2)), id="no-blocks"),
+    pytest.param("weights", np.array([[np.nan, 0.0], [0.0, 1.0]]), id="nan-weight"),
+    pytest.param("affinity", np.array([[0.1, np.inf], [np.inf, 0.1]]), id="infinite-affinity"),
+    pytest.param("affinity", np.array([[0.1, 0.2], [0.3, 0.1]]), id="asymmetric-affinity"),
+    pytest.param("affinity", -np.eye(2), id="negative-affinity"),
+    pytest.param("feature_probs", np.array([0.5]), id="too-few-rates"),
+    pytest.param("feature_probs", np.array([0.5, 1.5]), id="rate-above-one"),
+    pytest.param("propensities", np.ones(4), id="too-few-propensities"),
+    pytest.param("propensities", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), id="infinite-propensity"),
+    pytest.param("propensities", np.array([1.0, 0.0, 1.0, 1.0, 1.0]), id="zero-propensity"),
+])
+def test_generator_spec_rejects_bad_values(field, value):
+    valid = dict(num_vertices=5, weights=np.eye(2), affinity=np.full((2, 2), 0.1),
+                 feature_probs=np.array([0.5, 0.5]), propensities=np.ones(5))
+    GeneratorSpec(**valid)
+    with pytest.raises(ValueError, match=field):
+        GeneratorSpec(**{**valid, field: value})

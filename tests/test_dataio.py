@@ -120,6 +120,9 @@ def test_load_network_counts_parsed_rows(tmp_path, kind, text):
     (tmp_path / "f.csv").write_text(text)
     net = load_network(tmp_path / "e.txt", **{f"{kind}_path": tmp_path / "f.csv"})
     assert net.num_vertices == 3
+    parse = {"features": parse_features, "categorical": parse_categorical_features}[kind]
+    matrix, _ = parse(tmp_path / "f.csv")  # N defaults to the parsed rows
+    assert matrix.shape[0] == 3
 
 
 @pytest.mark.parametrize("reader, name, text", [

@@ -59,6 +59,20 @@ def test_softmax_rows_sum_to_one(num_blocks, num_features, seed):
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_softmax_equals_the_shifted_exponential_formula(num_blocks, num_features, seed):
+    # Weights of +-800 put logits far past exp's overflow point.
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-800.0, -2.5, 0.0, 0.75, 800.0], size=(num_blocks, num_features))
+    x = rng.integers(0, 2, (7, num_features)).astype(np.int8)
+    logits = x.astype(np.float64) @ w.T
+    logits -= logits.max(axis=1, keepdims=True)
+    expected = np.exp(logits)
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert class_probabilities(w, x).tobytes() == expected.tobytes()
+
+
 # ----------------------------------------------------------------- objective
 
 def test_objective_zero_weights_is_entropy():
