@@ -5,6 +5,13 @@ vertex uniformly, then a random neighbour j, and proposes a target block s
 with probability (e_{t s} + eps) / (e_t + eps B) where t is j's block; the
 Hastings correction for this proposal is computed exactly.  Moves that
 would empty a block are rejected so the block count stays fixed.
+
+A chain draws its proposals from one generator, ``_proposals``, which binds
+the RNG, the half-edge table and the state's statistics once; each sweep is
+one call of ``_sweep``, a single loop over N proposals that rejects
+emptying moves, scores the rest and applies the accepted ones.
+``propose_move`` is one draw of a fresh ``_proposals`` and ``mh_step`` a
+one-proposal ``_sweep``.
 """
 
 from __future__ import annotations
@@ -52,6 +59,11 @@ class BlockChainResult:
     retained: list  # their iteration indices
     s_trace: np.ndarray  # S(b) after each iteration, incl. the initial state
     reference: np.ndarray  # greedy MDL initial partition (alignment reference)
+    # Outcomes of the sweeps' proposals; the rest were rejected by the
+    # acceptance test.
+    null_proposals: int  # target equal to the vertex's own block
+    emptying_rejections: int  # moves that would have emptied their block
+    accepted_moves: int  # accepted moves that changed a label
 
 
 def _proposal_probs(state, i, r, s, w, loops, ki, eps):
@@ -98,8 +110,8 @@ def _proposal_probs(state, i, r, s, w, loops, ki, eps):
     return forward, reverse
 
 
-def _draw_move(state: BlockState, rng: random.Random, eps: float, half_edges):
-    """Draw the (vertex, target block) of a proposal; the chain's only proposal draw.
+def _proposals(state: BlockState, rng: random.Random, eps: float, half_edges):
+    """Yield the (vertex, target block) of each proposal; the chain's only proposal draw.
 
     The vertex is uniform.  An isolated vertex gets a uniform target; any
     other picks a uniform half-edge, whose far end lies in block t, and then
@@ -107,31 +119,81 @@ def _draw_move(state: BlockState, rng: random.Random, eps: float, half_edges):
     integers are drawn as ``random.Random.randrange`` draws them, by
     rejection on getrandbits(n.bit_length()), so the chain consumes the same
     random stream as randrange without its call overhead.
+
+    The RNG methods, the half-edge lists and the state's b, e and e_row are
+    bound once, when the first proposal is drawn: they are valid for as long
+    as the state is moved only by ``_apply_move``, which mutates them in
+    place.  Raises ``ValueError`` at the first draw on an empty network.
     """
-    getrandbits = rng.getrandbits
-    n = half_edges.num_vertices
-    i = getrandbits(half_edges.vertex_bits)
-    while i >= n:
-        if not n:
-            raise ValueError("cannot draw a vertex from an empty network")
-        i = getrandbits(half_edges.vertex_bits)
-    ki = half_edges.degree[i]
-    B = state.B
-    if ki == 0:
-        return i, rng.randrange(B)
-    k = half_edges.bits[i]
-    x = getrandbits(k)
-    while x >= ki:
+    getrandbits, randrange, uniform = rng.getrandbits, rng.randrange, rng.random
+    n, vertex_bits = half_edges.num_vertices, half_edges.vertex_bits
+    degree, bits, ends = half_edges.degree, half_edges.bits, half_edges.ends
+    b, e, e_row, B = state.b, state.e, state.e_row, state.B
+    eps_b = eps * B
+    blocks = range(B)
+    if not n:
+        raise ValueError("cannot draw a vertex from an empty network")
+    while True:
+        i = getrandbits(vertex_bits)
+        while i >= n:
+            i = getrandbits(vertex_bits)
+        ki = degree[i]
+        if ki == 0:
+            yield i, randrange(B)
+            continue
+        k = bits[i]
         x = getrandbits(k)
-    t = state.b[half_edges.ends[i][x]]
-    e_t = state.e[t]
-    u = rng.random() * (state.e_row[t] + eps * B)
-    run = 0.0
-    for s in range(B):
-        run += e_t[s] + eps
-        if u < run:
-            return i, s
-    return i, B - 1
+        while x >= ki:
+            x = getrandbits(k)
+        t = b[ends[i][x]]
+        e_t = e[t]
+        u = uniform() * (e_row[t] + eps_b)
+        run = 0.0
+        for s in blocks:  # a scan that runs out leaves s at B - 1
+            run += e_t[s] + eps
+            if u < run:
+                break
+        yield i, s
+
+
+def _sweep(state: BlockState, rng: random.Random, eps: float, half_edges, proposals,
+           count: int, s_now: float):
+    """Run ``count`` Metropolis-Hastings steps on proposals drawn from ``proposals``.
+
+    Each step takes one (i, s) from the generator, which must be
+    ``_proposals`` on this state, rng and eps.  A null proposal (s equal to
+    i's block r) is accepted at once and a move that would empty r is
+    rejected; any other is scored (the proposal probabilities both ways,
+    then the move's delta S) and accepted with probability
+    min(1, exp(-delta S) q_reverse / q_forward).  Accepted deltas are added
+    to s_now in step order.  Never draws a proposal past ``count``.
+
+    Returns (s_now, null proposals, emptying rejections, accepted real moves);
+    the other count - sum(...) steps were rejected by the acceptance test.
+    """
+    b, n, degree = state.b, state.n, half_edges.degree
+    log, exp, uniform = math.log, math.exp, rng.random
+    out = [0.0] * state.B
+    nulls = emptying = moved = 0
+    for _, (i, s) in zip(range(count), proposals):
+        r = b[i]
+        if s == r:
+            nulls += 1
+            continue
+        if n[r] == 1:
+            emptying += 1
+            continue
+        w, loops = _neighbor_block_weights(state, i)
+        forward, reverse = _proposal_probs(state, i, r, s, w, loops, degree[i], eps)
+        log_ratio = log(reverse) - log(forward)
+        _move_deltas(state, i, r, w, loops, (s,), out)
+        delta = out[s]
+        log_alpha = -delta + log_ratio
+        if log_alpha >= 0.0 or uniform() < exp(log_alpha):
+            _apply_move(state, i, r, s, w, loops)
+            s_now += delta
+            moved += 1
+    return s_now, nulls, emptying, moved
 
 
 def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
@@ -141,7 +203,7 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     are the exact proposal probabilities of the move and of its reversal.
     """
     half_edges = state.net.half_edges
-    i, s = _draw_move(state, rng, smoothing, half_edges)
+    i, s = next(_proposals(state, rng, smoothing, half_edges))
     w, loops = _neighbor_block_weights(state, i)
     forward, reverse = _proposal_probs(state, i, state.b[i], s, w, loops,
                                        half_edges.degree[i], smoothing)
@@ -149,30 +211,14 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
 
 
 def mh_step(state: BlockState, cfg: BlockChainConfig, rng: random.Random) -> bool:
-    """One Metropolis-Hastings step; mutates the state on acceptance."""
-    accepted, _ = _mh_step_impl(state, rng, cfg.smoothing, state.net.half_edges)
-    return accepted
+    """One Metropolis-Hastings step; mutates the state on acceptance.
 
-
-def _mh_step_impl(state, rng, eps, half_edges):
-    """Fused propose / delta / accept step.  Returns (accepted, delta_S)."""
-    i, s = _draw_move(state, rng, eps, half_edges)
-    r = state.b[i]
-    if s == r:
-        return True, 0.0
-    if state.n[r] == 1:
-        return False, 0.0  # would empty the source block
-    w, loops = _neighbor_block_weights(state, i)
-    forward, reverse = _proposal_probs(state, i, r, s, w, loops, half_edges.degree[i], eps)
-    log_ratio = math.log(reverse) - math.log(forward)
-    out = [0.0] * state.B
-    _move_deltas(state, i, r, w, loops, (s,), out)
-    delta = out[s]
-    log_alpha = -delta + log_ratio
-    if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-        _apply_move(state, i, r, s, w, loops)
-        return True, delta
-    return False, 0.0
+    Returns True if the proposal was null or an accepted real move.
+    """
+    half_edges = state.net.half_edges
+    proposals = _proposals(state, rng, cfg.smoothing, half_edges)
+    _, nulls, _, moved = _sweep(state, rng, cfg.smoothing, half_edges, proposals, 1, 0.0)
+    return nulls + moved == 1
 
 
 def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
@@ -264,12 +310,14 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
         samples.append(state.partition())
 
     n_vert = max(net.num_vertices, 1)
-    step = _mh_step_impl
+    proposals = _proposals(state, rng, eps, half_edges)
+    nulls = emptying = moved = 0
     for it in range(1, cfg.iterations + 1):
-        for _ in range(n_vert):
-            accepted, delta = step(state, rng, eps, half_edges)
-            if accepted:
-                s_now += delta
+        s_now, sweep_nulls, sweep_emptying, sweep_moved = _sweep(
+            state, rng, eps, half_edges, proposals, n_vert, s_now)
+        nulls += sweep_nulls
+        emptying += sweep_emptying
+        moved += sweep_moved
         if not math.isfinite(s_now):
             raise ArithmeticError(f"description length became non-finite in sweep {it}")
         trace[it] = s_now
@@ -282,7 +330,9 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
     if not abs(s_now - fresh) <= 1e-6:
         raise ArithmeticError(
             f"accumulated description length {s_now!r} differs from a fresh evaluation {fresh!r}")
-    return BlockChainResult(samples=samples, retained=keep, s_trace=trace, reference=reference)
+    return BlockChainResult(samples=samples, retained=keep, s_trace=trace, reference=reference,
+                            null_proposals=nulls, emptying_rejections=emptying,
+                            accepted_moves=moved)
 
 
 def _min_cost_assignment(cost) -> list:

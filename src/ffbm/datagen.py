@@ -16,6 +16,9 @@ import numpy as np
 from .graph import network_from_edges
 from .softmax import class_probabilities
 
+# The largest mean numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max).
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * float(np.iinfo(np.int64).max) ** 0.5
+
 
 @dataclass
 class GeneratorSpec:
@@ -104,6 +107,8 @@ def sample_poisson_graph(memberships, affinity, propensities, rng: np.random.Gen
     The mean multiplicity between distinct i < j is
     propensity_i * propensity_j * affinity[b_i, b_j]; self-loops use half
     that mean.  Returns (u, v, multiplicity) triples for nonzero draws.
+    A mean above POISSON_MEAN_MAX (or one that overflows) raises ValueError
+    before any draw.
     """
     memberships = np.asarray(memberships)
     affinity = np.asarray(affinity, dtype=np.float64)
@@ -112,8 +117,14 @@ def sample_poisson_graph(memberships, affinity, propensities, rng: np.random.Gen
     propensities = _degree_propensities(propensities, n)
 
     iu, ju = np.triu_indices(n)
-    means = propensities[iu] * propensities[ju] * affinity[memberships[iu], memberships[ju]]
-    means[iu == ju] *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound below catches inf and NaN
+        means = propensities[iu] * propensities[ju] * affinity[memberships[iu], memberships[ju]]
+        means[iu == ju] *= 0.5
+    largest = means.max(initial=0.0)
+    if not largest <= POISSON_MEAN_MAX:
+        raise ValueError(
+            f"affinity too large: the largest Poisson edge mean is {largest:.6g}, above "
+            f"{POISSON_MEAN_MAX:.6g} (largest affinity entry {affinity.max():.6g})")
     counts = rng.poisson(means)
     nz = counts.nonzero()[0]
     return [(int(iu[k]), int(ju[k]), int(counts[k])) for k in nz]

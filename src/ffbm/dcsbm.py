@@ -24,6 +24,7 @@ from .softmax import log_partition_given_features
 from .tables import (
     LOG2,
     _LOG_FACT,
+    _ROWS,
     log_count_partitions,
     log_double_factorial_even,
     log_factorial,
@@ -43,6 +44,10 @@ class BlockState:
         e_row: half-edge count per block, e_row[r] = sum_s e[r][s].
         n: vertices per block.
         eta: per block, a dict degree -> number of vertices with that degree.
+
+    Moves mutate b, the rows of e, e_row, n and the dicts of eta in place and
+    never rebind them, so a reference taken once (as the partition chain's
+    proposal generator takes b, e and e_row) stays valid across moves.
     """
 
     __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta")
@@ -181,11 +186,15 @@ def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> N
     once.  Each target then adds its own terms and the shared ones in one
     fixed order (row factorials, the (r,r), (s,s) and (r,s) pair terms, the
     (r,t) and (s,t) pairs in w's order, then the degree prior), so a value
-    is the same float whichever other targets are asked for.  Table reads
-    are unchecked: BlockState sizes the log-factorial table to 2E.
+    is the same float whichever other targets are asked for.  Log-factorial
+    reads are unchecked: BlockState sizes that table to 2E.  Partition-count
+    reads index the table's rows in place, as log_count_partitions does, and
+    fall back to it (which grows the table) on a miss.
     """
     lf = _LOG_FACT
+    rows = _ROWS
     lcp = log_count_partitions
+    log = math.log
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
     ki = state.net.half_edges.degree[i]
     e_r = e[r]
@@ -203,9 +212,12 @@ def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> N
     source_pairs = [(t, wt, lf[e_r[t] - wt] - lf[e_r[t]]) for t, wt in w.items() if t != r]
     # Degree prior: -log p(k | e, b) contributes n_r!, q(e_r, n_r) and the
     # degree histogram factorials of the two affected blocks.
-    log_n_r = math.log(n_r)
-    source_q = lcp(row_r - ki, n_r - 1) - lcp(row_r, n_r)
-    log_eta_r = math.log(eta[r][ki])
+    log_n_r = log(n_r)
+    try:
+        source_q = rows[n_r - 1][row_r - ki] - rows[n_r][row_r]
+    except IndexError:
+        source_q = lcp(row_r - ki, n_r - 1) - lcp(row_r, n_r)
+    log_eta_r = log(eta[r][ki])
 
     for s in targets:
         if s == r:
@@ -234,10 +246,13 @@ def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> N
             old = e_s[t]
             delta -= lf[old + wt] - lf[old]
         n_s = n[s]
-        delta += math.log(n_s + 1) - log_n_r
+        delta += log(n_s + 1) - log_n_r
         delta += source_q
-        delta += lcp(row_s + ki, n_s + 1) - lcp(row_s, n_s)
-        delta += log_eta_r - math.log(eta[s].get(ki, 0) + 1)
+        try:
+            delta += rows[n_s + 1][row_s + ki] - rows[n_s][row_s]
+        except IndexError:
+            delta += lcp(row_s + ki, n_s + 1) - lcp(row_s, n_s)
+        delta += log_eta_r - log(eta[s].get(ki, 0) + 1)
         out[s] = delta
 
 
@@ -276,6 +291,8 @@ def _apply_move(state: BlockState, i: int, r: int, s: int, w, loops) -> None:
     i's m_r non-loop half-edges into r leave e_rr (two ends each) for e_rs,
     its m_s half-edges into s move from e_rs to e_ss, its loops move from e_rr
     to e_ss, and each other block t's w_t half-edges move from e_rt to e_st.
+    Every update is in place: b, the rows of e, e_row, n and eta's dicts are
+    never rebound, which the chain's hoisted references rely on.
     """
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
     ki = state.net.half_edges.degree[i]

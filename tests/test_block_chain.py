@@ -27,7 +27,7 @@ from ffbm import (
     run_block_chain,
 )
 from ffbm import block_chain
-from ffbm.block_chain import _draw_move, _min_cost_assignment, _mh_step_impl, _proposal_probs
+from ffbm.block_chain import _min_cost_assignment, _proposal_probs, _proposals, _sweep
 from ffbm.dcsbm import _neighbor_block_weights, apply_move
 from ffbm.sampling import retained_indices
 
@@ -206,21 +206,27 @@ def _randrange_draw(state, rng, eps, neighbours, cumulative):
     return i, num_blocks - 1
 
 
+def _loopy_network():
+    """Loops (one with multiplicity 2), parallel edges and an isolated vertex (7)."""
+    return network_from_edges(8, [(0, 1, 3), (0, 0), (1, 2), (2, 2, 2), (2, 3), (3, 4, 2),
+                                  (4, 5), (5, 6), (6, 0), (1, 5), (3, 3)])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_draw_move_consumes_the_randrange_stream(seed):
     # Loops (one with multiplicity 2), parallel edges, degrees that are powers
     # of two and an isolated vertex (7); 8 vertices make the vertex draw reject.
-    net = network_from_edges(8, [(0, 1, 3), (0, 0), (1, 2), (2, 2, 2), (2, 3), (3, 4, 2),
-                                 (4, 5), (5, 6), (6, 0), (1, 5), (3, 3)])
+    net = _loopy_network()
     pairs = neighbour_pairs(net)
     neighbours = [[j for j, _ in pairs[i]] for i in range(8)]
     cumulative = [list(itertools.accumulate(a for _, a in pairs[i])) for i in range(8)]
     ours = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
     theirs = ours.copy()
     rng_new, rng_old = random.Random(seed), random.Random(seed)
+    proposals = _proposals(ours, rng_new, 0.5, net.half_edges)
     moves = 0
     for _ in range(5000):
-        move = _draw_move(ours, rng_new, 0.5, net.half_edges)
+        move = next(proposals)
         assert move == _randrange_draw(theirs, rng_old, 0.5, neighbours, cumulative)
         i, s = move
         if s != ours.b[i] and ours.n[ours.b[i]] > 1:
@@ -235,6 +241,9 @@ def test_draw_move_rejects_an_empty_network():
     net = network_from_edges(0, [])
     with pytest.raises(ValueError):
         propose_move(BlockState(net, [], 1), random.Random(0))
+    proposals = _proposals(BlockState(net, [], 1), random.Random(0), 1.0, net.half_edges)
+    with pytest.raises(ValueError, match="empty network"):
+        next(proposals)
 
 
 def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
@@ -343,7 +352,8 @@ def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
     for _ in range(300):
         i, s, _, _ = propose_move(proposer, rng_p)
         r = proposer.b[i]
-        _mh_step_impl(chain, rng_c, 1.0, net.half_edges)
+        _sweep(chain, rng_c, 1.0, net.half_edges, _proposals(chain, rng_c, 1.0, net.half_edges),
+               1, 0.0)
         mh_step(stepped, cfg, rng_m)
         if s != r and proposer.n[r] > 1:
             apply_move(proposer, i, s)
@@ -364,6 +374,106 @@ def test_degree_zero_vertices_move():
         seen.add(tuple(state.b))
         assert min(state.n) >= 1
     assert len(seen) > 1  # isolated vertices do get reassigned
+
+
+def _replay_steps(state, cfg, rng, count, s_now):
+    """count mh_step calls, each proposal first peeked at through propose_move
+    on a copy of the generator.  Returns the running S, with each accepted
+    delta read from delta_description_length before the step, and the tally
+    of outcomes: null, emptying, moved or rejected (by the acceptance test)."""
+    tally = Counter()
+    peek = random.Random()
+    for _ in range(count):
+        peek.setstate(rng.getstate())
+        i, s, _, _ = propose_move(state, peek, cfg.smoothing)
+        r = state.b[i]
+        emptying = s != r and state.n[r] == 1
+        delta = 0.0 if s == r or emptying else delta_description_length(state, i, s)
+        accepted = mh_step(state, cfg, rng)
+        moved = state.b[i] != r
+        assert accepted == (s == r or moved)
+        if s == r or emptying:  # decided without an acceptance draw
+            assert rng.getstate() == peek.getstate()
+        if s == r:
+            tally["null"] += 1
+        elif emptying:
+            tally["emptying"] += 1
+        elif moved:
+            tally["moved"] += 1
+            s_now += delta
+        else:
+            tally["rejected"] += 1
+    return s_now, tally
+
+
+def _same_state(a, b):
+    return a.b == b.b and a.e == b.e and a.e_row == b.e_row and a.n == b.n and a.eta == b.eta
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_generator_across_sweeps_equals_a_fresh_generator_per_step(seed):
+    # The sweep binds b, e and e_row once; a stale reference after a move
+    # would make its draws or deltas differ from mh_step's, which rebinds
+    # them at every step.  Equal generator states after every sweep also
+    # show that a sweep draws no proposal past its count.
+    net = _loopy_network()
+    swept = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
+    stepped = swept.copy()
+    cfg = BlockChainConfig(iterations=10, seed=0)
+    rng_s, rng_m = random.Random(seed), random.Random(seed)
+    s0 = description_length(net, swept)
+    proposals = _proposals(swept, rng_s, cfg.smoothing, net.half_edges)
+    s_swept, s_stepped = s0, s0
+    moved = 0
+    for _ in range(250):
+        s_swept, nulls, emptying, sweep_moved = _sweep(
+            swept, rng_s, cfg.smoothing, net.half_edges, proposals, 8, s_swept)
+        s_stepped, tally = _replay_steps(stepped, cfg, rng_m, 8, s_stepped)
+        assert (nulls, emptying, sweep_moved) == (tally["null"], tally["emptying"], tally["moved"])
+        moved += sweep_moved
+        assert _same_state(swept, stepped)
+        assert rng_s.getstate() == rng_m.getstate()
+        assert s_swept.hex() == s_stepped.hex()
+    assert moved > 50
+    assert math.isclose(s_swept, description_length(net, swept), abs_tol=1e-9)
+
+
+def test_chain_counts_match_a_one_step_replay():
+    # The three totals, with the replay's rejections by the acceptance test,
+    # account for every one of the sweeps x N proposals; the moved count is
+    # the number of label changes, and the running S matches bit for bit.
+    net = two_cliques(5)
+    cfg = BlockChainConfig(iterations=60, burn_in=0.0, thinning=1, seed=5, init_restarts=1)
+    res = run_block_chain(net, 3, cfg)
+    rng = random.Random(cfg.seed)
+    state = mdl_partition(net, 3, rng, restarts=cfg.init_restarts)
+    s_end, tally = _replay_steps(state, cfg, rng, cfg.iterations * net.num_vertices,
+                                 description_length(net, state))
+    counts = (res.null_proposals, res.emptying_rejections, res.accepted_moves)
+    assert all(type(c) is int for c in counts)
+    assert counts == (tally["null"], tally["emptying"], tally["moved"])
+    assert sum(counts) + tally["rejected"] == cfg.iterations * net.num_vertices
+    assert min(counts) > 0 and tally["rejected"] > 0
+    assert state.b == res.samples[-1].tolist()
+    assert s_end.hex() == float(res.s_trace[-1]).hex()
+
+
+def test_single_block_chain_proposes_only_null_moves(bowtie):
+    cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=3)
+    res = run_block_chain(bowtie, 1, cfg)
+    assert res.null_proposals == 20 * 5
+    assert res.emptying_rejections == res.accepted_moves == 0
+
+
+def test_sweep_counts_emptying_rejections(bowtie):
+    # Vertex 4 alone in block 1: its proposals to block 0 would empty block 1.
+    state = BlockState(bowtie, [0, 0, 0, 0, 1], 2)
+    rng = random.Random(9)
+    proposals = _proposals(state, rng, 1.0, bowtie.half_edges)
+    _, nulls, emptying, moved = _sweep(state, rng, 1.0, bowtie.half_edges, proposals, 200, 0.0)
+    assert emptying > 0 and nulls > 0
+    assert nulls + emptying + moved <= 200
+    assert min(state.n) >= 1
 
 
 # --------------------------------------------------------------- greedy init
@@ -490,7 +600,12 @@ def test_run_block_chain_rejects_drifting_deltas(monkeypatch):
 
 
 def test_run_block_chain_names_the_non_finite_sweep(monkeypatch):
-    monkeypatch.setattr(block_chain, "_mh_step_impl", lambda *args: (True, math.inf))
+    def minus_infinity(state, i, r, w, loops, targets, out):
+        for s in targets:
+            out[s] = -math.inf
+
+    # A delta of -inf is accepted and turns the running S into -inf.
+    monkeypatch.setattr(block_chain, "_move_deltas", minus_infinity)
     cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
     with pytest.raises(ArithmeticError, match="sweep 1$"):
         run_block_chain(two_cliques(5), 2, cfg)
@@ -506,11 +621,9 @@ def test_burn_in_decreases_s_from_random_start():
     s0 = description_length(net, state)
     trace = []
     s_now = s0
+    proposals = _proposals(state, rng, 1.0, net.half_edges)
     for _ in range(300):
-        for _ in range(net.num_vertices):
-            accepted, delta = _mh_step_impl(state, rng, 1.0, net.half_edges)
-            if accepted:
-                s_now += delta
+        s_now, *_ = _sweep(state, rng, 1.0, net.half_edges, proposals, net.num_vertices, s_now)
         trace.append(s_now)
     assert np.mean(trace[-50:]) < s0
 

@@ -417,6 +417,16 @@ def test_bad_generate_arguments_exit_two_and_write_nothing(tmp_path, capsys, fla
     assert err.startswith("ffbm: data error:") and name in err
 
 
+def test_generate_with_a_huge_affinity_exits_two_and_names_it(tmp_path, capsys):
+    out = tmp_path / "inst"
+    args = ["generate", "--num-vertices", "5", "--affinity-diag", "1e300", "--out-dir", str(out)]
+    assert main(args) == 2
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("ffbm: data error: affinity too large")
+    assert "largest Poisson edge mean is 1e+300" in err and "Traceback" not in err
+
+
 def test_outputs_do_not_depend_on_the_locale(synthetic_dir, tmp_path):
     inst, cfg = synthetic_dir
     features = inst / "features.csv"

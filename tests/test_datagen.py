@@ -14,6 +14,7 @@ from ffbm import (
     sample_microcanonical_graph,
     sample_poisson_graph,
 )
+from ffbm.datagen import POISSON_MEAN_MAX
 
 from conftest import random_multigraph
 
@@ -65,6 +66,28 @@ def modularity(net, labels):
     two_e = 2.0 * net.num_edges
     return sum(state.e[r][r] / two_e - (state.e_row[r] / two_e) ** 2
                for r in range(state.B))
+
+
+def test_poisson_rejects_means_numpy_cannot_draw():
+    labels = np.zeros(4, dtype=int)
+    with pytest.raises(ValueError, match="affinity too large"):
+        sample_poisson_graph(labels, np.array([[1e19]]), None, np.random.default_rng(0))
+    # Propensity products that overflow to inf against a zero affinity give NaN means.
+    with pytest.raises(ValueError, match="affinity too large"):
+        sample_poisson_graph(np.array([0, 1]), np.array([[0.0, 0.0], [0.0, 1.0]]),
+                             np.array([1e200, 1e200]), np.random.default_rng(0))
+
+
+def test_poisson_mean_bound_leaves_the_stream_unchanged():
+    # Means at the bound are drawn as numpy draws them.
+    labels = np.zeros(3, dtype=int)
+    affinity = np.array([[POISSON_MEAN_MAX]])
+    ours = sample_poisson_graph(labels, affinity, None, np.random.default_rng(2))
+    iu, ju = np.triu_indices(3)
+    means = np.full(len(iu), POISSON_MEAN_MAX)
+    means[iu == ju] *= 0.5
+    counts = np.random.default_rng(2).poisson(means)
+    assert ours == [(int(iu[k]), int(ju[k]), int(counts[k])) for k in counts.nonzero()[0]]
 
 
 def test_poisson_assortative_blocks_raise_modularity():
