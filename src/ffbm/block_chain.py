@@ -6,12 +6,16 @@ with probability (e_{t s} + eps) / (e_t + eps B) where t is j's block; the
 Hastings correction for this proposal is computed exactly.  Moves that
 would empty a block are rejected so the block count stays fixed.
 
-A chain draws its proposals from one generator, ``_proposals``, which binds
-the RNG, the half-edge table and the state's statistics once; each sweep is
-one call of ``_sweep``, a single loop over N proposals that rejects
-emptying moves, scores the rest and applies the accepted ones.
-``propose_move`` is one draw of a fresh ``_proposals`` and ``mh_step`` a
-one-proposal ``_sweep``.
+Each chain binds its state once.  ``_sweeper`` binds a proposal generator,
+``_proposals`` (the RNG, the half-edge table and the state's statistics),
+the state's move kernel, ``dcsbm.move_kernel``, which scores and applies
+moves, and the proposal law, ``_proposal_probs``; each sweep is then one
+loop over N proposals that rejects emptying moves, scores the rest and
+applies the accepted ones.  The greedy initialiser scores every block of a
+vertex through its own bound kernel.  The bound references stay valid
+because moves update the state's b, e rows, e_row, n and eta in place and
+never rebind them.  ``propose_move`` is one draw of a fresh ``_proposals``
+and ``mh_step`` a one-proposal sweep.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsbm import (
-    BlockState,
-    _apply_move,
-    _move_deltas,
-    _neighbor_block_weights,
-    description_length,
-)
+from .dcsbm import BlockState, description_length, move_kernel
 from .graph import LabelledNetwork
 from .sampling import check_retention, retained_indices
 
@@ -66,51 +64,62 @@ class BlockChainResult:
     accepted_moves: int  # accepted moves that changed a label
 
 
-def _proposal_probs(state, i, r, s, w, loops, ki, eps):
-    """Forward and reverse proposal probabilities of the move b_i: r -> s.
+def _proposal_probs(state: BlockState, eps: float):
+    """Bind the state once; return probs(i, r, s, w, loops), the forward and
+    reverse proposal probabilities of the move b_i: r -> s.
 
-    Both include the 1/N vertex factor and the 1/k_i neighbour average so the
-    values are genuine transition probabilities.  The reverse move is scored
-    on the post-move counts, read off the current state: e_rr - 2 m_r - A_ii,
-    e_rs + m_r - m_s and e_rt - w_t, where m_r counts i's non-loop half-edges
-    into r and m_s those into s.  An isolated vertex (k_i = 0) draws its
-    target uniformly, so both probabilities are 1/(N B).
+    w and loops are vertex i's block weights and loop weight as the move
+    kernel's visit reads them.  Both probabilities include the 1/N vertex
+    factor and the 1/k_i neighbour average so the values are genuine
+    transition probabilities.  The reverse move is scored on the post-move
+    counts, read off the current state: e_rr - 2 m_r - A_ii, e_rs + m_r - m_s
+    and e_rt - w_t, where m_r counts i's non-loop half-edges into r and m_s
+    those into s.  An isolated vertex (k_i = 0) draws its target uniformly,
+    so both probabilities are 1/(N B).  The state's e and e_row are bound
+    once, as the move kernel binds them.
     """
     e, e_row, B = state.e, state.e_row, state.B
-    if ki == 0:
-        uniform = 1.0 / (state.net.num_vertices * B)
-        return uniform, uniform
+    degree = state.net.half_edges.degree
+    n_vert = state.net.num_vertices
     eps_b = eps * B
-    scale = 1.0 / (state.net.num_vertices * ki)
 
-    forward = 0.0
-    for t, wt in w.items():
-        forward += wt * (e[t][s] + eps) / (e_row[t] + eps_b)
-    forward *= scale
+    def probs(i, r, s, w, loops):
+        ki = degree[i]
+        if ki == 0:
+            uniform = 1.0 / (n_vert * B)
+            return uniform, uniform
+        scale = 1.0 / (n_vert * ki)
 
-    if s == r:
-        return forward, forward
+        forward = 0.0
+        for t, wt in w.items():
+            forward += wt * (e[t][s] + eps) / (e_row[t] + eps_b)
+        forward *= scale
 
-    # After the move, i's loop half-edges count towards s instead of r; the
-    # terms are summed in the order of w, with s last if w lacks it.
-    e_r = e[r]
-    m_r = w.get(r, 0) - loops
-    m_s = w.get(s, 0)
-    reverse = 0.0
-    for t, wt in w.items():
-        if t == r:
-            reverse += m_r * (e_r[r] - 2 * m_r - loops + eps) / (e_row[r] - ki + eps_b)
-        elif t == s:
-            reverse += (wt + loops) * (e_r[s] + m_r - m_s + eps) / (e_row[s] + ki + eps_b)
-        else:
-            reverse += wt * (e_r[t] - wt + eps) / (e_row[t] + eps_b)
-    if loops and not m_s:
-        reverse += loops * (e_r[s] + m_r + eps) / (e_row[s] + ki + eps_b)
-    reverse *= scale
-    return forward, reverse
+        if s == r:
+            return forward, forward
+
+        # After the move, i's loop half-edges count towards s instead of r;
+        # the terms are summed in the order of w, with s last if w lacks it.
+        e_r = e[r]
+        m_r = w.get(r, 0) - loops
+        m_s = w.get(s, 0)
+        reverse = 0.0
+        for t, wt in w.items():
+            if t == r:
+                reverse += m_r * (e_r[r] - 2 * m_r - loops + eps) / (e_row[r] - ki + eps_b)
+            elif t == s:
+                reverse += (wt + loops) * (e_r[s] + m_r - m_s + eps) / (e_row[s] + ki + eps_b)
+            else:
+                reverse += wt * (e_r[t] - wt + eps) / (e_row[t] + eps_b)
+        if loops and not m_s:
+            reverse += loops * (e_r[s] + m_r + eps) / (e_row[s] + ki + eps_b)
+        reverse *= scale
+        return forward, reverse
+
+    return probs
 
 
-def _proposals(state: BlockState, rng: random.Random, eps: float, half_edges):
+def _proposals(state: BlockState, rng: random.Random, eps: float):
     """Yield the (vertex, target block) of each proposal; the chain's only proposal draw.
 
     The vertex is uniform.  An isolated vertex gets a uniform target; any
@@ -122,10 +131,11 @@ def _proposals(state: BlockState, rng: random.Random, eps: float, half_edges):
 
     The RNG methods, the half-edge lists and the state's b, e and e_row are
     bound once, when the first proposal is drawn: they are valid for as long
-    as the state is moved only by ``_apply_move``, which mutates them in
+    as the state is moved only through a move kernel, which mutates them in
     place.  Raises ``ValueError`` at the first draw on an empty network.
     """
     getrandbits, randrange, uniform = rng.getrandbits, rng.randrange, rng.random
+    half_edges = state.net.half_edges
     n, vertex_bits = half_edges.num_vertices, half_edges.vertex_bits
     degree, bits, ends = half_edges.degree, half_edges.bits, half_edges.ends
     b, e, e_row, B = state.b, state.e, state.e_row, state.B
@@ -156,44 +166,51 @@ def _proposals(state: BlockState, rng: random.Random, eps: float, half_edges):
         yield i, s
 
 
-def _sweep(state: BlockState, rng: random.Random, eps: float, half_edges, proposals,
-           count: int, s_now: float):
-    """Run ``count`` Metropolis-Hastings steps on proposals drawn from ``proposals``.
+def _sweeper(state: BlockState, rng: random.Random, eps: float):
+    """Bind a chain once; return sweep(count, s_now), which runs ``count``
+    Metropolis-Hastings steps.
 
-    Each step takes one (i, s) from the generator, which must be
-    ``_proposals`` on this state, rng and eps.  A null proposal (s equal to
-    i's block r) is accepted at once and a move that would empty r is
-    rejected; any other is scored (the proposal probabilities both ways,
-    then the move's delta S) and accepted with probability
+    The proposals come from one ``_proposals`` generator on this state, rng
+    and eps, shared by every call of sweep, and the moves are scored and
+    applied by one ``move_kernel``.  A null proposal (s equal to i's block
+    r) is accepted at once and a move that would empty r is rejected; any
+    other is scored (the move's delta S, then the proposal probabilities
+    both ways) and accepted with probability
     min(1, exp(-delta S) q_reverse / q_forward).  Accepted deltas are added
-    to s_now in step order.  Never draws a proposal past ``count``.
+    to s_now in step order.  A call never draws a proposal past ``count``.
 
-    Returns (s_now, null proposals, emptying rejections, accepted real moves);
-    the other count - sum(...) steps were rejected by the acceptance test.
+    sweep returns (s_now, null proposals, emptying rejections, accepted real
+    moves); the other count - sum(...) steps were rejected by the
+    acceptance test.
     """
-    b, n, degree = state.b, state.n, half_edges.degree
+    proposals = _proposals(state, rng, eps)
+    visit, move = move_kernel(state)
+    probs = _proposal_probs(state, eps)
+    b, n = state.b, state.n
     log, exp, uniform = math.log, math.exp, rng.random
     out = [0.0] * state.B
-    nulls = emptying = moved = 0
-    for _, (i, s) in zip(range(count), proposals):
-        r = b[i]
-        if s == r:
-            nulls += 1
-            continue
-        if n[r] == 1:
-            emptying += 1
-            continue
-        w, loops = _neighbor_block_weights(state, i)
-        forward, reverse = _proposal_probs(state, i, r, s, w, loops, degree[i], eps)
-        log_ratio = log(reverse) - log(forward)
-        _move_deltas(state, i, r, w, loops, (s,), out)
-        delta = out[s]
-        log_alpha = -delta + log_ratio
-        if log_alpha >= 0.0 or uniform() < exp(log_alpha):
-            _apply_move(state, i, r, s, w, loops)
-            s_now += delta
-            moved += 1
-    return s_now, nulls, emptying, moved
+
+    def sweep(count, s_now):
+        nulls = emptying = moved = 0
+        for _, (i, s) in zip(range(count), proposals):
+            r = b[i]
+            if s == r:
+                nulls += 1
+                continue
+            if n[r] == 1:
+                emptying += 1
+                continue
+            w, loops, _ = visit(i, r, (s,), out)
+            forward, reverse = probs(i, r, s, w, loops)
+            delta = out[s]
+            log_alpha = -delta + (log(reverse) - log(forward))
+            if log_alpha >= 0.0 or uniform() < exp(log_alpha):
+                move(i, r, s, w, loops)
+                s_now += delta
+                moved += 1
+        return s_now, nulls, emptying, moved
+
+    return sweep
 
 
 def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
@@ -202,11 +219,11 @@ def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
     Returns (vertex, target, log_forward, log_reverse) where the log values
     are the exact proposal probabilities of the move and of its reversal.
     """
-    half_edges = state.net.half_edges
-    i, s = next(_proposals(state, rng, smoothing, half_edges))
-    w, loops = _neighbor_block_weights(state, i)
-    forward, reverse = _proposal_probs(state, i, state.b[i], s, w, loops,
-                                       half_edges.degree[i], smoothing)
+    i, s = next(_proposals(state, rng, smoothing))
+    r = state.b[i]
+    visit, _ = move_kernel(state)
+    w, loops, _ = visit(i, r, (), None)
+    forward, reverse = _proposal_probs(state, smoothing)(i, r, s, w, loops)
     return i, s, math.log(forward), math.log(reverse)
 
 
@@ -215,9 +232,7 @@ def mh_step(state: BlockState, cfg: BlockChainConfig, rng: random.Random) -> boo
 
     Returns True if the proposal was null or an accepted real move.
     """
-    half_edges = state.net.half_edges
-    proposals = _proposals(state, rng, cfg.smoothing, half_edges)
-    _, nulls, _, moved = _sweep(state, rng, cfg.smoothing, half_edges, proposals, 1, 0.0)
+    _, nulls, _, moved = _sweeper(state, rng, cfg.smoothing)(1, 0.0)
     return nulls + moved == 1
 
 
@@ -266,6 +281,8 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
                 counts[blk] += 1
 
     state = BlockState(net, labels, num_blocks)
+    visit, move = move_kernel(state)
+    b, n = state.b, state.n
     order = list(range(n_vert))
     targets = range(num_blocks)
     deltas = [0.0] * num_blocks
@@ -274,19 +291,14 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
         improved = False
         rng.shuffle(order)
         for i in order:
-            r = state.b[i]
-            if state.n[r] == 1:
+            r = b[i]
+            if n[r] == 1:
                 continue
-            w, loops = _neighbor_block_weights(state, i)
-            _move_deltas(state, i, r, w, loops, targets, deltas)
-            # deltas[r] is 0.0, so only a strict improvement moves the vertex,
-            # and ties go to the lowest block label.
-            best_target, best_delta = r, 0.0
-            for s in targets:
-                if deltas[s] < best_delta:
-                    best_target, best_delta = s, deltas[s]
-            if best_target != r:
-                _apply_move(state, i, r, best_target, w, loops)
+            # Only a strict improvement moves the vertex, and ties go to the
+            # lowest block label.
+            w, loops, best = visit(i, r, targets, deltas)
+            if best != r:
+                move(i, r, best, w, loops)
                 improved = True
     return state
 
@@ -297,8 +309,6 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
     state = mdl_partition(net, num_blocks, rng, restarts=cfg.init_restarts)
     reference = state.partition()
 
-    half_edges = net.half_edges
-    eps = cfg.smoothing
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     keep_set = frozenset(keep)
 
@@ -310,11 +320,10 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
         samples.append(state.partition())
 
     n_vert = max(net.num_vertices, 1)
-    proposals = _proposals(state, rng, eps, half_edges)
+    sweep = _sweeper(state, rng, cfg.smoothing)
     nulls = emptying = moved = 0
     for it in range(1, cfg.iterations + 1):
-        s_now, sweep_nulls, sweep_emptying, sweep_moved = _sweep(
-            state, rng, eps, half_edges, proposals, n_vert, s_now)
+        s_now, sweep_nulls, sweep_emptying, sweep_moved = sweep(n_vert, s_now)
         nulls += sweep_nulls
         emptying += sweep_emptying
         moved += sweep_moved

@@ -8,6 +8,14 @@ log of this joint, in nats.  Everything supports O(degree) incremental
 updates under single-vertex moves, which is the performance core of the
 partition sampler.
 
+Those updates have one implementation, ``move_kernel(state)``: it binds the
+state's statistics and the shared tables once and returns a visit, which
+reads a vertex's neighbour blocks and scores its moves, and a move, which
+applies one.  The bound references stay valid because every move mutates
+b, the rows of e, e_row, n and eta in place and never rebinds them.  The
+greedy initialiser, the partition chain, ``delta_description_length`` and
+``apply_move`` all go through it.
+
 Conventions: the edge-count matrix e is symmetric with e[r][r] twice the
 number of intra-block edges, so the half-edge count of block r is
 e_r = sum_s e[r][s] and the (2m)!! terms apply verbatim.
@@ -24,10 +32,12 @@ from .softmax import log_partition_given_features
 from .tables import (
     LOG2,
     _LOG_FACT,
+    _LOG_INT,
     _ROWS,
     log_count_partitions,
     log_double_factorial_even,
     log_factorial,
+    log_integer,
     log_multiset,
 )
 
@@ -46,8 +56,9 @@ class BlockState:
         eta: per block, a dict degree -> number of vertices with that degree.
 
     Moves mutate b, the rows of e, e_row, n and the dicts of eta in place and
-    never rebind them, so a reference taken once (as the partition chain's
-    proposal generator takes b, e and e_row) stays valid across moves.
+    never rebind them, so a reference taken once (as move_kernel and the
+    partition chain's proposal generator take them) stays valid across
+    moves.
     """
 
     __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta")
@@ -59,9 +70,11 @@ class BlockState:
         if any(x < 0 or x >= B for x in labels):
             bad = next(x for x in labels if x < 0 or x >= B)
             raise ValueError(f"block label {bad} outside [0, {B})")
-        # The move-delta kernel reads the log-factorial table unchecked, and
-        # no count it reads exceeds the 2E half-edges.
+        # The move kernel reads the log-factorial and log tables unchecked:
+        # no count it reads exceeds the 2E half-edges, and no block size or
+        # degree-histogram count it takes the log of exceeds N.
         log_factorial(2 * net.num_edges)
+        log_integer(net.num_vertices)
         self.net = net
         self.b = labels
         self.B = B
@@ -163,97 +176,156 @@ def description_length(net: LabelledNetwork, state: BlockState) -> float:
     return value
 
 
-def _neighbor_block_weights(state: BlockState, i: int):
-    """Half-edge weight of vertex i towards each block, and the loop weight A_ii.
+def move_kernel(state: BlockState):
+    """Bind the state's statistics once; return (visit, move), its single-vertex move kernel.
 
-    Blocks enter w in the order their first half-edge appears in
-    half_edges.ends[i]; every float sum over w follows that order.
+    visit(i, r, targets, out) reads vertex i, which sits in block r, in one
+    pass over half_edges.ends[i]: its half-edge weight towards each block,
+    w, with blocks in the order their first half-edge appears there (every
+    float sum over w follows that order), and its loop weight A_ii.  It
+    then sets out[s] = S(b with b_i <- s) - S(b) for every s in targets
+    (out[r] = 0.0) and returns (w, loops, best): best is the first target,
+    in the order given, of least delta below 0, or r if none lowers S.  A
+    vertex that is being scored must not be alone in r (n_r > 1); an empty
+    targets only reads w and loops.
+
+    Each target's delta is one left-to-right sum in a fixed order: the row
+    factorials of r and s, the (r,r), (s,s) and (r,s) pair terms, the
+    (r,t) and (s,t) pairs of each other block t in w's order, then the
+    degree prior (n_r!, n_s!, q(e_r, n_r), q(e_s, n_s) and the degree
+    histograms).  The source block's own terms are computed once per visit;
+    the pair terms of a block t are computed for each target that needs
+    them.  So a value is the same float whichever other targets are asked
+    for.
+
+    move(i, r, s, w, loops) moves vertex i from block r to block s != r,
+    with w and loops as visit read them before the move: i's m_r non-loop
+    half-edges into r leave e_rr (two ends each) for e_rs, its m_s
+    half-edges into s move from e_rs to e_ss, its loops move from e_rr to
+    e_ss, and each other block t's w_t half-edges move from e_rt to e_st.
+
+    Both read b, the rows of e, e_row, n and eta's dicts through references
+    taken here.  That is valid because move updates them in place and never
+    rebinds them (see BlockState), and every move of the state must go
+    through a kernel bound to it.  The log-factorial and log tables are read
+    unchecked: BlockState sizes them to 2E and N.  Partition-count reads
+    index the table's rows in place, as log_count_partitions does, and fall
+    back to it (which grows the table) on a miss.
     """
-    w = {}
-    b = state.b
-    ends = state.net.half_edges.ends[i]
-    for j in ends:
-        t = b[j]
-        w[t] = w.get(t, 0) + 1
-    return w, ends.count(i)
-
-
-def _move_deltas(state: BlockState, i: int, r: int, w, loops, targets, out) -> None:
-    """Set out[s] = S(b with b_i <- s) - S(b) for every s in targets; out[r] = 0.
-
-    Vertex i sits in block r, which it must not empty (n_r > 1); w and loops
-    come from _neighbor_block_weights.  The source block's terms are computed
-    once.  Each target then adds its own terms and the shared ones in one
-    fixed order (row factorials, the (r,r), (s,s) and (r,s) pair terms, the
-    (r,t) and (s,t) pairs in w's order, then the degree prior), so a value
-    is the same float whichever other targets are asked for.  Log-factorial
-    reads are unchecked: BlockState sizes that table to 2E.  Partition-count
-    reads index the table's rows in place, as log_count_partitions does, and
-    fall back to it (which grows the table) on a miss.
-    """
-    lf = _LOG_FACT
-    rows = _ROWS
+    b, e, e_row, n, eta = state.b, state.e, state.e_row, state.n, state.eta
+    half_edges = state.net.half_edges
+    ends, degree = half_edges.ends, half_edges.degree
+    lf, logs, rows = _LOG_FACT, _LOG_INT, _ROWS
     lcp = log_count_partitions
-    log = math.log
-    e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
-    ki = state.net.half_edges.degree[i]
-    e_r = e[r]
-    row_r = e_row[r]
-    n_r = n[r]
-    m_r = w.get(r, 0) - loops
 
-    # Pairing count: log e_r! and the pair terms of r with every block but the target.
-    source_row = lf[row_r - ki] - lf[row_r]
-    d_rr = -2 * m_r - loops
-    if d_rr:
-        h_old = e_r[r] // 2
-        h_new = (e_r[r] + d_rr) // 2
-        source_diag = (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
-    source_pairs = [(t, wt, lf[e_r[t] - wt] - lf[e_r[t]]) for t, wt in w.items() if t != r]
-    # Degree prior: -log p(k | e, b) contributes n_r!, q(e_r, n_r) and the
-    # degree histogram factorials of the two affected blocks.
-    log_n_r = log(n_r)
-    try:
-        source_q = rows[n_r - 1][row_r - ki] - rows[n_r][row_r]
-    except IndexError:
-        source_q = lcp(row_r - ki, n_r - 1) - lcp(row_r, n_r)
-    log_eta_r = log(eta[r][ki])
+    def visit(i, r, targets, out):
+        ends_i = ends[i]
+        w = {}
+        for j in ends_i:
+            t = b[j]
+            w[t] = w.get(t, 0) + 1
+        loops = ends_i.count(i)
+        best = r
+        if not targets:
+            return w, loops, best
 
-    for s in targets:
-        if s == r:
-            out[s] = 0.0
-            continue
-        e_s = e[s]
-        row_s = e_row[s]
-        m_s = w.get(s, 0)
-        delta = source_row
-        delta += lf[row_s + ki] - lf[row_s]
+        # Pairing count: log e_r! and the (r, r) term of the source block.
+        ki = degree[i]
+        e_r = e[r]
+        row_r = e_row[r]
+        n_r = n[r]
+        m_r = w.get(r, 0) - loops
+        source_row = lf[row_r - ki] - lf[row_r]
+        d_rr = -2 * m_r - loops
         if d_rr:
-            delta -= source_diag
-        d_ss = 2 * m_s + loops
-        if d_ss:
-            h_old = e_s[s] // 2
-            h_new = (e_s[s] + d_ss) // 2
-            delta -= (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
-        d_rs = m_r - m_s
-        if d_rs:
-            old = e_r[s]
-            delta -= lf[old + d_rs] - lf[old]
-        for t, wt, source_term in source_pairs:
-            if t == s:
-                continue
-            delta -= source_term
-            old = e_s[t]
-            delta -= lf[old + wt] - lf[old]
-        n_s = n[s]
-        delta += log(n_s + 1) - log_n_r
-        delta += source_q
+            h_old = e_r[r] // 2
+            h_new = (e_r[r] + d_rr) // 2
+            source_diag = (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
+        # Degree prior: -log p(k | e, b) contributes n_r!, q(e_r, n_r) and the
+        # degree histogram factorials of the two affected blocks.
+        log_n_r = logs[n_r]
         try:
-            delta += rows[n_s + 1][row_s + ki] - rows[n_s][row_s]
+            source_q = rows[n_r - 1][row_r - ki] - rows[n_r][row_r]
         except IndexError:
-            delta += lcp(row_s + ki, n_s + 1) - lcp(row_s, n_s)
-        delta += log_eta_r - log(eta[s].get(ki, 0) + 1)
-        out[s] = delta
+            source_q = lcp(row_r - ki, n_r - 1) - lcp(row_r, n_r)
+        log_eta_r = logs[eta[r][ki]]
+
+        low = 0.0
+        for s in targets:
+            if s == r:
+                out[s] = 0.0
+                continue
+            e_s = e[s]
+            row_s = e_row[s]
+            m_s = w.get(s, 0)
+            delta = source_row
+            delta += lf[row_s + ki] - lf[row_s]
+            if d_rr:
+                delta -= source_diag
+            d_ss = 2 * m_s + loops
+            if d_ss:
+                h_old = e_s[s] // 2
+                h_new = (e_s[s] + d_ss) // 2
+                delta -= (h_new * LOG2 + lf[h_new]) - (h_old * LOG2 + lf[h_old])
+            d_rs = m_r - m_s
+            if d_rs:
+                old = e_r[s]
+                delta -= lf[old + d_rs] - lf[old]
+            for t, wt in w.items():
+                if t == r or t == s:
+                    continue
+                old = e_r[t]
+                delta -= lf[old - wt] - lf[old]
+                old = e_s[t]
+                delta -= lf[old + wt] - lf[old]
+            n_s = n[s]
+            delta += logs[n_s + 1] - log_n_r
+            delta += source_q
+            try:
+                delta += rows[n_s + 1][row_s + ki] - rows[n_s][row_s]
+            except IndexError:
+                delta += lcp(row_s + ki, n_s + 1) - lcp(row_s, n_s)
+            delta += log_eta_r - logs[eta[s].get(ki, 0) + 1]
+            out[s] = delta
+            if delta < low:
+                best, low = s, delta
+        return w, loops, best
+
+    def move(i, r, s, w, loops):
+        ki = degree[i]
+        e_r, e_s = e[r], e[s]
+        m_r = w.get(r, 0) - loops
+        m_s = w.get(s, 0)
+        e_r[r] -= 2 * m_r + loops
+        e_s[s] += 2 * m_s + loops
+        e_r[s] += m_r - m_s
+        e_s[r] += m_r - m_s
+        for t, wt in w.items():
+            if t != r and t != s:
+                e_r[t] -= wt
+                e[t][r] -= wt
+                e_s[t] += wt
+                e[t][s] += wt
+        e_row[r] -= ki
+        e_row[s] += ki
+        n[r] -= 1
+        n[s] += 1
+        cnt = eta[r][ki]
+        if cnt == 1:
+            del eta[r][ki]
+        else:
+            eta[r][ki] = cnt - 1
+        eta[s][ki] = eta[s].get(ki, 0) + 1
+        b[i] = s
+
+    return visit, move
+
+
+def _check_move(state: BlockState, i: int, target: int) -> None:
+    if not 0 <= i < len(state.b):
+        raise ValueError(f"vertex {i} outside [0, {len(state.b)})")
+    if not 0 <= target < state.B:
+        raise ValueError(f"target block {target} outside [0, {state.B})")
 
 
 def delta_description_length(state: BlockState, i: int, target: int) -> float:
@@ -261,62 +333,31 @@ def delta_description_length(state: BlockState, i: int, target: int) -> float:
 
     Touches only statistics incident to the source and target blocks; a move
     that would empty its source block is infinitely penalised (the sampler
-    keeps B fixed).
+    keeps B fixed).  A vertex outside [0, N) or a target outside [0, B)
+    raises ValueError.
     """
+    _check_move(state, i, target)
     r = state.b[i]
     if target == r:
         return 0.0
-    if not 0 <= target < state.B:
-        raise ValueError(f"target block {target} outside [0, {state.B})")
     if state.n[r] == 1:
         return INFINITE_DELTA
-    w, loops = _neighbor_block_weights(state, i)
+    visit, _ = move_kernel(state)
     out = [0.0] * state.B
-    _move_deltas(state, i, r, w, loops, (target,), out)
+    visit(i, r, (target,), out)
     return out[target]
 
 
 def apply_move(state: BlockState, i: int, target: int) -> None:
-    """Move vertex i to the target block, updating all statistics in place."""
+    """Move vertex i to the target block, updating all statistics in place.
+
+    A vertex outside [0, N) or a target outside [0, B) raises ValueError
+    before anything is changed.
+    """
+    _check_move(state, i, target)
     r = state.b[i]
     if target == r:
         return
-    w, loops = _neighbor_block_weights(state, i)
-    _apply_move(state, i, r, target, w, loops)
-
-
-def _apply_move(state: BlockState, i: int, r: int, s: int, w, loops) -> None:
-    """Move vertex i from block r to block s != r; w and loops as read before the move.
-
-    i's m_r non-loop half-edges into r leave e_rr (two ends each) for e_rs,
-    its m_s half-edges into s move from e_rs to e_ss, its loops move from e_rr
-    to e_ss, and each other block t's w_t half-edges move from e_rt to e_st.
-    Every update is in place: b, the rows of e, e_row, n and eta's dicts are
-    never rebound, which the chain's hoisted references rely on.
-    """
-    e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
-    ki = state.net.half_edges.degree[i]
-    e_r, e_s = e[r], e[s]
-    m_r = w.get(r, 0) - loops
-    m_s = w.get(s, 0)
-    e_r[r] -= 2 * m_r + loops
-    e_s[s] += 2 * m_s + loops
-    e_r[s] += m_r - m_s
-    e_s[r] += m_r - m_s
-    for t, wt in w.items():
-        if t != r and t != s:
-            e_r[t] -= wt
-            e[t][r] -= wt
-            e_s[t] += wt
-            e[t][s] += wt
-    e_row[r] -= ki
-    e_row[s] += ki
-    n[r] -= 1
-    n[s] += 1
-    cnt = eta[r][ki]
-    if cnt == 1:
-        del eta[r][ki]
-    else:
-        eta[r][ki] = cnt - 1
-    eta[s][ki] = eta[s].get(ki, 0) + 1
-    state.b[i] = s
+    visit, move = move_kernel(state)
+    w, loops, _ = visit(i, r, (), None)
+    move(i, r, target, w, loops)

@@ -1,17 +1,30 @@
-"""Shared combinatorial tables: log-factorials and restricted partition counts.
+"""Shared combinatorial tables: logs of integers, log-factorials and
+restricted partition counts.
 
-Both tables hold floats and grow on demand; the partition counts behind the
-second are exact integers (see PartitionCountTable).  All logs are natural
+All three tables hold floats and grow on demand; the partition counts behind
+the last are exact integers (see PartitionCountTable).  All logs are natural
 logs.
 """
 
 import math
 from array import array
 
-# Log-factorial lookup, extended geometrically on demand.  The hot paths
-# (move deltas in the block sampler) must be plain list indexing.
+# Log-factorial and log lookups, extended geometrically on demand.  The hot
+# path (the move kernel of the block sampler) reads them by plain list
+# indexing.
 _LOG_FACT = [0.0, 0.0]
+_LOG_INT = [-math.inf, 0.0]  # _LOG_INT[k] is math.log(k); entry 0 is its limit
 LOG2 = math.log(2.0)
+
+
+def log_integer(n: int) -> float:
+    """math.log(n) for an integer n >= 0 (-inf at 0) via a growing lookup table."""
+    if n < 0:
+        raise ValueError(f"log_integer of negative value {n}")
+    table = _LOG_INT
+    if n >= len(table):
+        table.extend(map(math.log, range(len(table), max(n + 1, 2 * len(table)))))
+    return table[n]
 
 
 def log_factorial(n: int) -> float:
@@ -147,7 +160,8 @@ _ROWS = _PARTITION_TABLE.rows
 def log_count_partitions(m: int, n: int) -> float:
     """log q(m, n): two list indexings once the table covers (m, n).
 
-    The move-delta kernel calls this 2B + 2 times per greedy visit.
+    The move kernel indexes the table's rows itself and calls this only on
+    a miss, which grows the table.
     """
     if m >= 0 and n >= 0:
         try:

@@ -27,8 +27,9 @@ from ffbm import (
     run_block_chain,
 )
 from ffbm import block_chain
-from ffbm.block_chain import _min_cost_assignment, _proposal_probs, _proposals, _sweep
-from ffbm.dcsbm import _neighbor_block_weights, apply_move
+from ffbm import dcsbm
+from ffbm.block_chain import _min_cost_assignment, _proposal_probs, _proposals, _sweeper
+from ffbm.dcsbm import apply_move, move_kernel
 from ffbm.sampling import retained_indices
 
 from conftest import neighbour_pairs, pair_deltas, two_cliques
@@ -61,6 +62,13 @@ def test_config_validation():
 
 # ----------------------------------------------------------------- proposals
 
+def _block_weights(state, i):
+    """Vertex i's block weights and loop weight, as a freshly bound move kernel reads them."""
+    visit, _ = move_kernel(state)
+    w, loops, _ = visit(i, state.b[i], (), None)
+    return w, loops
+
+
 def test_propose_single_block(bowtie):
     state = BlockState(bowtie, [0] * 5, 1)
     rng = random.Random(0)
@@ -83,11 +91,10 @@ def test_propose_forward_probabilities_sum_to_one(bowtie):
     state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     for i in range(5):
         r = state.b[i]
-        ki = int(bowtie.degrees[i])
-        w, loops = _neighbor_block_weights(state, i)
+        w, loops = _block_weights(state, i)
         total = 0.0
         for s in range(2):
-            fwd, _ = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
+            fwd, _ = _proposal_probs(state, 1.0)(i, r, s, w, loops)
             total += fwd
         assert math.isclose(total, 1.0 / 5, rel_tol=1e-12)
 
@@ -147,13 +154,12 @@ def test_propose_reverse_matches_forward_of_reversed_state(bowtie):
         if state.n[r] == 1:
             continue
         s = 1 - r
-        ki = int(bowtie.degrees[i])
-        w, loops = _neighbor_block_weights(state, i)
-        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
+        w, loops = _block_weights(state, i)
+        fwd, rev = _proposal_probs(state, 1.0)(i, r, s, w, loops)
         moved = state.copy()
         apply_move(moved, i, s)
-        w2, loops2 = _neighbor_block_weights(moved, i)
-        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0)
+        w2, loops2 = _block_weights(moved, i)
+        fwd2, rev2 = _proposal_probs(moved, 1.0)(i, s, r, w2, loops2)
         assert abs(math.log(rev) - math.log(fwd2)) < 1e-10
         assert abs(math.log(rev2) - math.log(fwd)) < 1e-10
 
@@ -172,13 +178,12 @@ def test_detailed_balance_spot_check(bowtie):
             continue
         s = 1 - r
         delta = delta_description_length(state, i, s)
-        ki = int(bowtie.degrees[i])
-        w, loops = _neighbor_block_weights(state, i)
-        fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, 1.0)
+        w, loops = _block_weights(state, i)
+        fwd, rev = _proposal_probs(state, 1.0)(i, r, s, w, loops)
         moved = state.copy()
         apply_move(moved, i, s)
-        w2, loops2 = _neighbor_block_weights(moved, i)
-        fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, 1.0)
+        w2, loops2 = _block_weights(moved, i)
+        fwd2, rev2 = _proposal_probs(moved, 1.0)(i, s, r, w2, loops2)
         log_acc_fwd = min(0.0, -delta + math.log(rev) - math.log(fwd))
         log_acc_rev = min(0.0, delta + math.log(rev2) - math.log(fwd2))
         lhs = -description_length(bowtie, state) + math.log(fwd) + log_acc_fwd
@@ -223,7 +228,7 @@ def test_draw_move_consumes_the_randrange_stream(seed):
     ours = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
     theirs = ours.copy()
     rng_new, rng_old = random.Random(seed), random.Random(seed)
-    proposals = _proposals(ours, rng_new, 0.5, net.half_edges)
+    proposals = _proposals(ours, rng_new, 0.5)
     moves = 0
     for _ in range(5000):
         move = next(proposals)
@@ -241,7 +246,7 @@ def test_draw_move_rejects_an_empty_network():
     net = network_from_edges(0, [])
     with pytest.raises(ValueError):
         propose_move(BlockState(net, [], 1), random.Random(0))
-    proposals = _proposals(BlockState(net, [], 1), random.Random(0), 1.0, net.half_edges)
+    proposals = _proposals(BlockState(net, [], 1), random.Random(0), 1.0)
     with pytest.raises(ValueError, match="empty network"):
         next(proposals)
 
@@ -295,21 +300,21 @@ def test_proposal_probs_match_the_pair_delta_formula_and_the_moved_state(case):
     for i in range(10):
         ki = net.half_edges.degree[i]
         r = state.b[i]
-        w, loops = _neighbor_block_weights(state, i)
+        w, loops = _block_weights(state, i)
         if ki == 0:
             # An isolated vertex draws its target uniformly, both ways.
             uniform = 1.0 / (10 * num_blocks)
             for s in range(num_blocks):
-                assert _proposal_probs(state, i, r, s, w, loops, ki, eps) == (uniform, uniform)
+                assert _proposal_probs(state, eps)(i, r, s, w, loops) == (uniform, uniform)
             continue
         for s in range(num_blocks):
-            fwd, rev = _proposal_probs(state, i, r, s, w, loops, ki, eps)
+            fwd, rev = _proposal_probs(state, eps)(i, r, s, w, loops)
             old_fwd, old_rev = _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps)
             assert fwd.hex() == old_fwd.hex() and rev.hex() == old_rev.hex()
             moved = state.copy()
             apply_move(moved, i, s)
-            w2, loops2 = _neighbor_block_weights(moved, i)
-            fwd2, rev2 = _proposal_probs(moved, i, s, r, w2, loops2, ki, eps)
+            w2, loops2 = _block_weights(moved, i)
+            fwd2, rev2 = _proposal_probs(moved, eps)(i, s, r, w2, loops2)
             assert math.isclose(rev, fwd2, rel_tol=1e-12)
             assert math.isclose(rev2, fwd, rel_tol=1e-12)
 
@@ -338,11 +343,7 @@ def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
     # Forced acceptance makes the chain's step reveal its (vertex, target) in
     # the state; equal generator states afterwards show that all three
     # consumed the same draws.  The graph has an isolated vertex and a loop.
-    def accept_all(state, i, r, w, loops, targets, out):
-        for s in targets:
-            out[s] = -math.inf
-
-    monkeypatch.setattr(block_chain, "_move_deltas", accept_all)
+    monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: -math.inf))
     net = network_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 4)])
     proposer = BlockState(net, [0, 0, 1, 1, 2, 2], 3)
     chain, stepped = proposer.copy(), proposer.copy()
@@ -352,8 +353,7 @@ def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
     for _ in range(300):
         i, s, _, _ = propose_move(proposer, rng_p)
         r = proposer.b[i]
-        _sweep(chain, rng_c, 1.0, net.half_edges, _proposals(chain, rng_c, 1.0, net.half_edges),
-               1, 0.0)
+        _sweeper(chain, rng_c, 1.0)(1, 0.0)
         mh_step(stepped, cfg, rng_m)
         if s != r and proposer.n[r] > 1:
             apply_move(proposer, i, s)
@@ -422,12 +422,11 @@ def test_one_generator_across_sweeps_equals_a_fresh_generator_per_step(seed):
     cfg = BlockChainConfig(iterations=10, seed=0)
     rng_s, rng_m = random.Random(seed), random.Random(seed)
     s0 = description_length(net, swept)
-    proposals = _proposals(swept, rng_s, cfg.smoothing, net.half_edges)
+    sweep = _sweeper(swept, rng_s, cfg.smoothing)
     s_swept, s_stepped = s0, s0
     moved = 0
     for _ in range(250):
-        s_swept, nulls, emptying, sweep_moved = _sweep(
-            swept, rng_s, cfg.smoothing, net.half_edges, proposals, 8, s_swept)
+        s_swept, nulls, emptying, sweep_moved = sweep(8, s_swept)
         s_stepped, tally = _replay_steps(stepped, cfg, rng_m, 8, s_stepped)
         assert (nulls, emptying, sweep_moved) == (tally["null"], tally["emptying"], tally["moved"])
         moved += sweep_moved
@@ -469,8 +468,7 @@ def test_sweep_counts_emptying_rejections(bowtie):
     # Vertex 4 alone in block 1: its proposals to block 0 would empty block 1.
     state = BlockState(bowtie, [0, 0, 0, 0, 1], 2)
     rng = random.Random(9)
-    proposals = _proposals(state, rng, 1.0, bowtie.half_edges)
-    _, nulls, emptying, moved = _sweep(state, rng, 1.0, bowtie.half_edges, proposals, 200, 0.0)
+    _, nulls, emptying, moved = _sweeper(state, rng, 1.0)(200, 0.0)
     assert emptying > 0 and nulls > 0
     assert nulls + emptying + moved <= 200
     assert min(state.n) >= 1
@@ -583,29 +581,39 @@ def test_run_block_chain_deterministic(bowtie):
     assert np.array_equal(a.s_trace, b.s_trace)
 
 
+def _kernel_scoring(score):
+    """A move_kernel whose visit reports score(delta) for every asked target,
+    the vertex's own block included, and picks the best target from those
+    values as the kernel does; moves are applied by the real kernel."""
+    def kernel(state):
+        visit, move = dcsbm.move_kernel(state)
+
+        def scored(i, r, targets, out):
+            w, loops, _ = visit(i, r, targets, out)
+            best, low = r, 0.0
+            for s in targets:
+                out[s] = score(out[s])
+                if out[s] < low:
+                    best, low = s, out[s]
+            return w, loops, best
+
+        return scored, move
+
+    return kernel
+
+
 def test_run_block_chain_rejects_drifting_deltas(monkeypatch):
     # Deltas 1e-3 off the truth pass every per-sweep check but leave the
     # accumulated S away from a fresh evaluation at the chain's end.
-    kernel = block_chain._move_deltas
-
-    def biased(state, i, r, w, loops, targets, out):
-        kernel(state, i, r, w, loops, targets, out)
-        for s in targets:
-            out[s] += 1e-3
-
-    monkeypatch.setattr(block_chain, "_move_deltas", biased)
+    monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: delta + 1e-3))
     cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
     with pytest.raises(ArithmeticError, match="fresh evaluation"):
         run_block_chain(two_cliques(5), 2, cfg)
 
 
 def test_run_block_chain_names_the_non_finite_sweep(monkeypatch):
-    def minus_infinity(state, i, r, w, loops, targets, out):
-        for s in targets:
-            out[s] = -math.inf
-
     # A delta of -inf is accepted and turns the running S into -inf.
-    monkeypatch.setattr(block_chain, "_move_deltas", minus_infinity)
+    monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: -math.inf))
     cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
     with pytest.raises(ArithmeticError, match="sweep 1$"):
         run_block_chain(two_cliques(5), 2, cfg)
@@ -621,9 +629,9 @@ def test_burn_in_decreases_s_from_random_start():
     s0 = description_length(net, state)
     trace = []
     s_now = s0
-    proposals = _proposals(state, rng, 1.0, net.half_edges)
+    sweep = _sweeper(state, rng, 1.0)
     for _ in range(300):
-        s_now, *_ = _sweep(state, rng, 1.0, net.half_edges, proposals, net.num_vertices, s_now)
+        s_now, *_ = sweep(net.num_vertices, s_now)
         trace.append(s_now)
     assert np.mean(trace[-50:]) < s0
 

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from ffbm import (
     log_stub_pairings,
     network_from_edges,
 )
-from ffbm.dcsbm import INFINITE_DELTA, _move_deltas, _neighbor_block_weights
-from ffbm.tables import log_count_partitions, log_double_factorial_even, log_factorial
+from ffbm import load_polbooks
+from ffbm.dcsbm import INFINITE_DELTA, move_kernel
+from ffbm.tables import _LOG_INT, log_count_partitions, log_double_factorial_even, log_factorial
 
 from conftest import pair_deltas, random_multigraph
 
@@ -207,7 +209,7 @@ def _sequential_delta(state, i, r, s):
     """
     e, e_row, n, eta = state.e, state.e_row, state.n, state.eta
     ki = int(state.net.degrees[i])
-    w, loops = _neighbor_block_weights(state, i)
+    w, loops = edge_order_block_weights(state, i)
     delta = 0.0
     delta += log_factorial(e_row[r] - ki) - log_factorial(e_row[r])
     delta += log_factorial(e_row[s] + ki) - log_factorial(e_row[s])
@@ -237,19 +239,23 @@ def test_move_deltas_match_single_target_oracle_and_recompute(case):
     net = network_from_edges(10, edges)
     state = BlockState(net, labels, num_blocks)
     s_before = description_length(net, state)
+    visit, _ = move_kernel(state)
     targets = range(num_blocks)
     for i in range(10):
         r = state.b[i]
         if state.n[r] == 1:
             continue
-        w, loops = _neighbor_block_weights(state, i)
         every = [math.nan] * num_blocks
-        _move_deltas(state, i, r, w, loops, targets, every)
+        _, _, best = visit(i, r, targets, every)
         assert every[r] == 0.0
+        # The first block of least delta, if that delta is negative.
+        low = min(every)
+        assert best == (every.index(low) if low < 0.0 else r)
         for s in targets:
             single = [math.nan] * num_blocks
-            _move_deltas(state, i, r, w, loops, (s,), single)
+            visit(i, r, (s,), single)
             assert single[s].hex() == every[s].hex()
+            assert sum(math.isnan(x) for x in single) == num_blocks - 1
             if s != r:
                 assert every[s].hex() == _sequential_delta(state, i, r, s).hex()
             moved = state.copy()
@@ -308,12 +314,70 @@ def test_neighbor_block_weights_follow_the_edge_order(case):
     num_blocks, edges, labels = case
     net = network_from_edges(10, edges)
     state = BlockState(net, labels, num_blocks)
+    visit, _ = move_kernel(state)
     for i in range(10):
-        w, loops = _neighbor_block_weights(state, i)
+        w, loops, best = visit(i, state.b[i], (), None)
         expected, expected_loops = edge_order_block_weights(state, i)
         assert list(w.items()) == list(expected.items())
         assert loops == expected_loops
-    assert _neighbor_block_weights(state, 9) == ({}, 0)
+        assert best == state.b[i]
+    assert visit(9, state.b[9], (), None) == ({}, 0, state.b[9])
+
+
+@given(st.integers(2, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops and repeated
+    # pairs are parallel edges.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10),
+    st.integers(0, 2**32 - 1))))
+@settings(max_examples=60, deadline=None)
+def test_a_kernel_bound_before_moves_reads_as_a_fresh_one(case):
+    # The kernel binds b, the rows of e, e_row, n and eta once; moves must
+    # update them in place, so a kernel bound before a run of 60 moves sees
+    # exactly what one bound afterwards sees.
+    num_blocks, edges, labels, seed = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    stale, _ = move_kernel(state)
+    rng = random.Random(seed)
+    for _ in range(60):
+        # With 10 vertices in at most 4 blocks some block has two or more.
+        i = rng.choice([v for v in range(10) if state.n[state.b[v]] > 1])
+        apply_move(state, i, rng.choice([s for s in range(num_blocks) if s != state.b[i]]))
+    fresh, _ = move_kernel(state)
+    targets = range(num_blocks)
+    for i in range(10):
+        r = state.b[i]
+        old_out, new_out = [0.0] * num_blocks, [0.0] * num_blocks
+        scored = targets if state.n[r] > 1 else ()
+        old_w, old_loops, old_best = stale(i, r, scored, old_out)
+        new_w, new_loops, new_best = fresh(i, r, scored, new_out)
+        assert list(old_w.items()) == list(new_w.items())
+        assert (old_loops, old_best) == (new_loops, new_best)
+        assert [x.hex() for x in old_out] == [x.hex() for x in new_out]
+
+
+def test_log_table_is_exact_and_sized_by_the_state():
+    # The kernel reads log(n) for block sizes and histogram counts up to N
+    # unchecked, so building a state must grow the table past N first.
+    num_vertices = 2 * len(_LOG_INT) + 3
+    BlockState(network_from_edges(num_vertices, []), [0] * num_vertices, 1)
+    assert len(_LOG_INT) > num_vertices
+    assert _LOG_INT[0] == -math.inf
+    assert all(_LOG_INT[k].hex() == math.log(k).hex() for k in range(1, len(_LOG_INT)))
+
+
+@pytest.mark.parametrize("i, target", [(0, -1), (0, 3), (-1, 0), (105, 0)])
+def test_apply_move_rejects_a_vertex_or_target_out_of_range(i, target):
+    state = BlockState(load_polbooks(), [k % 3 for k in range(105)], 3)
+    before = state.copy()
+    with pytest.raises(ValueError, match="outside"):
+        apply_move(state, i, target)
+    with pytest.raises(ValueError, match="outside"):
+        delta_description_length(state, i, target)
+    assert (state.b, state.e, state.e_row, state.n, state.eta) == \
+        (before.b, before.e, before.e_row, before.n, before.eta)
 
 
 # --------------------------------------- likelihood normalisation at tiny scale

@@ -5,9 +5,12 @@ import pytest
 
 import ffbm.mala as mala_mod
 from ffbm import (
+    GeneratorSpec,
     ObjectiveContext,
     WeightChainConfig,
     accept_log_prob,
+    generate,
+    load_polbooks,
     objective_and_gradient,
     proposal_log_density,
     run_weight_chain,
@@ -201,6 +204,70 @@ def test_empty_context_is_rejected():
     ctx = ObjectiveContext(np.zeros((0, 2)), np.zeros((0, 3)), 1.0)
     with pytest.raises(ValueError):
         run_weight_chain(ctx, WeightChainConfig(iterations=10))
+
+
+def reference_weight_chain(ctx, cfg):
+    """The weight chain as a plain loop over the public objective_and_gradient
+    and proposal_log_density, which run_weight_chain must match byte for
+    byte.  Returns the U trace, the retained samples and the acceptance flags."""
+    rng = np.random.default_rng(cfg.seed)
+    shape = (ctx.num_blocks, ctx.num_features)
+    weights = rng.normal(0.0, cfg.sigma, shape)
+    value, grad = objective_and_gradient(weights, ctx)
+    keep = set(retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning))
+    trace = [value]
+    samples = [weights] if 0 in keep else []
+    accepted = []
+    for t in range(cfg.iterations):
+        h = step_size(t, cfg, ctx.size)
+        noise = rng.standard_normal(shape)
+        proposal = weights - h * grad + math.sqrt(2.0 * h) * noise
+        prop_value, prop_grad = objective_and_gradient(proposal, ctx)
+        log_fwd = -float(np.vdot(noise, noise)) / 2.0
+        log_alpha = (value - prop_value + proposal_log_density(proposal, weights, prop_grad, h)
+                     - log_fwd)
+        accept = log_alpha >= 0.0 or rng.random() < math.exp(log_alpha)
+        if accept:
+            weights, value, grad = proposal, prop_value, prop_grad
+        accepted.append(accept)
+        trace.append(value)
+        if t + 1 in keep:
+            samples.append(weights)
+    return np.array(trace), samples, np.array(accepted)
+
+
+def polbooks_context():
+    """Polbooks' first 74 vertices with soft targets, as a repetition's training set."""
+    net = load_polbooks()
+    raw = np.random.default_rng(3).random((74, 3))
+    return ObjectiveContext(net.features[:74], raw / raw.sum(axis=1, keepdims=True), 1.0)
+
+
+def planted_context():
+    """350 training vertices of a planted N=500, B=4 model with 4 binary
+    flags, targets the planted one-hot memberships."""
+    off = 8.0 * 4 / (500 * 13)
+    spec = GeneratorSpec(num_vertices=500, weights=3.0 * np.eye(4),
+                         affinity=np.full((4, 4), off) + np.eye(4) * 9 * off,
+                         feature_probs=np.full(4, 0.5), seed=11)
+    net, truth = generate(spec)
+    return ObjectiveContext(net.features[:350], np.eye(4)[truth["memberships"][:350]], 1.0)
+
+
+@pytest.mark.parametrize("make_context", [polbooks_context, planted_context])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weight_chain_equals_the_reference_loop(make_context, seed):
+    ctx = make_context()
+    cfg = WeightChainConfig(iterations=1500, burn_in=0.2, thinning=7, step_scale=0.5, seed=seed)
+    res = run_weight_chain(ctx, cfg)
+    trace, samples, accepted = reference_weight_chain(ctx, cfg)
+    assert 0.0 < accepted.mean() < 1.0
+    assert res.u_trace.tobytes() == trace.tobytes()
+    assert len(res.samples) == len(samples)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(res.samples, samples))
+    assert res.accepted.tobytes() == accepted.tobytes()
+    assert res.acceptance_ratio == float(accepted.sum()) / cfg.iterations
+    assert res.mean_objective == float(trace[1:].mean())
 
 
 def _objective_failing_at(monkeypatch, call, value):
