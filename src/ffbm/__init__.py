@@ -64,6 +64,7 @@ from .mala import (
     accept_log_prob,
     proposal_log_density,
     run_weight_chain,
+    run_weight_chains,
     step_size,
 )
 from .pipeline import load_config_network, run_experiment, run_repetition

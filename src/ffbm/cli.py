@@ -191,7 +191,7 @@ def _run_command(args) -> int:
     if args.command == "sample-theta":
         require_features(net)
         artifacts = partition_stage(net, cfg, 0)
-        weight_stage(net, cfg, 0, artifacts)
+        weight_stage(net, cfg, [0], [artifacts])
         _write_block_outputs(out, artifacts)
         _write_theta_outputs(out, artifacts, net)
         print(f"wrote {len(artifacts.weight_result.samples)} retained weight samples to {out}")

@@ -1,7 +1,16 @@
-"""End-to-end experiment orchestration: chains, metrics, repetitions."""
+"""End-to-end experiment orchestration: chains, metrics, repetitions.
+
+A repetition runs four stages: partition_stage, weight_stage, screen_stage
+(with reduce_dim) and repetition_report.  run_experiment cuts the
+repetitions into one contiguous run per worker (one run when jobs is 1) and
+takes each run stage by stage: its partition chains, then its weight and
+screen stages, whose chains run in lockstep (mala.run_weight_chains), then
+the metrics.  run_repetition is the same code for one repetition.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +27,7 @@ from .block_chain import estimate_responsibilities, run_block_chain
 from .config import PARTITION_CHAIN, REDUCED_WEIGHT_CHAIN, WEIGHT_CHAIN, RunConfig, chain_config
 from .dataio import DataFormatError, load_network, load_polbooks
 from .graph import LabelledNetwork, split_vertices
-from .mala import run_weight_chain
+from .mala import WeightChainError, run_weight_chains
 from .sampling import stream_seed_int, stream_seed_sequence
 from .softmax import ObjectiveContext
 
@@ -54,10 +63,13 @@ def partition_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int) -> Re
     return RepetitionArtifacts(block_result=block_res, responsibilities=responsibilities)
 
 
-def _weight_chain(cfg: RunConfig, art: RepetitionArtifacts, features, chain, seed):
-    """The weight chain on the training rows of the given feature columns."""
-    ctx = ObjectiveContext(features[art.split.train], art.responsibilities[art.split.train], cfg.sigma)
-    return run_weight_chain(ctx, chain_config(cfg, chain, seed=seed))
+def _weight_chains(cfg: RunConfig, repetitions, arts, features, chain, stream) -> list:
+    """The weight chains of the repetitions on the training rows of their feature columns, in lockstep."""
+    ctxs = [ObjectiveContext(f[art.split.train], art.responsibilities[art.split.train], cfg.sigma)
+            for f, art in zip(features, arts)]
+    cfgs = [chain_config(cfg, chain, seed=stream_seed_sequence(cfg.seed, stream, rep))
+            for rep in repetitions]
+    return run_weight_chains(ctxs, cfgs)
 
 
 def require_features(net: LabelledNetwork) -> None:
@@ -66,34 +78,37 @@ def require_features(net: LabelledNetwork) -> None:
         raise DataFormatError("the weight sampler needs a feature matrix")
 
 
-def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
-                 art: RepetitionArtifacts) -> None:
-    """Stage 2: the train/test split and the weight chain on all features."""
+def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetitions, arts) -> None:
+    """Stage 2 for the given repetitions and their artifacts: each one's
+    train/test split, then all their weight chains, on all features, in lockstep.
+
+    A failing chain raises WeightChainError whose chain is its position in repetitions.
+    """
     require_features(net)
-    art.split = split_vertices(net.num_vertices, cfg.train_fraction,
-                               stream_seed_sequence(cfg.seed, "split", repetition))
-    art.weight_result = _weight_chain(
-        cfg, art, net.features, WEIGHT_CHAIN,
-        stream_seed_sequence(cfg.seed, "weight-chain", repetition))
+    for rep, art in zip(repetitions, arts):
+        art.split = split_vertices(net.num_vertices, cfg.train_fraction,
+                                   stream_seed_sequence(cfg.seed, "split", rep))
+    results = _weight_chains(cfg, repetitions, arts, [net.features] * len(arts),
+                             WEIGHT_CHAIN, "weight-chain")
+    for art, result in zip(arts, results):
+        art.weight_result = result
 
 
-def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int,
-                 art: RepetitionArtifacts) -> None:
-    """Stage 3: keep the reduce_dim best-scoring features and rerun the weight chain on them."""
-    summary = summarize_weights(art.weight_result.samples)
-    art.reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
-    art.reduced_weight_result = _weight_chain(
-        cfg, art, net.features[:, art.reduction.kept], REDUCED_WEIGHT_CHAIN,
-        stream_seed_sequence(cfg.seed, "reduced-weight-chain", repetition))
+def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetitions, arts) -> None:
+    """Stage 3 for the given repetitions: each keeps its reduce_dim best-scoring
+    features, then their weight chains rerun on them in lockstep."""
+    for art in arts:
+        summary = summarize_weights(art.weight_result.samples)
+        art.reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
+    results = _weight_chains(cfg, repetitions, arts,
+                             [net.features[:, art.reduction.kept] for art in arts],
+                             REDUCED_WEIGHT_CHAIN, "reduced-weight-chain")
+    for art, result in zip(arts, results):
+        art.reduced_weight_result = result
 
 
-def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
-    """One full pipeline pass: the partition, weight and (with reduce_dim) screen stages, then metrics."""
-    art = partition_stage(net, cfg, repetition)
-    weight_stage(net, cfg, repetition, art)
-    if cfg.reduce_dim is not None:
-        screen_stage(net, cfg, repetition, art)
-
+def repetition_report(net: LabelledNetwork, cfg: RunConfig, art: RepetitionArtifacts) -> EvaluationReport:
+    """Stage 4: the metrics of one repetition whose other stages have run."""
     block_res, weight_res = art.block_result, art.weight_result
     responsibilities, split = art.responsibilities, art.split
     loss_train, accuracy_train = loss_and_accuracy(
@@ -121,41 +136,89 @@ def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
         report.reduced_loss_test, _ = loss_and_accuracy(
             reduced_res.samples, responsibilities, reduced_features, split.test)
         report.reduced_acceptance_ratio = reduced_res.acceptance_ratio
-    return report, art
+    return report
 
 
-def _repetition_task(args):
-    net, cfg, repetition, keep_artifacts = args
+def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
+    """One full pipeline pass: the partition, weight and (with reduce_dim)
+    screen stages, then metrics; run_experiment's code for one repetition."""
+    reports, arts = _repetitions_task((net, cfg, [repetition], True))
+    return reports[0], arts[0]
+
+
+def _name_repetition(exc: Exception, cfg: RunConfig, repetition: int) -> None:
+    """Put the repetition and the master seed in an exception's message; its
+    type stays, and with it the exit code."""
+    exc.args = (f"repetition {repetition} (master seed {cfg.seed}): {exc}",)
+
+
+@contextmanager
+def _naming(cfg: RunConfig, repetition: int):
+    """Re-raise an exception raised inside, named by _name_repetition."""
     try:
-        report, artifacts = run_repetition(net, cfg, repetition)
+        yield
     except Exception as exc:
-        # Same type, so the exit code stays; the message says which repetition failed.
-        exc.args = (f"repetition {repetition} (master seed {cfg.seed}): {exc}",)
+        _name_repetition(exc, cfg, repetition)
         raise
-    return report, (artifacts if keep_artifacts else None)
+
+
+def _repetitions_task(args):
+    """Every stage of a run of repetitions: their partition chains one by
+    one, then their weight and screen chains in lockstep, then the metrics."""
+    net, cfg, repetitions, keep_artifacts = args
+    arts = []
+    for rep in repetitions:
+        with _naming(cfg, rep):
+            art = partition_stage(net, cfg, rep)
+        if not keep_artifacts:
+            # Only the S trace and the responsibilities are read from here on;
+            # the retained partitions (N labels each) would wait for every
+            # other repetition's partition chain.
+            art.block_result.samples = []
+        arts.append(art)
+    try:
+        weight_stage(net, cfg, repetitions, arts)
+        if cfg.reduce_dim is not None:
+            screen_stage(net, cfg, repetitions, arts)
+    except WeightChainError as exc:
+        _name_repetition(exc, cfg, repetitions[exc.chain])
+        raise
+    reports = []
+    for rep, art in zip(repetitions, arts):
+        with _naming(cfg, rep):
+            reports.append(repetition_report(net, cfg, art))
+    return reports, (arts if keep_artifacts else None)
 
 
 def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_artifacts: bool = False):
-    """All repetitions, optionally in parallel processes; order is by index.
+    """All repetitions; reports and artifacts are ordered by repetition index.
 
-    A failing repetition raises its exception, of its own type, with the
-    repetition index and the master seed in the message.
+    The repetitions are cut into min(jobs, repetitions) contiguous runs of
+    near-equal length, each run in its own worker process when jobs > 1.
+    A run goes stage by stage: every partition chain, then the weight and
+    screen chains of all its repetitions in lockstep (chain s of a lockstep
+    stack equals the chain run alone), then the metrics.  A failing
+    partition chain, weight chain or metric raises its exception, of its
+    own type, with the repetition index and the master seed in the message.
     """
     require_features(net)
     if cfg.reduce_dim is not None:
         check_target_dim(cfg.reduce_dim, net.num_features)
-    tasks = [(net, cfg, rep, keep_artifacts) for rep in range(cfg.repetitions)]
-    if jobs > 1 and cfg.repetitions > 1:
+    repetitions = range(cfg.repetitions)
+    parts = min(jobs, cfg.repetitions)
+    bounds = [len(repetitions) * i // parts for i in range(parts + 1)]
+    tasks = [(net, cfg, repetitions[a:b], keep_artifacts) for a, b in zip(bounds, bounds[1:])]
+    if parts > 1:
         # Imported here: the process pool costs about 20 ms of imports,
         # which a serial run need not pay.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_repetition_task, tasks))
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            results = list(pool.map(_repetitions_task, tasks))
     else:
-        results = [_repetition_task(t) for t in tasks]
-    reports = [r for r, _ in results]
-    artifacts = [a for _, a in results] if keep_artifacts else None
+        results = [_repetitions_task(t) for t in tasks]
+    reports = [r for rs, _ in results for r in rs]
+    artifacts = [a for _, arts in results for a in arts] if keep_artifacts else None
     return reports, artifacts
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import ffbm.mala
 from ffbm import network_from_edges
 
 
@@ -69,3 +70,26 @@ def two_cliques(size):
             for j in range(i + 1, size):
                 edges.append((base + i, base + j))
     return network_from_edges(2 * size, edges)
+
+
+def objective_failing_at(monkeypatch, call, value, chain=0):
+    """Make the chains' objective evaluation number `call` (0 is the initial
+    draw) return value for position `chain` of its stack; returns the sizes
+    of the stacks the kernel was bound for."""
+    real, calls, stacks = ffbm.mala.objective_kernel, [], []
+
+    def patched(ctxs):
+        evaluate = real(ctxs)
+        stacks.append(len(ctxs))
+
+        def failing(views, grad):
+            values = evaluate(views, grad)
+            calls.append(None)
+            if len(calls) - 1 == call:
+                values[chain] = value
+            return values
+
+        return failing
+
+    monkeypatch.setattr(ffbm.mala, "objective_kernel", patched)
+    return stacks

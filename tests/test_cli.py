@@ -7,12 +7,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffbm
 from ffbm import RunConfig, build_config, load_network, load_polbooks, pipeline
 from ffbm.cli import main
 from ffbm.dataio import DataFormatError
+
+from conftest import objective_failing_at
 
 
 @pytest.fixture
@@ -144,6 +147,25 @@ def test_parallel_jobs_match_sequential(synthetic_dir, tmp_path):
     assert "rep001/reduction.csv" in files
     for name in files:
         assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+
+def test_jobs_cut_the_repetitions_into_contiguous_runs():
+    # Three workers take repetitions 0, 1-2 and 3-4 and run each run's weight
+    # chains as one lockstep stack; reports and artifacts come back in
+    # repetition order and equal one serial stack of five.
+    cfg = RunConfig(repetitions=5, block_iters=20, init_restarts=1, theta_iters=150, seed=6)
+    net = load_polbooks()
+    serial, serial_arts = pipeline.run_experiment(net, cfg, keep_artifacts=True)
+    parallel, parallel_arts = pipeline.run_experiment(net, cfg, jobs=3, keep_artifacts=True)
+    dump = lambda reports: [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+    assert dump(parallel) == dump(serial)
+    assert len(parallel_arts) == 5
+    for a, b in zip(serial_arts, parallel_arts):
+        assert a.weight_result.u_trace.tobytes() == b.weight_result.u_trace.tobytes()
+        assert a.block_result.s_trace.tobytes() == b.block_result.s_trace.tobytes()
+    # More workers than repetitions: one repetition each.
+    more, _ = pipeline.run_experiment(net, dataclasses.replace(cfg, repetitions=2), jobs=4)
+    assert dump(more) == dump(serial[:2])
 
 
 def test_usage_errors_exit_one():
@@ -286,11 +308,11 @@ def test_pipeline_runs_the_chain_settings_it_validates(monkeypatch):
                     sigma=1.5, step_scale=0.3, reduce_dim=1, reduced_theta_iters=20,
                     reduced_theta_burn_in=0.2, reduced_theta_thinning=4, reduced_step_scale=0.7)
     seen = []
-    run_block_chain, run_weight_chain = pipeline.run_block_chain, pipeline.run_weight_chain
+    run_block_chain, run_weight_chains = pipeline.run_block_chain, pipeline.run_weight_chains
     monkeypatch.setattr(pipeline, "run_block_chain",
                         lambda net, b, chain_cfg: seen.append(chain_cfg) or run_block_chain(net, b, chain_cfg))
-    monkeypatch.setattr(pipeline, "run_weight_chain",
-                        lambda ctx, chain_cfg: seen.append(chain_cfg) or run_weight_chain(ctx, chain_cfg))
+    monkeypatch.setattr(pipeline, "run_weight_chains",
+                        lambda ctxs, cfgs: seen.extend(cfgs) or run_weight_chains(ctxs, cfgs))
     pipeline.run_repetition(load_polbooks(), cfg, 0)
     block, weight, reduced = seen
     assert (block.iterations, block.burn_in, block.thinning, block.smoothing,
@@ -340,18 +362,65 @@ def test_failing_repetition_names_itself(synthetic_dir, tmp_path, monkeypatch, c
     # The patch reaches --jobs 2 workers because they are forked from this process.
     import ffbm.pipeline as pipeline_mod
 
-    real = pipeline_mod.run_repetition
+    real = pipeline_mod.partition_stage
 
     def fail_second(net, cfg, repetition):
         if repetition == 1:
             raise error("chain broke")
         return real(net, cfg, repetition)
 
-    monkeypatch.setattr(pipeline_mod, "run_repetition", fail_second)
+    monkeypatch.setattr(pipeline_mod, "partition_stage", fail_second)
     _, cfg = synthetic_dir
     assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
                  "--out-dir", str(tmp_path / "out")]) == code
     assert "repetition 1 (master seed 4): chain broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_weight_chain_of_a_stack_names_its_repetition(synthetic_dir, tmp_path, monkeypatch,
+                                                              capsys, jobs):
+    # Four repetitions: one lockstep stack of four under --jobs 1, one stack
+    # of two per worker under --jobs 2.  The second chain of each stack gets
+    # a NaN proposal U at iteration 7 (evaluation 0 is the initial draw); in
+    # both cases that is repetition 1, the first to fail in index order.
+    stacks = objective_failing_at(monkeypatch, 7, math.nan, chain=1)
+    _, cfg = synthetic_dir
+    assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
+                 "--set", "repetitions=4", "--out-dir", str(tmp_path / "out")]) == 3
+    # The workers bind their kernels in their own processes.
+    assert stacks == ([4] if jobs == 1 else [])
+    assert ("repetition 1 (master seed 4): weight-chain objective is nan at the proposal of "
+            "iteration 7") in capsys.readouterr().err
+
+
+def test_repetitions_drop_their_partition_samples_before_the_weight_stage():
+    # Every repetition's partition stage runs before the weight stage.  Each
+    # keeps its S trace and responsibilities for the metrics, but not its
+    # retained partitions, so four repetitions peak less than one
+    # repetition's partitions above one repetition; keeping them would add
+    # three times that.
+    off = 8.0 * 4 / (1000 * 13)
+    spec = ffbm.GeneratorSpec(num_vertices=1000, weights=3.0 * np.eye(4),
+                              affinity=np.full((4, 4), off) + np.eye(4) * 9 * off,
+                              feature_probs=np.full(4, 0.5), seed=3)
+    net, _ = ffbm.generate(spec)
+    cfgs = {r: RunConfig(num_blocks=4, repetitions=r, init_restarts=1, block_iters=30,
+                         block_burn_in=0.0, block_thinning=1, theta_iters=100, seed=2)
+            for r in (1, 4)}
+    # Fills the lazy tables the traced runs read, and keeps the partitions.
+    _, kept = ffbm.run_experiment(net, cfgs[4], keep_artifacts=True)
+    peaks = {}
+    for repetitions, cfg in cfgs.items():
+        tracemalloc.start()
+        try:
+            reports, artifacts = ffbm.run_experiment(net, cfg)
+            _, peaks[repetitions] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == repetitions and artifacts is None
+    samples = kept[0].block_result.samples
+    assert len(samples) == 31
+    assert peaks[4] - peaks[1] < sum(b.nbytes for b in samples)
 
 
 @pytest.mark.parametrize("command", ["sample-blocks", "sample-theta", "reduce", "report", "run"])

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import ffbm.mala as mala_mod
 from ffbm import (
     GeneratorSpec,
     ObjectiveContext,
@@ -14,9 +15,13 @@ from ffbm import (
     objective_and_gradient,
     proposal_log_density,
     run_weight_chain,
+    run_weight_chains,
     step_size,
 )
 from ffbm.sampling import retained_indices
+from ffbm.softmax import objective_kernel, stack_views
+
+from conftest import objective_failing_at
 
 
 def gaussian_context():
@@ -270,18 +275,6 @@ def test_weight_chain_equals_the_reference_loop(make_context, seed):
     assert res.mean_objective == float(trace[1:].mean())
 
 
-def _objective_failing_at(monkeypatch, call, value):
-    """Make the chain's objective call number `call` (0 is the initial draw) return value."""
-    calls = []
-
-    def patched(weights, ctx):
-        calls.append(None)
-        u, grad = objective_and_gradient(weights, ctx)
-        return (value, grad) if len(calls) - 1 == call else (u, grad)
-
-    monkeypatch.setattr(mala_mod, "objective_and_gradient", patched)
-
-
 @pytest.mark.parametrize("call, value, where", [
     (0, math.nan, "initial draw"),
     (0, math.inf, "initial draw"),
@@ -289,7 +282,7 @@ def _objective_failing_at(monkeypatch, call, value):
     (3, -math.inf, "iteration 3"),
 ])
 def test_weight_chain_names_the_non_finite_step(monkeypatch, call, value, where):
-    _objective_failing_at(monkeypatch, call, value)
+    objective_failing_at(monkeypatch, call, value)
     cfg = WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=13)
     with pytest.raises(ArithmeticError, match=where):
         run_weight_chain(separated_context(), cfg)
@@ -299,7 +292,109 @@ def test_weight_chain_rejects_an_infinite_proposal(monkeypatch):
     cfg = WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=13)
     plain = run_weight_chain(separated_context(), cfg)
     assert plain.accepted[6]
-    _objective_failing_at(monkeypatch, 7, math.inf)
+    objective_failing_at(monkeypatch, 7, math.inf)
     res = run_weight_chain(separated_context(), cfg)
     assert not res.accepted[6]
     assert np.isfinite(res.u_trace).all()
+
+
+def _stack_inputs(rng, size, real_valued):
+    """size contexts on 10 vertices with 2 features; odd positions use half as
+    many distinct feature rows as even ones, so a stack of two or more splits
+    by U.  Prior widths differ by position."""
+    ctxs = []
+    for s in range(size):
+        if real_valued:
+            pool = rng.normal(size=(10 if s % 2 == 0 else 5, 2))
+        else:
+            pool = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[:4 if s % 2 == 0 else 2]
+        feats = pool[rng.permutation(np.arange(10) % len(pool))]
+        raw = rng.random((10, 3))
+        ctxs.append(ObjectiveContext(feats, raw / raw.sum(axis=1, keepdims=True), (1.0, 0.5, 2.0)[s % 3]))
+    return ctxs
+
+
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_lockstep_chains_equal_the_reference_loop(size, real_valued, seed):
+    rng = np.random.default_rng(seed)
+    ctxs = _stack_inputs(rng, size, real_valued)
+    cfgs = [WeightChainConfig(iterations=120, burn_in=0.2, thinning=3, sigma=ctx.sigma,
+                              step_scale=0.5, seed=seed + s) for s, ctx in enumerate(ctxs)]
+    results = run_weight_chains(ctxs, cfgs)
+    for ctx, cfg, res in zip(ctxs, cfgs, results):
+        trace, samples, accepted = reference_weight_chain(ctx, cfg)
+        assert res.u_trace.tobytes() == trace.tobytes()
+        assert len(res.samples) == len(samples)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(res.samples, samples))
+        assert res.accepted.tobytes() == accepted.tobytes()
+        assert res.acceptance_ratio == float(accepted.sum()) / cfg.iterations
+        assert res.mean_objective == float(trace[1:].mean())
+
+    # One stack per shape: its objective, gradient and proposal densities
+    # equal the one-chain calls slice by slice.
+    for parity in (0, 1):
+        group = ctxs[parity::2]
+        if not group:
+            continue
+        shape = (len(group), 3, 2)
+        weights, to, grad_from = (rng.normal(size=shape) for _ in range(3))
+        grad = np.empty(shape)
+        values = objective_kernel(group)(stack_views(weights), grad)
+        densities = proposal_log_density(weights, to, grad_from, 0.03)
+        for s, ctx in enumerate(group):
+            value, slice_grad = objective_and_gradient(weights[s], ctx)
+            assert np.float64(values[s]).tobytes() == np.float64(value).tobytes()
+            assert grad[s].tobytes() == slice_grad.tobytes()
+            assert densities[s] == proposal_log_density(weights[s], to[s], grad_from[s], 0.03)
+
+
+def test_lockstep_stacks_split_by_shape_and_see_both_outcomes():
+    # The inputs of the hypothesis test above: stacks split by U, and
+    # step_scale=0.5 gives rejections as well as acceptances, so some
+    # iterations copy only part of a stack's proposals.
+    ctxs = _stack_inputs(np.random.default_rng(0), 5, real_valued=False)
+    cfgs = [WeightChainConfig(iterations=120, burn_in=0.2, thinning=3, sigma=ctx.sigma,
+                              step_scale=0.5, seed=s) for s, ctx in enumerate(ctxs)]
+    assert {ctx.rows.shape[0] for ctx in ctxs} == {2, 4}
+    accepted = np.stack([res.accepted for res in run_weight_chains(ctxs, cfgs)])
+    assert 0.0 < accepted.mean() < 1.0
+    moved = accepted[0::2].sum(axis=0)  # the U = 4 stack
+    assert ((0 < moved) & (moved < 3)).any()
+
+
+def test_lockstep_samples_peak_at_one_copy_per_chain():
+    # Each chain's retained samples are views of one buffer per stack, so a
+    # stack of four peaks at four chains' samples plus work arrays, not at
+    # two copies of them.
+    rng = np.random.default_rng(4)
+    ctxs = []
+    for _ in range(4):
+        raw = rng.random((20, 4))
+        ctxs.append(ObjectiveContext(rng.normal(size=(20, 64)), raw / raw.sum(axis=1, keepdims=True), 1.0))
+    cfgs = [WeightChainConfig(iterations=1000, burn_in=0.0, thinning=1, seed=s) for s in range(4)]
+    run_weight_chains(ctxs[:1], cfgs[:1])  # binds numpy's lazily built internals untraced
+    tracemalloc.start()
+    try:
+        results = run_weight_chains(ctxs, cfgs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_chain = sum(sample.nbytes for sample in results[0].samples)
+    assert len(results[0].samples) == 1001 and one_chain == 1001 * 4 * 64 * 8
+    assert peak < 1.25 * 4 * one_chain
+
+
+def test_proposal_log_density_of_vectors_is_vdot():
+    # One state of any shape is a vector to the density, as np.vdot sees it.
+    rng = np.random.default_rng(8)
+    for shape in [(), (0,), (7,), (3, 5), (3, 0)]:
+        frm, to, grad = (rng.normal(size=shape) for _ in range(3))
+        drift = to - frm + 0.01 * grad
+        value = proposal_log_density(frm, to, grad, 0.01)
+        assert isinstance(value, float)
+        assert value == -float(np.vdot(drift, drift)) / (4.0 * 0.01)
+    frm, to, grad = (rng.normal(size=(2, 3, 4, 5)) for _ in range(3))
+    values = proposal_log_density(frm, to, grad, 0.01)
+    assert values.shape == (2, 3)
+    assert values[1, 2] == proposal_log_density(frm[1, 2], to[1, 2], grad[1, 2], 0.01)
