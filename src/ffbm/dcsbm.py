@@ -12,9 +12,9 @@ Those updates have one implementation, ``move_kernel(state)``: it binds the
 state's statistics and the shared tables once and returns a visit, which
 reads a vertex's neighbour blocks and scores its moves, and a move, which
 applies one.  The bound references stay valid because every move mutates
-b, the rows of e, e_row, n and eta in place and never rebinds them.  The
-greedy initialiser, the partition chain, ``delta_description_length`` and
-``apply_move`` all go through it.
+b, the rows of e, e_row, n, eta and the neighbour-block cache in place and
+never rebinds them.  The greedy initialiser, the partition chain,
+``delta_description_length`` and ``apply_move`` all go through it.
 
 Conventions: the edge-count matrix e is symmetric with e[r][r] twice the
 number of intra-block edges, so the half-edge count of block r is
@@ -54,14 +54,22 @@ class BlockState:
         e_row: half-edge count per block, e_row[r] = sum_s e[r][s].
         n: vertices per block.
         eta: per block, a dict degree -> number of vertices with that degree.
+        block_weights: per vertex, the dict block -> half-edge weight that
+            the move kernel's visit last built for it, or None when stale.
 
-    Moves mutate b, the rows of e, e_row, n and the dicts of eta in place and
-    never rebind them, so a reference taken once (as move_kernel and the
-    partition chain's proposal generator take them) stays valid across
-    moves.
+    Every move goes through a move kernel's move, which mutates b, the rows
+    of e, e_row, n and the dicts of eta in place and never rebinds them, so
+    a reference taken once (as move_kernel and the partition chain's
+    proposal generator take them) stays valid across moves.  The same move
+    marks stale the cached block weights of every vertex on the far end of
+    one of the moved vertex's half-edges, itself included when it has a
+    loop, so a cached entry always equals a fresh count.  The cache lives
+    here rather than in a kernel because several kernels may be bound to
+    one state, and a move through any of them must reach all of them.
+    Cached dicts are replaced, never mutated, so copy() shares them.
     """
 
-    __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta")
+    __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta", "block_weights")
 
     def __init__(self, net: LabelledNetwork, b, B: int):
         labels = [int(x) for x in b]
@@ -97,6 +105,7 @@ class BlockState:
         self.e_row = [sum(row) for row in e]
         self.n = n
         self.eta = eta
+        self.block_weights = [None] * len(labels)
 
     def copy(self) -> "BlockState":
         dup = object.__new__(BlockState)
@@ -107,6 +116,7 @@ class BlockState:
         dup.e_row = list(self.e_row)
         dup.n = list(self.n)
         dup.eta = [dict(d) for d in self.eta]
+        dup.block_weights = list(self.block_weights)
         return dup
 
     def partition(self) -> np.ndarray:
@@ -179,15 +189,17 @@ def description_length(net: LabelledNetwork, state: BlockState) -> float:
 def move_kernel(state: BlockState):
     """Bind the state's statistics once; return (visit, move), its single-vertex move kernel.
 
-    visit(i, r, targets, out) reads vertex i, which sits in block r, in one
-    pass over half_edges.ends[i]: its half-edge weight towards each block,
-    w, with blocks in the order their first half-edge appears there (every
-    float sum over w follows that order), and its loop weight A_ii.  It
-    then sets out[s] = S(b with b_i <- s) - S(b) for every s in targets
-    (out[r] = 0.0) and returns (w, loops, best): best is the first target,
-    in the order given, of least delta below 0, or r if none lowers S.  A
-    vertex that is being scored must not be alone in r (n_r > 1); an empty
-    targets only reads w and loops.
+    visit(i, r, targets, out) reads vertex i, which sits in block r: its
+    half-edge weight towards each block, w, with blocks in the order their
+    first half-edge appears in half_edges.ends[i] (every float sum over w
+    follows that order), and its loop weight A_ii, half_edges.loops[i].  w
+    is the state's cached dict for i when one is there; otherwise visit
+    counts it in one pass over ends[i] and caches it.  Callers must not
+    mutate the w it returns.  It then sets out[s] = S(b with b_i <- s) -
+    S(b) for every s in targets (out[r] = 0.0) and returns (w, loops,
+    best): best is the first target, in the order given, of least delta
+    below 0, or r if none lowers S.  A vertex that is being scored must not
+    be alone in r (n_r > 1); an empty targets only reads w and loops.
 
     Each target's delta is one left-to-right sum in a fixed order: the row
     factorials of r and s, the (r,r), (s,s) and (r,s) pair terms, the
@@ -203,28 +215,36 @@ def move_kernel(state: BlockState):
     half-edges into r leave e_rr (two ends each) for e_rs, its m_s
     half-edges into s move from e_rs to e_ss, its loops move from e_rr to
     e_ss, and each other block t's w_t half-edges move from e_rt to e_st.
+    It then marks stale the cached w of every vertex in ends[i], i itself
+    included when it has a loop.  It invalidates rather than updates them:
+    an in-place update would reorder a dict, and with it every float sum
+    over w.
 
-    Both read b, the rows of e, e_row, n and eta's dicts through references
-    taken here.  That is valid because move updates them in place and never
-    rebinds them (see BlockState), and every move of the state must go
-    through a kernel bound to it.  The log-factorial and log tables are read
-    unchecked: BlockState sizes them to 2E and N.  Partition-count reads
-    index the table's rows in place, as log_count_partitions does, and fall
-    back to it (which grows the table) on a miss.
+    Both read b, the rows of e, e_row, n, eta's dicts and the cache of
+    block weights through references taken here.  That is valid because
+    move updates them in place and never rebinds them (see BlockState), and
+    every move of the state must go through a kernel bound to it.  The
+    log-factorial and log tables are read unchecked: BlockState sizes them
+    to 2E and N.  Partition-count reads index the table's rows in place, as
+    log_count_partitions does, and fall back to it (which grows the table)
+    on a miss.
     """
     b, e, e_row, n, eta = state.b, state.e, state.e_row, state.n, state.eta
+    cache = state.block_weights
     half_edges = state.net.half_edges
-    ends, degree = half_edges.ends, half_edges.degree
+    ends, degree, loop_weight = half_edges.ends, half_edges.degree, half_edges.loops
     lf, logs, rows = _LOG_FACT, _LOG_INT, _ROWS
     lcp = log_count_partitions
 
     def visit(i, r, targets, out):
-        ends_i = ends[i]
-        w = {}
-        for j in ends_i:
-            t = b[j]
-            w[t] = w.get(t, 0) + 1
-        loops = ends_i.count(i)
+        w = cache[i]
+        if w is None:
+            w = {}
+            for j in ends[i]:
+                t = b[j]
+                w[t] = w.get(t, 0) + 1
+            cache[i] = w
+        loops = loop_weight[i]
         best = r
         if not targets:
             return w, loops, best
@@ -317,6 +337,8 @@ def move_kernel(state: BlockState):
             eta[r][ki] = cnt - 1
         eta[s][ki] = eta[s].get(ki, 0) + 1
         b[i] = s
+        for j in ends[i]:
+            cache[j] = None
 
     return visit, move
 

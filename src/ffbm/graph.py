@@ -82,13 +82,14 @@ class HalfEdgeTable:
     ends[i] holds one entry per half-edge of vertex i, in the order of
     ``net.edges``: an edge (u, v, m) puts v m times in ends[u] and u m times
     in ends[v], so a loop of multiplicity m puts i 2m times in ends[i] and
-    len(ends[i]) is vertex i's degree.  For a uniform integer x in
-    [0, degree[i]), the half-edge's far end is ends[i][x].  bits[i] is
+    len(ends[i]) is vertex i's degree.  loops[i] is ends[i].count(i), vertex
+    i's loop weight A_ii.  For a uniform integer x in [0, degree[i]), the
+    half-edge's far end is ends[i][x].  bits[i] is
     degree[i].bit_length() and vertex_bits is num_vertices.bit_length():
     the widths that ``random.Random.randrange`` draws with.
     """
 
-    __slots__ = ("num_vertices", "vertex_bits", "degree", "bits", "ends")
+    __slots__ = ("num_vertices", "vertex_bits", "degree", "bits", "ends", "loops")
 
     def __init__(self, net: LabelledNetwork):
         self.num_vertices = int(net.num_vertices)
@@ -100,6 +101,7 @@ class HalfEdgeTable:
             ends[u].extend([v] * m)
             ends[v].extend([u] * m)
         self.ends = ends
+        self.loops = [row.count(i) for i, row in enumerate(ends)]
 
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:

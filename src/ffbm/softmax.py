@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveContext:
     """Data slice the weight posterior is conditioned on.
 
@@ -31,19 +31,22 @@ class ObjectiveContext:
     (counts[:, None] * rows), inverse (the index into rows of each vertex)
     and target_moments (B x D).  Binary flags repeat, so U is usually far
     below the number of vertices; real-valued features have U = N.
+
+    Contexts compare and hash by identity: their fields are arrays, which
+    have no single truth value for ==.
     """
 
     features: np.ndarray
     targets: np.ndarray
     sigma: float
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    weighted_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    inverse: np.ndarray = field(init=False, repr=False, compare=False)
-    target_moments: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    weighted_rows: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+    target_moments: np.ndarray = field(init=False, repr=False)
     # objective_kernel([self]), bound on the first objective_and_gradient
     # call; its work arrays make that call unsafe from two threads at once.
-    _kernel: object = field(init=False, repr=False, compare=False, default=None)
+    _kernel: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)

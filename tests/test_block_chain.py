@@ -28,7 +28,13 @@ from ffbm import (
 )
 from ffbm import block_chain
 from ffbm import dcsbm
-from ffbm.block_chain import _min_cost_assignment, _proposal_probs, _proposals, _sweeper
+from ffbm.block_chain import (
+    _greedy_descent,
+    _min_cost_assignment,
+    _proposal_probs,
+    _proposals,
+    _sweeper,
+)
 from ffbm.dcsbm import apply_move, move_kernel
 from ffbm.sampling import retained_indices
 
@@ -472,6 +478,81 @@ def test_sweep_counts_emptying_rejections(bowtie):
     assert emptying > 0 and nulls > 0
     assert nulls + emptying + moved <= 200
     assert min(state.n) >= 1
+
+
+# ------------------------------------------------------ neighbour-block cache
+
+def _counted_block_weights(state, i):
+    """Oracle: vertex i's block weights counted afresh over ends[i] and b, as
+    (block, weight) items in order of first appearance, and its loop weight."""
+    ends = state.net.half_edges.ends[i]
+    w = {}
+    for j in ends:
+        w[state.b[j]] = w.get(state.b[j], 0) + 1
+    return list(w.items()), ends.count(i)
+
+
+def _read_every_vertex(state):
+    """Every vertex's (w items, loops) as the move kernel's visit returns them;
+    reading leaves every vertex's w cached on the state."""
+    visit, _ = move_kernel(state)
+    read = []
+    for i in range(len(state.b)):
+        w, loops, _ = visit(i, state.b[i], (), None)
+        read.append((list(w.items()), loops))
+    return read
+
+
+def _assert_matches_a_fresh_count(state):
+    rebuilt = BlockState(state.net, state.b, state.B)
+    assert (state.e, state.e_row, state.n, state.eta) == \
+        (rebuilt.e, rebuilt.e_row, rebuilt.n, rebuilt.eta)
+    assert _read_every_vertex(state) == \
+        [_counted_block_weights(state, i) for i in range(len(state.b))]
+
+
+def _random_move(state, rng):
+    # With 10 vertices in at most 4 blocks some block has two or more.
+    i = rng.choice([v for v in range(10) if state.n[state.b[v]] > 1])
+    apply_move(state, i, rng.choice([s for s in range(state.B) if s != state.b[i]]))
+
+
+@given(st.integers(2, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops, repeated pairs
+    # are parallel edges, and multiplicities reach 3.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10),
+    st.integers(0, 2**32 - 1))))
+@example((3, [(0, 0, 2), (0, 1), (1, 1), (1, 2, 3), (2, 2), (3, 4), (4, 4, 3), (5, 6, 2), (6, 6),
+              (7, 8), (8, 8, 2), (1, 2)], [0, 1, 2, 0, 1, 2, 0, 1, 2, 0], 5))
+@settings(max_examples=80, deadline=None)
+def test_cached_block_weights_match_a_fresh_count_after_moves(case):
+    # The move kernel's visit returns the state's cached w of a vertex until a
+    # move marks it stale.  After moves from apply_move, a chain's sweep and
+    # the greedy descent, made while the other vertices' w are cached, every
+    # vertex's w (items and order) and loop weight must equal a fresh count,
+    # and the statistics a rebuilt state's.
+    num_blocks, edges, labels, seed = case
+    net = network_from_edges(10, edges)
+    rng = random.Random(seed)
+    state = BlockState(net, labels, num_blocks)
+    for _ in range(30):
+        _random_move(state, rng)
+        _assert_matches_a_fresh_count(state)
+
+    # A copy shares the cached dicts but not the cache: moving the copy and
+    # reading it leaves the original's answers as they were.
+    before = _read_every_vertex(state)
+    dup = state.copy()
+    for _ in range(30):
+        _random_move(dup, rng)
+        _assert_matches_a_fresh_count(dup)
+    assert _read_every_vertex(state) == before
+
+    _sweeper(state, rng, 1.0)(300, 0.0)
+    _assert_matches_a_fresh_count(state)
+    _assert_matches_a_fresh_count(_greedy_descent(net, num_blocks, rng))
 
 
 # --------------------------------------------------------------- greedy init

@@ -333,9 +333,11 @@ def test_neighbor_block_weights_follow_the_edge_order(case):
     st.integers(0, 2**32 - 1))))
 @settings(max_examples=60, deadline=None)
 def test_a_kernel_bound_before_moves_reads_as_a_fresh_one(case):
-    # The kernel binds b, the rows of e, e_row, n and eta once; moves must
-    # update them in place, so a kernel bound before a run of 60 moves sees
-    # exactly what one bound afterwards sees.
+    # The kernel binds b, the rows of e, e_row, n, eta and the state's cache
+    # of block weights once; moves must update them in place, so a kernel
+    # bound before a run of 60 moves sees exactly what a kernel on a state
+    # rebuilt from the final labels sees.  The rebuilt state has its own,
+    # empty cache, so its kernel counts every w afresh.
     num_blocks, edges, labels, seed = case
     net = network_from_edges(10, edges)
     state = BlockState(net, labels, num_blocks)
@@ -345,7 +347,7 @@ def test_a_kernel_bound_before_moves_reads_as_a_fresh_one(case):
         # With 10 vertices in at most 4 blocks some block has two or more.
         i = rng.choice([v for v in range(10) if state.n[state.b[v]] > 1])
         apply_move(state, i, rng.choice([s for s in range(num_blocks) if s != state.b[i]]))
-    fresh, _ = move_kernel(state)
+    fresh, _ = move_kernel(BlockState(net, state.b, num_blocks))
     targets = range(num_blocks)
     for i in range(10):
         r = state.b[i]

@@ -165,6 +165,14 @@ def test_context_validates_rows():
         ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), 0.0)
 
 
+def test_contexts_compare_and_hash_by_identity():
+    ctx = ObjectiveContext(np.eye(2), np.eye(2), 1.0)
+    other = ObjectiveContext(np.eye(2), np.eye(2), 1.0)
+    assert ctx == ctx and ctx != other
+    assert ctx in [other, ctx] and other not in [ctx]
+    assert len({ctx, other, ctx}) == 2
+
+
 # ------------------------------------------------------------------ gradient
 
 def test_gradient_zero_weights_closed_form():
