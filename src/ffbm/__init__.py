@@ -26,8 +26,6 @@ from .block_chain import (
     align_labels,
     estimate_responsibilities,
     mdl_partition,
-    mh_step,
-    propose_move,
     run_block_chain,
 )
 from .config import RunConfig, build_config

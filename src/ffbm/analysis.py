@@ -30,7 +30,7 @@ class WeightSummary:
 def summarize_weights(samples) -> WeightSummary:
     if len(samples) == 0:
         raise ValueError("need at least one weight sample")
-    stack = np.stack([np.asarray(w, dtype=np.float64) for w in samples])
+    stack = np.asarray(samples, dtype=np.float64)
     return WeightSummary(mean=stack.mean(axis=0), std=stack.std(axis=0, ddof=0))
 
 

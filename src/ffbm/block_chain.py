@@ -11,11 +11,11 @@ Each chain binds its state once.  ``_sweeper`` binds a proposal generator,
 the state's move kernel, ``dcsbm.move_kernel``, which scores and applies
 moves, and the proposal law, ``_proposal_probs``; each sweep is then one
 loop over N proposals that rejects emptying moves, scores the rest and
-applies the accepted ones.  The greedy initialiser scores every block of a
-vertex through its own bound kernel.  The bound references stay valid
-because moves update the state's b, e rows, e_row, n and eta in place and
-never rebind them.  ``propose_move`` is one draw of a fresh ``_proposals``
-and ``mh_step`` a one-proposal sweep.
+applies the accepted ones.  It is the only code that draws, scores and
+decides a partition-chain proposal.  The greedy initialiser scores every
+block of a vertex through its own bound kernel.  The bound references stay
+valid because moves update the state's b, e rows, e_row, n and eta in
+place and never rebind them.
 """
 
 from __future__ import annotations
@@ -74,9 +74,11 @@ def _proposal_probs(state: BlockState, eps: float):
     transition probabilities.  The reverse move is scored on the post-move
     counts, read off the current state: e_rr - 2 m_r - A_ii, e_rs + m_r - m_s
     and e_rt - w_t, where m_r counts i's non-loop half-edges into r and m_s
-    those into s.  An isolated vertex (k_i = 0) draws its target uniformly,
-    so both probabilities are 1/(N B).  The state's e and e_row are bound
-    once, as the move kernel binds them.
+    those into s.  One pass over w accumulates both sums, each in the order
+    of w.  A null move (s equal to r) is its own reverse.  An isolated
+    vertex (k_i = 0) draws its target uniformly, so both probabilities are
+    1/(N B).  The state's e and e_row are bound once, as the move kernel
+    binds them.
     """
     e, e_row, B = state.e, state.e_row, state.B
     degree = state.net.half_edges.degree
@@ -89,32 +91,28 @@ def _proposal_probs(state: BlockState, eps: float):
             uniform = 1.0 / (n_vert * B)
             return uniform, uniform
         scale = 1.0 / (n_vert * ki)
-
-        forward = 0.0
-        for t, wt in w.items():
-            forward += wt * (e[t][s] + eps) / (e_row[t] + eps_b)
-        forward *= scale
-
-        if s == r:
-            return forward, forward
-
-        # After the move, i's loop half-edges count towards s instead of r;
-        # the terms are summed in the order of w, with s last if w lacks it.
-        e_r = e[r]
+        # e is symmetric, so row s holds the forward terms' e_ts.  After the
+        # move, i's loop half-edges count towards s instead of r; s's
+        # reverse term comes last if w lacks s.
+        e_r, e_s = e[r], e[s]
         m_r = w.get(r, 0) - loops
         m_s = w.get(s, 0)
-        reverse = 0.0
+        forward = reverse = 0.0
         for t, wt in w.items():
+            row = e_row[t]
+            forward += wt * (e_s[t] + eps) / (row + eps_b)
             if t == r:
-                reverse += m_r * (e_r[r] - 2 * m_r - loops + eps) / (e_row[r] - ki + eps_b)
+                reverse += m_r * (e_r[r] - 2 * m_r - loops + eps) / (row - ki + eps_b)
             elif t == s:
-                reverse += (wt + loops) * (e_r[s] + m_r - m_s + eps) / (e_row[s] + ki + eps_b)
+                reverse += (wt + loops) * (e_r[s] + m_r - m_s + eps) / (row + ki + eps_b)
             else:
-                reverse += wt * (e_r[t] - wt + eps) / (e_row[t] + eps_b)
+                reverse += wt * (e_r[t] - wt + eps) / (row + eps_b)
+        forward *= scale
+        if s == r:
+            return forward, forward
         if loops and not m_s:
             reverse += loops * (e_r[s] + m_r + eps) / (e_row[s] + ki + eps_b)
-        reverse *= scale
-        return forward, reverse
+        return forward, reverse * scale
 
     return probs
 
@@ -211,29 +209,6 @@ def _sweeper(state: BlockState, rng: random.Random, eps: float):
         return s_now, nulls, emptying, moved
 
     return sweep
-
-
-def propose_move(state: BlockState, rng: random.Random, smoothing: float = 1.0):
-    """Draw a single-vertex move proposal.
-
-    Returns (vertex, target, log_forward, log_reverse) where the log values
-    are the exact proposal probabilities of the move and of its reversal.
-    """
-    i, s = next(_proposals(state, rng, smoothing))
-    r = state.b[i]
-    visit, _ = move_kernel(state)
-    w, loops, _ = visit(i, r, (), None)
-    forward, reverse = _proposal_probs(state, smoothing)(i, r, s, w, loops)
-    return i, s, math.log(forward), math.log(reverse)
-
-
-def mh_step(state: BlockState, cfg: BlockChainConfig, rng: random.Random) -> bool:
-    """One Metropolis-Hastings step; mutates the state on acceptance.
-
-    Returns True if the proposal was null or an accepted real move.
-    """
-    _, nulls, _, moved = _sweeper(state, rng, cfg.smoothing)(1, 0.0)
-    return nulls + moved == 1
 
 
 def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,

@@ -232,7 +232,7 @@ def write_weight_samples(path, samples, retained, feature_names):
     Columns are named 'block.feature' so the weight plots can be rebuilt
     from this file alone.
     """
-    num_blocks = samples[0].shape[0] if samples else 0
+    num_blocks = samples[0].shape[0] if len(samples) else 0
     _write_csv(path, ["t", *weight_column_names(num_blocks, feature_names)],
                ([t, *(repr(float(x)) for x in np.asarray(w).ravel())]
                 for t, w in zip(retained, samples)))

@@ -54,7 +54,7 @@ class WeightChainConfig:
 
 @dataclass
 class WeightChainResult:
-    samples: list  # retained B x D weight matrices, views of one buffer per stack
+    samples: np.ndarray  # retained K x B x D weight matrices, a view of one buffer per stack
     retained: list
     u_trace: np.ndarray  # objective after each iteration, incl. the initial draw
     acceptance_ratio: float
@@ -196,7 +196,7 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     chains = list(zip(labels, [rng.random for rng in rngs]))
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     slots = {t: k for k, t in enumerate(keep)}
-    kept = np.empty((size, len(keep)) + shape[1:])  # chain s's samples are views of kept[s]
+    kept = np.empty((size, len(keep)) + shape[1:])  # chain s's samples are kept[s]
     if 0 in slots:
         kept[:, 0] = weights
     # Row-major (iteration, chain) records, 8 and 1 bytes an entry.
@@ -249,7 +249,7 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     for s in range(size):
         u_trace, flags = trace[:, s].copy(), accepted[:, s].copy()
         results.append(WeightChainResult(
-            samples=list(kept[s]),
+            samples=kept[s],
             retained=list(keep),
             u_trace=u_trace,
             acceptance_ratio=float(flags.sum()) / cfg.iterations,

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 # Fixed stream ids so every consumer of the master seed draws from an
-# independent, reproducible substream.
+# independent, reproducible substream.  An id is never renumbered, so
+# retiring a stream moves no seed.
 _STREAMS = {
     "split": 1,
     "block-chain": 2,
     "weight-chain": 3,
-    "generator": 4,
     "reduced-weight-chain": 5,
 }
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ffbm import (
     ObjectiveContext,
+    WeightChainConfig,
     WeightSummary,
     block_accuracy,
     class_probabilities,
@@ -14,8 +15,10 @@ from ffbm import (
     loss_and_accuracy,
     mean_description_length,
     reduce_dimension,
+    run_weight_chain,
     summarize_weights,
 )
+from ffbm import analysis
 from ffbm.analysis import _BATCH_LOGITS
 from ffbm.softmax import _cross_entropy, _log_normaliser, _row_logits
 
@@ -325,3 +328,30 @@ def test_loss_and_accuracy_equal_the_two_pass_metrics(seed, num_vertices, num_bl
     assert accuracy.tobytes() == ref_accuracy.tobytes()
     assert cross_entropy_loss(samples, y, feats, subset) == loss
     assert block_accuracy(samples, y, feats, subset).tobytes() == accuracy.tobytes()
+
+
+def test_a_chains_samples_are_scored_and_summarised_in_place(monkeypatch):
+    # A chain's retained samples are one K x B x D block of its buffer; the
+    # metrics batch that block as it is, and the summary reads it as one array.
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(12, 3))
+    raw = rng.random((12, 2))
+    y = raw / raw.sum(axis=1, keepdims=True)
+    res = run_weight_chain(ObjectiveContext(feats, y, 1.0),
+                           WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=0))
+    batches = []
+    sample_logits = analysis._sample_logits
+
+    def recording(weight_samples, ctx):
+        for weights, logits in sample_logits(weight_samples, ctx):
+            batches.append(weights)
+            yield weights, logits
+
+    monkeypatch.setattr(analysis, "_sample_logits", recording)
+    loss, accuracy = loss_and_accuracy(res.samples, y, feats, np.arange(12))
+    assert len(batches) == 1 and np.shares_memory(batches[0], res.samples[0])
+    as_list = loss_and_accuracy(list(res.samples), y, feats, np.arange(12))
+    assert loss.hex() == as_list[0].hex() and accuracy.tobytes() == as_list[1].tobytes()
+    summary, from_list = summarize_weights(res.samples), summarize_weights(list(res.samples))
+    assert summary.mean.tobytes() == from_list.mean.tobytes()
+    assert summary.std.tobytes() == from_list.std.tobytes()

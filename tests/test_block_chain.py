@@ -21,9 +21,7 @@ from ffbm import (
     generate,
     load_polbooks,
     mdl_partition,
-    mh_step,
     network_from_edges,
-    propose_move,
     run_block_chain,
 )
 from ffbm import block_chain
@@ -75,13 +73,21 @@ def _block_weights(state, i):
     return w, loops
 
 
+def _propose(state, rng, eps=1.0):
+    """One draw of a fresh proposal generator, with its proposal probabilities
+    both ways: (vertex, target, forward, reverse)."""
+    i, s = next(_proposals(state, rng, eps))
+    w, loops = _block_weights(state, i)
+    return (i, s, *_proposal_probs(state, eps)(i, state.b[i], s, w, loops))
+
+
 def test_propose_single_block(bowtie):
     state = BlockState(bowtie, [0] * 5, 1)
     rng = random.Random(0)
     for _ in range(20):
-        i, s, log_fwd, log_rev = propose_move(state, rng)
+        i, s, fwd, rev = _propose(state, rng)
         assert s == 0
-        assert log_fwd == log_rev
+        assert fwd == rev
 
 
 def test_propose_huge_smoothing_is_uniform(bowtie):
@@ -89,8 +95,8 @@ def test_propose_huge_smoothing_is_uniform(bowtie):
     state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
     rng = random.Random(1)
     for _ in range(50):
-        i, s, log_fwd, _ = propose_move(state, rng, smoothing=1e12)
-        assert math.isclose(log_fwd, -math.log(5 * 2), rel_tol=1e-6)
+        i, s, fwd, _ = _propose(state, rng, eps=1e12)
+        assert math.isclose(math.log(fwd), -math.log(5 * 2), rel_tol=1e-6)
 
 
 def test_propose_forward_probabilities_sum_to_one(bowtie):
@@ -137,10 +143,13 @@ def test_propose_empirical_frequencies_match_closed_form():
     draws = 100_000
     counts = Counter()
     reported = {}
+    proposals = _proposals(state, rng, 1.0)
+    probs = _proposal_probs(state, 1.0)
     for _ in range(draws):
-        i, s, log_fwd, _ = propose_move(state, rng)
+        i, s = next(proposals)
         counts[(i, s)] += 1
-        reported[(i, s)] = math.exp(log_fwd)
+        w, loops = _block_weights(state, i)
+        reported[(i, s)] = probs(i, state.b[i], s, w, loops)[0]
     for key, p in expected.items():
         assert math.isclose(reported.get(key, p), p, rel_tol=1e-12)
         se = math.sqrt(p * (1 - p) / draws)
@@ -250,8 +259,8 @@ def test_draw_move_consumes_the_randrange_stream(seed):
 
 def test_draw_move_rejects_an_empty_network():
     net = network_from_edges(0, [])
-    with pytest.raises(ValueError):
-        propose_move(BlockState(net, [], 1), random.Random(0))
+    with pytest.raises(ValueError, match="empty network"):
+        _sweeper(BlockState(net, [], 1), random.Random(0), 1.0)(1, 0.0)
     proposals = _proposals(BlockState(net, [], 1), random.Random(0), 1.0)
     with pytest.raises(ValueError, match="empty network"):
         next(proposals)
@@ -329,10 +338,9 @@ def test_proposal_probs_match_the_pair_delta_formula_and_the_moved_state(case):
 
 def test_mh_step_never_empties_blocks(bowtie):
     state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
-    cfg = BlockChainConfig(iterations=10, seed=0)
-    rng = random.Random(5)
+    sweep = _sweeper(state, random.Random(5), 1.0)
     for _ in range(2000):
-        mh_step(state, cfg, rng)
+        sweep(1, 0.0)
         assert min(state.n) >= 1
 
 
@@ -340,75 +348,52 @@ def test_mh_step_accepts_noop():
     # With one block every proposal is the identity move and must be accepted.
     net = network_from_edges(3, [(0, 1), (1, 2)])
     state = BlockState(net, [0, 0, 0], 1)
-    cfg = BlockChainConfig(iterations=10, seed=0)
-    rng = random.Random(6)
-    assert all(mh_step(state, cfg, rng) for _ in range(50))
-
-
-def test_propose_move_and_mh_step_make_the_chains_draw(monkeypatch):
-    # Forced acceptance makes the chain's step reveal its (vertex, target) in
-    # the state; equal generator states afterwards show that all three
-    # consumed the same draws.  The graph has an isolated vertex and a loop.
-    monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: -math.inf))
-    net = network_from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 4)])
-    proposer = BlockState(net, [0, 0, 1, 1, 2, 2], 3)
-    chain, stepped = proposer.copy(), proposer.copy()
-    cfg = BlockChainConfig(iterations=10, seed=0)
-    rng_p, rng_c, rng_m = random.Random(8), random.Random(8), random.Random(8)
-    moves = 0
-    for _ in range(300):
-        i, s, _, _ = propose_move(proposer, rng_p)
-        r = proposer.b[i]
-        _sweeper(chain, rng_c, 1.0)(1, 0.0)
-        mh_step(stepped, cfg, rng_m)
-        if s != r and proposer.n[r] > 1:
-            apply_move(proposer, i, s)
-            moves += 1
-        assert chain.b == stepped.b == proposer.b
-        assert rng_c.getstate() == rng_m.getstate() == rng_p.getstate()
-    assert moves > 50
+    sweep = _sweeper(state, random.Random(6), 1.0)
+    assert all(sweep(1, 0.0)[1:] == (1, 0, 0) for _ in range(50))
 
 
 def test_degree_zero_vertices_move():
     net = network_from_edges(4, [(0, 1)])
     state = BlockState(net, [0, 0, 1, 1], 2)
-    cfg = BlockChainConfig(iterations=10, seed=0)
-    rng = random.Random(7)
+    sweep = _sweeper(state, random.Random(7), 1.0)
     seen = set()
     for _ in range(500):
-        mh_step(state, cfg, rng)
+        sweep(1, 0.0)
         seen.add(tuple(state.b))
         assert min(state.n) >= 1
     assert len(seen) > 1  # isolated vertices do get reassigned
 
 
 def _replay_steps(state, cfg, rng, count, s_now):
-    """count mh_step calls, each proposal first peeked at through propose_move
-    on a copy of the generator.  Returns the running S, with each accepted
-    delta read from delta_description_length before the step, and the tally
-    of outcomes: null, emptying, moved or rejected (by the acceptance test)."""
+    """count one-proposal sweeps, each bound afresh to the state, with each
+    proposal first peeked at through a fresh proposal generator on a copy of
+    the RNG.  Returns the running S, with each accepted delta read from
+    delta_description_length before the step, and the tally of outcomes:
+    null, emptying, moved or rejected (by the acceptance test)."""
     tally = Counter()
     peek = random.Random()
     for _ in range(count):
         peek.setstate(rng.getstate())
-        i, s, _, _ = propose_move(state, peek, cfg.smoothing)
+        i, s = next(_proposals(state, peek, cfg.smoothing))
         r = state.b[i]
         emptying = s != r and state.n[r] == 1
         delta = 0.0 if s == r or emptying else delta_description_length(state, i, s)
-        accepted = mh_step(state, cfg, rng)
+        s_step, *outcome = _sweeper(state, rng, cfg.smoothing)(1, s_now)
         moved = state.b[i] != r
-        assert accepted == (s == r or moved)
         if s == r or emptying:  # decided without an acceptance draw
             assert rng.getstate() == peek.getstate()
         if s == r:
-            tally["null"] += 1
+            kind = "null"
         elif emptying:
-            tally["emptying"] += 1
+            kind = "emptying"
         elif moved:
-            tally["moved"] += 1
+            kind = "moved"
             s_now += delta
         else:
-            tally["rejected"] += 1
+            kind = "rejected"
+        assert outcome == [kind == "null", kind == "emptying", kind == "moved"]
+        assert s_step.hex() == s_now.hex()
+        tally[kind] += 1
     return s_now, tally
 
 
@@ -419,8 +404,8 @@ def _same_state(a, b):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_generator_across_sweeps_equals_a_fresh_generator_per_step(seed):
     # The sweep binds b, e and e_row once; a stale reference after a move
-    # would make its draws or deltas differ from mh_step's, which rebinds
-    # them at every step.  Equal generator states after every sweep also
+    # would make its draws or deltas differ from a one-proposal sweep bound
+    # afresh at every step.  Equal generator states after every sweep also
     # show that a sweep draws no proposal past its count.
     net = _loopy_network()
     swept = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)

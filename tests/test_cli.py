@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,23 @@ def test_sample_blocks_writes_outputs(synthetic_dir, tmp_path):
         assert (out / name).is_file()
     header = (out / "block_samples.csv").read_text().splitlines()[0]
     assert header.split(",")[:2] == ["t", "v0"]
+
+
+# SHA-256 of the partition stage's outputs on polbooks at the default
+# settings and master seed 1.  They use no BLAS, so they pin every bit of
+# the greedy initialiser, the partition chain and the alignment.
+_POLBOOKS_PARTITION_STAGE = {
+    "block_samples.csv": "2f1673b9ca8bb9e1c2f1a0369610f9891fa6a94ac44a89bd2279149b936d7324",
+    "s_trace.csv": "d0c50c7fa62553aff424fa361549ad7ea369541d954d0abc948eb58cde2d91b9",
+    "responsibilities.csv": "da79eef2fb1b7c0c135e97c3527f5fa0d43b82e2eaf0ac45a6921c13869dd14d",
+}
+
+
+def test_sample_blocks_pinned_polbooks(tmp_path):
+    assert main(["sample-blocks", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _POLBOOKS_PARTITION_STAGE}
+    assert digests == _POLBOOKS_PARTITION_STAGE
 
 
 def test_sample_theta_then_reduce(synthetic_dir, tmp_path):
@@ -398,13 +416,15 @@ def test_repetitions_drop_their_partition_samples_before_the_weight_stage():
     # keeps its S trace and responsibilities for the metrics, but not its
     # retained partitions, so four repetitions peak less than one
     # repetition's partitions above one repetition; keeping them would add
-    # three times that.
-    off = 8.0 * 4 / (1000 * 13)
-    spec = ffbm.GeneratorSpec(num_vertices=1000, weights=3.0 * np.eye(4),
+    # three times that.  Under tracemalloc the cost is in the partition
+    # chains, so a small network with many retained sweeps keeps the
+    # partitions large beside the rest of a repetition at little cost.
+    off = 8.0 * 4 / (150 * 13)
+    spec = ffbm.GeneratorSpec(num_vertices=150, weights=3.0 * np.eye(4),
                               affinity=np.full((4, 4), off) + np.eye(4) * 9 * off,
                               feature_probs=np.full(4, 0.5), seed=3)
     net, _ = ffbm.generate(spec)
-    cfgs = {r: RunConfig(num_blocks=4, repetitions=r, init_restarts=1, block_iters=30,
+    cfgs = {r: RunConfig(num_blocks=4, repetitions=r, init_restarts=1, block_iters=100,
                          block_burn_in=0.0, block_thinning=1, theta_iters=100, seed=2)
             for r in (1, 4)}
     # Fills the lazy tables the traced runs read, and keeps the partitions.
@@ -419,7 +439,7 @@ def test_repetitions_drop_their_partition_samples_before_the_weight_stage():
             tracemalloc.stop()
         assert len(reports) == repetitions and artifacts is None
     samples = kept[0].block_result.samples
-    assert len(samples) == 31
+    assert len(samples) == 101
     assert peaks[4] - peaks[1] < sum(b.nbytes for b in samples)
 
 

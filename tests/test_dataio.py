@@ -192,6 +192,10 @@ def test_weight_samples_round_trip(tmp_path):
     assert np.allclose(np.stack(back), np.stack(samples))
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,0.alpha,0.beta,0.gamma,1.alpha")
+    # A chain hands its samples over as one K x B x D array.
+    stacked = tmp_path / "stacked.csv"
+    write_weight_samples(stacked, np.stack(samples), retained, ("alpha", "beta", "gamma"))
+    assert stacked.read_bytes() == path.read_bytes()
 
 
 # ------------------------------------------------------------ bundled dataset
