@@ -15,7 +15,7 @@ from .softmax import ObjectiveContext, _cross_entropy, _log_normaliser, _row_log
 _BATCH_LOGITS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSummary:
     """Entry-wise sample mean and standard deviation of the weight posterior.
 
@@ -34,7 +34,7 @@ def summarize_weights(samples) -> WeightSummary:
     return WeightSummary(mean=stack.mean(axis=0), std=stack.std(axis=0, ddof=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedFeatureSet:
     """Outcome of the posterior significance screen on features.
 

@@ -51,7 +51,7 @@ class BlockChainConfig:
         check_retention(self.iterations, self.burn_in, self.thinning)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockChainResult:
     samples: list  # retained partitions, np.ndarray each
     retained: list  # their iteration indices
@@ -212,7 +212,7 @@ def _sweeper(state: BlockState, rng: random.Random, eps: float):
 
 
 def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
-                  restarts: int = 8) -> BlockState:
+                  restarts: int = BlockChainConfig.init_restarts) -> BlockState:
     """Greedy minimum-description-length partition with a fixed block count.
 
     Each restart begins at a uniformly random labelling (patched so no block

@@ -100,19 +100,18 @@ def _build_parser():
     return parser
 
 
-def _write_block_outputs(out: Path, artifacts, prefix=""):
+def _write_block_outputs(out: Path, artifacts):
     block = artifacts.block_result
-    write_block_samples(out / f"{prefix}block_samples.csv", block.samples, block.retained)
-    write_trace(out / f"{prefix}s_trace.csv", block.s_trace, "S")
-    write_responsibilities(out / f"{prefix}responsibilities.csv", artifacts.responsibilities)
+    write_block_samples(out / "block_samples.csv", block.samples, block.retained)
+    write_trace(out / "s_trace.csv", block.s_trace, "S")
+    write_responsibilities(out / "responsibilities.csv", artifacts.responsibilities)
 
 
-def _write_theta_outputs(out: Path, artifacts, net, prefix=""):
+def _write_theta_outputs(out: Path, artifacts, net):
     wres = artifacts.weight_result
-    write_weight_samples(out / f"{prefix}theta_samples.csv", wres.samples,
-                         wres.retained, net.feature_names)
-    write_trace(out / f"{prefix}u_trace.csv", wres.u_trace, "U")
-    write_json(out / f"{prefix}theta_summary.json", {
+    write_weight_samples(out / "theta_samples.csv", wres.samples, wres.retained, net.feature_names)
+    write_trace(out / "u_trace.csv", wres.u_trace, "U")
+    write_json(out / "theta_summary.json", {
         "acceptance_ratio": wres.acceptance_ratio,
         "mean_objective": wres.mean_objective,
         "retained_samples": len(wres.samples),

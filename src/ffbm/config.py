@@ -29,24 +29,24 @@ class RunConfig:
 
     num_blocks: int = 3
     train_fraction: float = 0.7
-    sigma: float = 1.0
+    sigma: float = WeightChainConfig.sigma
 
-    block_iters: int = 1000
-    block_burn_in: float = 0.2
-    block_thinning: int = 5
-    proposal_smoothing: float = 1.0
-    init_restarts: int = 8
+    block_iters: int = BlockChainConfig.iterations
+    block_burn_in: float = BlockChainConfig.burn_in
+    block_thinning: int = BlockChainConfig.thinning
+    proposal_smoothing: float = BlockChainConfig.smoothing
+    init_restarts: int = BlockChainConfig.init_restarts
 
-    theta_iters: int = 10000
-    theta_burn_in: float = 0.4
-    theta_thinning: int = 10
-    step_scale: float = 0.05
+    theta_iters: int = WeightChainConfig.iterations
+    theta_burn_in: float = WeightChainConfig.burn_in
+    theta_thinning: int = WeightChainConfig.thinning
+    step_scale: float = WeightChainConfig.step_scale
 
     reduce_multiplier: float = 1.0
     reduce_dim: int = None
-    reduced_theta_iters: int = 10000
-    reduced_theta_burn_in: float = 0.4
-    reduced_theta_thinning: int = 10
+    reduced_theta_iters: int = WeightChainConfig.iterations
+    reduced_theta_burn_in: float = WeightChainConfig.burn_in
+    reduced_theta_thinning: int = WeightChainConfig.thinning
     reduced_step_scale: float = None  # defaults to step_scale
 
     repetitions: int = 10

@@ -20,7 +20,7 @@ from .softmax import class_probabilities
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * float(np.iinfo(np.int64).max) ** 0.5
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Planted-model description.
 
@@ -31,8 +31,9 @@ class GeneratorSpec:
     propensities: per-vertex positive degree multipliers, default all 1.
 
     Construction checks every value: N >= 0, at least one block, finite
-    weights, a finite, nonnegative, symmetric affinity, one rate in [0, 1]
-    per feature column, N finite positive propensities and seed >= 0.
+    weights, a finite, nonnegative, symmetric affinity, an N x D features
+    matrix or one rate in [0, 1] per feature column, N finite positive
+    propensities and seed >= 0.  A spec is frozen, so the checks hold.
     """
 
     num_vertices: int
@@ -44,8 +45,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.affinity = np.asarray(self.affinity, dtype=np.float64)
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "affinity", np.asarray(self.affinity, dtype=np.float64))
         if self.num_vertices < 0:
             raise ValueError(f"num_vertices must be nonnegative, got {self.num_vertices}")
         if self.seed < 0:
@@ -60,6 +61,9 @@ class GeneratorSpec:
         _check_affinity(self.affinity)
         if self.features is None and self.feature_probs is None:
             raise ValueError("provide either features or feature_probs")
+        if self.features is not None and np.shape(self.features) != (self.num_vertices, d):
+            raise ValueError(f"features must be a {self.num_vertices} x {d} matrix (one row per "
+                             f"vertex, one column per weight column), got shape {np.shape(self.features)}")
         if self.feature_probs is not None:
             probs = np.asarray(self.feature_probs, dtype=np.float64)
             if probs.shape != (d,):
@@ -192,13 +196,8 @@ def generate(spec: GeneratorSpec):
     n = spec.num_vertices
     if spec.features is not None:
         feats = np.asarray(spec.features)
-        if feats.shape[0] != n:
-            raise ValueError("explicit feature matrix has the wrong number of rows")
     else:
-        probs = np.asarray(spec.feature_probs, dtype=np.float64)
-        feats = (rng.random((n, probs.shape[0])) < probs).astype(np.int8)
-    if feats.shape[1] != spec.weights.shape[1]:
-        raise ValueError("feature count must match the planted weight columns")
+        feats = (rng.random((n, spec.weights.shape[1])) < spec.feature_probs).astype(np.int8)
 
     memberships = sample_memberships(feats, spec.weights, rng)
     edges = sample_poisson_graph(memberships, spec.affinity, spec.propensities, rng)

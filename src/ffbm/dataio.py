@@ -18,6 +18,12 @@ import numpy as np
 from .graph import LabelledNetwork, network_from_edges
 
 
+# A vertex count taken from edge ids alone may exceed this only when at least
+# half of the ids in [0, N) appear in an edge, so that N-sized arrays stay
+# linear in the size of the edge list.
+SPARSE_VERTEX_LIMIT = 1 << 16
+
+
 class DataFormatError(ValueError):
     """Malformed input data (maps to exit code 2 in the CLI)."""
 
@@ -44,7 +50,11 @@ def parse_edge_list(path):
 
     Repeated pairs accumulate multiplicity; u v and v u are the same edge.
     """
-    edges = []
+    return [edge for _, edge in _edge_lines(path)]
+
+
+def _edge_lines(path):
+    """(line number, (u, v, m)) of each edge line, checked as parse_edge_list says."""
     for lineno, line in content_lines(read_text(path)):
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -58,8 +68,22 @@ def parse_edge_list(path):
             raise DataFormatError(f"{path}:{lineno}: negative vertex id")
         if m <= 0:
             raise DataFormatError(f"{path}:{lineno}: multiplicity must be positive, got {m}")
-        edges.append((u, v, m))
-    return edges
+        yield lineno, (u, v, m)
+
+
+def _vertex_count(path, edges) -> int:
+    """N taken from edge ids alone: the largest id + 1, under the rule of
+    SPARSE_VERTEX_LIMIT; a breach names the first line with the largest id."""
+    n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+    if n > SPARSE_VERTEX_LIMIT:
+        seen = len({x for u, v, _ in edges for x in (u, v)})
+        if 2 * seen < n:
+            lineno = next(lineno for lineno, (u, v, _) in _edge_lines(path) if n - 1 in (u, v))
+            raise DataFormatError(
+                f"{path}:{lineno}: vertex id {n - 1} would make {n} vertices, of which only {seen} "
+                f"appear in an edge; without a feature file, a vertex count above "
+                f"{SPARSE_VERTEX_LIMIT} needs at least half of its ids in an edge")
+    return n
 
 
 def _read_table(path, key):
@@ -152,7 +176,10 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
     """Assemble a network from an edge list and optional feature files.
 
     The vertex count N is the row count of the first feature file given,
-    otherwise the largest edge endpoint + 1.
+    otherwise the largest edge endpoint + 1; that count may exceed
+    SPARSE_VERTEX_LIMIT only if at least half of the ids in [0, N) appear in
+    an edge, and a breach raises DataFormatError before anything N-sized is
+    built.
     """
     edges = parse_edge_list(edges_path)
     num_vertices, matrices, names = None, [], []
@@ -164,7 +191,7 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
             matrices.append(matrix)
             names.extend(block_names)
     if num_vertices is None:
-        num_vertices = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+        num_vertices = _vertex_count(edges_path, edges)
     feats = np.hstack(matrices) if matrices else None
     try:
         return network_from_edges(num_vertices, edges, feats, tuple(names))

@@ -3,10 +3,11 @@
 The joint density of a multigraph A under a fixed partition b factorises as
 p(A | k, e, b) * p(e | b) * p(k | e, b) * p(b | X), where the likelihood is a
 ratio of half-edge pairing counts and the priors follow the standard
-microcanonical construction.  The description length S(b) is the negative
-log of this joint, in nats.  Everything supports O(degree) incremental
-updates under single-vertex moves, which is the performance core of the
-partition sampler.
+microcanonical construction; p(b | X) = B^-N, the product of the vertices'
+uniform marginals, is not the joint law of b (log_partition_given_features).
+The description length S(b) is the negative log of this joint, in nats.
+Everything supports O(degree) incremental updates under single-vertex
+moves, which is the performance core of the partition sampler.
 
 Those updates have one implementation, ``move_kernel(state)``: it binds the
 state's statistics and the shared tables once and returns a visit, which

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelledNetwork:
     """Undirected multigraph with a binary feature matrix.
 
@@ -18,8 +18,8 @@ class LabelledNetwork:
     loop of multiplicity m adds 2m to its vertex.  The per-vertex neighbour
     lists live in ``half_edges``, one entry per half-edge.
 
-    Instances are immutable after construction and safe to share between
-    concurrently running samplers.
+    Instances are immutable after construction, safe to share between
+    concurrently running samplers, and compare and hash by identity.
     """
 
     num_vertices: int
@@ -27,9 +27,8 @@ class LabelledNetwork:
     features: np.ndarray  # N x D, entries in {0, 1}
     feature_names: tuple
 
-    # Derived, filled in __post_init__.
-    degrees: np.ndarray = field(default=None, repr=False)
-    num_edges: int = field(default=0)
+    degrees: np.ndarray = field(init=False, repr=False)
+    num_edges: int = field(init=False)
 
     def __post_init__(self):
         n = self.num_vertices
@@ -115,9 +114,9 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None) -
     return LabelledNetwork(num_vertices, edges, features, feature_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSplit:
-    """Random train/test partition of the vertex set."""
+    """Random train/test partition of the vertex set; compares by identity."""
 
     train: np.ndarray
     test: np.ndarray

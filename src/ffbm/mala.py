@@ -52,7 +52,7 @@ class WeightChainConfig:
         check_retention(self.iterations, self.burn_in, self.thinning)
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightChainResult:
     samples: np.ndarray  # retained K x B x D weight matrices, a view of one buffer per stack
     retained: list
@@ -145,16 +145,21 @@ def run_weight_chains(ctxs, cfgs) -> list:
     generator and draws from it exactly as alone, so chain s gives the same
     bytes whatever runs beside it.
 
-    U is checked where a chain's value changes: a non-finite U at the
-    initial draw or at an accepted proposal, or a NaN proposal U, raises
-    WeightChainError naming the iteration, with chain set to the index in
-    ctxs of the first chain to fail.  A proposal with U = +inf is an
-    ordinary rejection.
+    A chain's prior width is set twice, as ctx.sigma for the objective and
+    cfg.sigma for the initial draw; a chain whose two differ raises
+    ValueError before any chain draws.  U is checked where a chain's value
+    changes: a non-finite U at the initial draw or at an accepted proposal,
+    or a NaN proposal U, raises WeightChainError naming the iteration, with
+    chain set to the index in ctxs of the first chain to fail.  A proposal
+    with U = +inf is an ordinary rejection.
     """
     if len(ctxs) != len(cfgs):
         raise ValueError(f"{len(ctxs)} contexts but {len(cfgs)} chain configs")
     stacks = {}
     for s, (ctx, cfg) in enumerate(zip(ctxs, cfgs)):
+        if cfg.sigma != ctx.sigma:
+            raise ValueError(f"weight chain {s}: the context's prior width sigma={ctx.sigma!r} "
+                             f"differs from its config's sigma={cfg.sigma!r}")
         key = (ctx.rows.shape[0], ctx.num_blocks, ctx.num_features, ctx.size,
                cfg.iterations, cfg.burn_in, cfg.thinning, cfg.step_scale)
         stacks.setdefault(key, []).append(s)

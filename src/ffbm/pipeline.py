@@ -32,7 +32,7 @@ from .sampling import stream_seed_int, stream_seed_sequence
 from .softmax import ObjectiveContext
 
 
-@dataclass
+@dataclass(eq=False)
 class RepetitionArtifacts:
     """Chain-level outputs of one repetition, filled in stage by stage."""
 

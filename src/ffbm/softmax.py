@@ -237,6 +237,8 @@ def objective_gradient(weights: np.ndarray, ctx: ObjectiveContext) -> np.ndarray
 
 
 def log_partition_given_features(num_vertices: int, num_blocks: int) -> float:
-    """log p(b | X) = -N log B: the Gaussian weight prior is block-symmetric,
-    so integrating the weights out leaves a uniform law over partitions."""
+    """log p(b | X) = -N log B: integrating out the block-symmetric Gaussian
+    weight prior leaves each vertex's block uniform, but not the joint law of
+    b, since vertices share the weights: two with one nonzero feature row
+    share a block with probability above 1/B (0.637 at B = 2, sigma = 1)."""
     return -num_vertices * math.log(num_blocks)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import ffbm
-from ffbm import RunConfig, build_config, load_network, load_polbooks, pipeline
+from ffbm import RunConfig, build_config, config, load_network, load_polbooks, mdl_partition, pipeline
 from ffbm.cli import main
 from ffbm.dataio import DataFormatError
 
@@ -320,6 +321,40 @@ def test_run_config_rejects_non_finite_floats(name, value):
         RunConfig(**{name: value})
 
 
+def test_chain_keys_default_to_their_chain_fields():
+    for chain in (config.PARTITION_CHAIN, config.WEIGHT_CHAIN, config.REDUCED_WEIGHT_CHAIN):
+        assert (dataclasses.asdict(config.chain_config(RunConfig(), chain))
+                == dataclasses.asdict(chain.make())), chain.stage
+    restarts = inspect.signature(mdl_partition).parameters["restarts"].default
+    assert restarts == ffbm.BlockChainConfig().init_restarts
+
+
+def test_chain_key_defaults_are_read_from_the_chain_configs():
+    # Change every chain config default, then rebuild RunConfig: each chain
+    # key's default must follow, because the chain field is its one source.
+    code = (
+        "import dataclasses, importlib\n"
+        "from ffbm import BlockChainConfig, WeightChainConfig, config\n"
+        "changed = {}\n"
+        "for cls in (BlockChainConfig, WeightChainConfig):\n"
+        "    for f in dataclasses.fields(cls):\n"
+        "        if f.name != 'seed':\n"
+        "            value = f.default + 1 if isinstance(f.default, int) else f.default * 1.5\n"
+        "            setattr(cls, f.name, value)\n"
+        "            changed[cls, f.name] = value\n"
+        "config = importlib.reload(config)\n"
+        "for chain in (config.PARTITION_CHAIN, config.WEIGHT_CHAIN, config.REDUCED_WEIGHT_CHAIN):\n"
+        "    built = config.chain_config(config.RunConfig(), chain)\n"
+        "    for name, key in chain.keys.items():\n"
+        "        assert getattr(built, name) == changed[chain.make, name], key\n"
+        "print(len(changed))\n")
+    src = Path(ffbm.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "10"
+
+
 def test_pipeline_runs_the_chain_settings_it_validates(monkeypatch):
     cfg = RunConfig(block_iters=12, block_burn_in=0.25, block_thinning=3, proposal_smoothing=0.5,
                     init_restarts=2, theta_iters=30, theta_burn_in=0.1, theta_thinning=2,
@@ -536,3 +571,28 @@ def test_outputs_do_not_depend_on_the_locale(synthetic_dir, tmp_path):
         outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs["ascii"] == outputs["utf8"]
     assert "0.café,".encode() in outputs["ascii"]["theta_samples.csv"]
+
+
+def test_huge_vertex_id_exits_two_under_a_memory_cap(tmp_path):
+    # Without a feature file N comes from the edge ids, and an id of 10^10
+    # would ask for arrays of 10^10 entries.  The child caps its own address
+    # space at 4 GiB before importing anything, so a regression fails with a
+    # memory error instead of exhausting the machine.
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n# a far id\n1 10000000000\n")
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from ffbm.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(ffbm.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "sample-blocks", "--set", f"edges={edges}",
+         "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{edges}:3: vertex id 10000000000 " in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -228,6 +229,13 @@ def test_generate_explicit_features_validated():
                       feature_probs=np.array([0.5, 0.5]))
 
 
+def test_generator_spec_is_frozen_so_its_checks_hold():
+    spec = GeneratorSpec(num_vertices=2, weights=np.eye(2), affinity=np.eye(2),
+                         feature_probs=np.array([0.5, 0.5]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.features = np.zeros((1, 3))
+
+
 @pytest.mark.parametrize("field, value", [
     pytest.param("num_vertices", -1, id="negative-num-vertices"),
     pytest.param("seed", -1, id="negative-seed"),
@@ -238,6 +246,9 @@ def test_generate_explicit_features_validated():
     pytest.param("affinity", -np.eye(2), id="negative-affinity"),
     pytest.param("feature_probs", np.array([0.5]), id="too-few-rates"),
     pytest.param("feature_probs", np.array([0.5, 1.5]), id="rate-above-one"),
+    pytest.param("features", np.zeros((4, 2)), id="too-few-feature-rows"),
+    pytest.param("features", np.zeros((5, 3)), id="too-many-feature-columns"),
+    pytest.param("features", np.zeros(5), id="feature-vector"),
     pytest.param("propensities", np.ones(4), id="too-few-propensities"),
     pytest.param("propensities", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), id="infinite-propensity"),
     pytest.param("propensities", np.array([1.0, 0.0, 1.0, 1.0, 1.0]), id="zero-propensity"),

@@ -13,6 +13,7 @@ from ffbm import (
 )
 from ffbm.config import parse_config_file
 from ffbm.dataio import (
+    SPARSE_VERTEX_LIMIT,
     read_weight_samples,
     write_edge_list,
     write_features,
@@ -109,6 +110,24 @@ def test_load_network_infers_vertex_count(tmp_path):
     (tmp_path / "e.txt").write_text("0 4\n")
     net = load_network(tmp_path / "e.txt")
     assert net.num_vertices == 5
+
+
+@pytest.mark.parametrize("low_ids, ok", [(SPARSE_VERTEX_LIMIT // 2, True),
+                                         (SPARSE_VERTEX_LIMIT // 2 - 1, False)])
+def test_sparse_vertex_ids_need_half_of_them_in_edges(tmp_path, low_ids, ok):
+    # Ids 0 .. low_ids - 1 in a path, then one far id making N = limit + 2,
+    # of which low_ids + 1 appear in an edge: half of N at the first value.
+    far = SPARSE_VERTEX_LIMIT + 1
+    lines = [f"{i} {i + 1}\n" for i in range(low_ids - 1)] + [f"0 {far}\n", f"1 {far}\n"]
+    (tmp_path / "e.txt").write_text("".join(lines))
+    if ok:
+        assert load_network(tmp_path / "e.txt").num_vertices == far + 1
+    else:
+        with pytest.raises(DataFormatError, match=rf"e.txt:{low_ids}: vertex id {far}\b"):
+            load_network(tmp_path / "e.txt")
+    # A feature file sets N, and an id beyond it is an error of its own.
+    (tmp_path / "f.csv").write_text("vertex,flag\n" + "".join(f"{i},0\n" for i in range(far + 1)))
+    assert load_network(tmp_path / "e.txt", tmp_path / "f.csv").num_vertices == far + 1
 
 
 @pytest.mark.parametrize("kind, text", [

@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffbm import network_from_edges, split_vertices
+from ffbm import (
+    BlockChainConfig,
+    GeneratorSpec,
+    LabelledNetwork,
+    ObjectiveContext,
+    RunConfig,
+    WeightChainConfig,
+    load_polbooks,
+    network_from_edges,
+    reduce_dimension,
+    run_block_chain,
+    run_weight_chain,
+    split_vertices,
+    summarize_weights,
+)
+from ffbm.pipeline import partition_stage
 
 from conftest import random_multigraph
 
@@ -43,6 +58,35 @@ def test_edge_validation():
         network_from_edges(3, [(0, 1, 0)])
     with pytest.raises(ValueError):
         network_from_edges(2, [(0, 1)], features=np.array([[2]]), feature_names=("a",))
+
+
+@pytest.mark.parametrize("derived", [{"degrees": np.array([1, 1])}, {"num_edges": 99}])
+def test_derived_fields_are_not_constructor_options(derived):
+    with pytest.raises(TypeError):
+        LabelledNetwork(2, ((0, 1, 1),), np.zeros((2, 0)), (), **derived)
+
+
+def test_records_over_arrays_compare_and_hash_by_identity():
+    # Each record whose fields hold arrays, built twice with equal values.
+    tiny = network_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    summary = summarize_weights([np.eye(2)])
+    ctx = ObjectiveContext(np.eye(2), np.eye(2), 1.0)
+    cfg = RunConfig(block_iters=4, block_burn_in=0.0, block_thinning=1, init_restarts=1)
+    makers = [
+        load_polbooks,
+        lambda: split_vertices(10, 0.5, seed=1),
+        lambda: summarize_weights([np.eye(2)]),
+        lambda: reduce_dimension(summary, 1.0, 1),
+        lambda: GeneratorSpec(num_vertices=2, weights=np.eye(2), affinity=np.eye(2),
+                              features=np.eye(2, dtype=np.int8)),
+        lambda: run_block_chain(tiny, 2, BlockChainConfig(iterations=4, burn_in=0.0, thinning=1,
+                                                          init_restarts=1)),
+        lambda: run_weight_chain(ctx, WeightChainConfig(iterations=4, burn_in=0.0, thinning=1)),
+        lambda: partition_stage(tiny, cfg, 0),
+    ]
+    for a, b in ((make(), make()) for make in makers):
+        assert a == a and a != b, type(a).__name__
+        assert len({a, b, a}) == 2, type(a).__name__
 
 
 def test_duplicate_edges_accumulate():

@@ -18,6 +18,7 @@ from ffbm import (
     run_weight_chains,
     step_size,
 )
+from ffbm import mala
 from ffbm.sampling import retained_indices
 from ffbm.softmax import objective_kernel, stack_views
 
@@ -398,3 +399,16 @@ def test_proposal_log_density_of_vectors_is_vdot():
     values = proposal_log_density(frm, to, grad, 0.01)
     assert values.shape == (2, 3)
     assert values[1, 2] == proposal_log_density(frm[1, 2], to[1, 2], grad[1, 2], 0.01)
+
+
+def test_prior_width_mismatch_raises_before_any_draw(monkeypatch):
+    # The objective reads ctx.sigma and the initial draw cfg.sigma: a chain
+    # whose two differ would start from the wrong prior.  The check covers
+    # every chain before any stack runs, also a later stack's chain.
+    monkeypatch.setattr(mala, "_run_stack", lambda *args: pytest.fail("a stack ran"))
+    with pytest.raises(ValueError, match=r"weight chain 1\b.*sigma=2\.0.*sigma=1\.0"):
+        run_weight_chains([gaussian_context(), ObjectiveContext(np.eye(2), np.eye(2), 2.0)],
+                          [WeightChainConfig(), WeightChainConfig()])
+    ctx = ObjectiveContext(np.array([[1.0]]), np.array([[1.0]]), 2.0)
+    with pytest.raises(ValueError, match="weight chain 0"):
+        run_weight_chain(ctx, WeightChainConfig())
