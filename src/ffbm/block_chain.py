@@ -6,16 +6,19 @@ with probability (e_{t s} + eps) / (e_t + eps B) where t is j's block; the
 Hastings correction for this proposal is computed exactly.  Moves that
 would empty a block are rejected so the block count stays fixed.
 
-Each chain binds its state once.  ``_sweeper`` binds a proposal generator,
-``_proposals`` (the RNG, the half-edge table and the state's statistics),
-the state's move kernel, ``dcsbm.move_kernel``, which scores and applies
-moves, and the proposal law, ``_proposal_probs``; each sweep is then one
-loop over N proposals that rejects emptying moves, scores the rest and
-applies the accepted ones.  It is the only code that draws, scores and
-decides a partition-chain proposal.  The greedy initialiser scores every
-block of a vertex through its own bound kernel.  The bound references stay
-valid because moves update the state's b, e rows, e_row, n and eta in
-place and never rebind them.
+Each chain binds its state once.  ``_sweeper`` binds a stream of proposal
+uniforms, drawn by ``_proposal_draws`` in numpy chunks of ``_CHUNK``
+proposals from the chain's own ``np.random.Generator``, the state's move
+kernel, ``dcsbm.move_kernel``, which scores and applies moves, and the
+proposal law, ``_proposal_probs``; each sweep is then one loop over N
+proposals that picks each target, rejects emptying moves, scores the rest
+and applies the accepted ones.  It is the only code that draws, scores and
+decides a partition-chain proposal.  Every proposal reads four doubles of
+the generator, used or not, so the chain's output does not depend on the
+chunk length.  The greedy initialiser draws from ``random.Random`` and
+scores every block of a vertex through its own bound kernel.  The bound
+references stay valid because moves update the state's b, e rows, e_row, n
+and eta in place and never rebind them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -43,6 +47,8 @@ class BlockChainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.smoothing <= 0:
             raise ValueError("proposal smoothing must be positive")
         if self.init_restarts < 1:
@@ -117,81 +123,84 @@ def _proposal_probs(state: BlockState, eps: float):
     return probs
 
 
-def _proposals(state: BlockState, rng: random.Random, eps: float):
-    """Yield the (vertex, target block) of each proposal; the chain's only proposal draw.
+# Proposals drawn per numpy call.  The chain's output does not depend on it:
+# proposal k reads doubles 4k to 4k+3 of the sweep generator, whatever the
+# chunk, and nothing else reads that generator.
+_CHUNK = 4096
 
-    The vertex is uniform.  An isolated vertex gets a uniform target; any
-    other picks a uniform half-edge, whose far end lies in block t, and then
-    target s with probability (e_ts + eps) / (e_t + eps B).  The two uniform
-    integers are drawn as ``random.Random.randrange`` draws them, by
-    rejection on getrandbits(n.bit_length()), so the chain consumes the same
-    random stream as randrange without its call overhead.
 
-    The RNG methods, the half-edge lists and the state's b, e and e_row are
-    bound once, when the first proposal is drawn: they are valid for as long
-    as the state is moved only through a move kernel, which mutates them in
-    place.  Raises ``ValueError`` at the first draw on an empty network.
+def _proposal_draws(half_edges, rng: np.random.Generator, count: int):
+    """The random part of ``count`` proposals: an iterator of (i, j, u, v) tuples.
+
+    Proposal k reads doubles 4k to 4k+3 of ``rng.random``'s stream: vertex
+    i = floor(u0 N), the far end j = ends[i][floor(u1 k_i)] of a uniform
+    half-edge of i (-1 if i is isolated), the target uniform u = u2 and the
+    acceptance uniform v = u3.  Raises ``ValueError`` on an empty network.
+
+    The tuples zip memoryviews of the arrays, so each Python number is made
+    as it is read and freed after its step, not held for the whole chunk.
     """
-    getrandbits, randrange, uniform = rng.getrandbits, rng.randrange, rng.random
-    half_edges = state.net.half_edges
-    n, vertex_bits = half_edges.num_vertices, half_edges.vertex_bits
-    degree, bits, ends = half_edges.degree, half_edges.bits, half_edges.ends
-    b, e, e_row, B = state.b, state.e, state.e_row, state.B
-    eps_b = eps * B
-    blocks = range(B)
-    if not n:
+    n_vert = half_edges.num_vertices
+    if not n_vert:
         raise ValueError("cannot draw a vertex from an empty network")
-    while True:
-        i = getrandbits(vertex_bits)
-        while i >= n:
-            i = getrandbits(vertex_bits)
-        ki = degree[i]
-        if ki == 0:
-            yield i, randrange(B)
-            continue
-        k = bits[i]
-        x = getrandbits(k)
-        while x >= ki:
-            x = getrandbits(k)
-        t = b[ends[i][x]]
-        e_t = e[t]
-        u = uniform() * (e_row[t] + eps_b)
-        run = 0.0
-        for s in blocks:  # a scan that runs out leaves s at B - 1
-            run += e_t[s] + eps
-            if u < run:
-                break
-        yield i, s
+    u = rng.random((count, 4)).T.copy()
+    i = (u[0] * n_vert).astype(np.intp)
+    j = half_edges.flat[half_edges.start[i] + (u[1] * half_edges.width[i]).astype(np.intp)]
+    return zip(memoryview(i), memoryview(j), memoryview(u[2]), memoryview(u[3]))
 
 
-def _sweeper(state: BlockState, rng: random.Random, eps: float):
+def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
     """Bind a chain once; return sweep(count, s_now), which runs ``count``
     Metropolis-Hastings steps.
 
-    The proposals come from one ``_proposals`` generator on this state, rng
-    and eps, shared by every call of sweep, and the moves are scored and
-    applied by one ``move_kernel``.  A null proposal (s equal to i's block
-    r) is accepted at once and a move that would empty r is rejected; any
-    other is scored (the move's delta S, then the proposal probabilities
-    both ways) and accepted with probability
-    min(1, exp(-delta S) q_reverse / q_forward).  Accepted deltas are added
-    to s_now in step order.  A call never draws a proposal past ``count``.
+    The proposals' uniforms come from one stream of ``_proposal_draws``
+    chunks of ``_CHUNK`` proposals on rng, shared by every call of sweep, and
+    the moves are scored and applied by one ``move_kernel``.  The target of
+    vertex i is floor(u B) if i is isolated; otherwise t is the block of the
+    drawn neighbour j and s is the first block with u (e_t + eps B) below
+    sum_{s' <= s} (e_ts' + eps), scanning up from 0 (B - 1 if the scan runs
+    out).  A null proposal (s equal to i's block r) is accepted at once and
+    a move that would empty r is rejected; any other is scored (the move's
+    delta S, then the proposal probabilities both ways) and accepted if
+    log alpha = -delta S + log q_reverse - log q_forward is nonnegative or v
+    < exp(log alpha).  Accepted deltas are added to s_now in step order.
 
     sweep returns (s_now, null proposals, emptying rejections, accepted real
     moves); the other count - sum(...) steps were rejected by the
-    acceptance test.
+    acceptance test.  The state's b, e and e_row are bound here: they stay
+    valid for as long as the state is moved only through a move kernel,
+    which mutates them in place.
     """
-    proposals = _proposals(state, rng, eps)
+    half_edges = state.net.half_edges
+
+    def chunks():
+        while True:
+            yield _proposal_draws(half_edges, rng, _CHUNK)
+
+    draws = chain.from_iterable(chunks())
     visit, move = move_kernel(state)
     probs = _proposal_probs(state, eps)
-    b, n = state.b, state.n
-    log, exp, uniform = math.log, math.exp, rng.random
-    out = [0.0] * state.B
+    b, e, e_row, n, B = state.b, state.e, state.e_row, state.n, state.B
+    eps_b = eps * B
+    blocks = range(B)
+    log, exp = math.log, math.exp
+    out = [0.0] * B
 
     def sweep(count, s_now):
         nulls = emptying = moved = 0
-        for _, (i, s) in zip(range(count), proposals):
+        for i, j, u, v in islice(draws, count):
             r = b[i]
+            if j < 0:
+                s = int(u * B)
+            else:
+                t = b[j]
+                e_t = e[t]
+                u *= e_row[t] + eps_b
+                run = 0.0
+                for s in blocks:  # a scan that runs out leaves s at B - 1
+                    run += e_t[s] + eps
+                    if u < run:
+                        break
             if s == r:
                 nulls += 1
                 continue
@@ -202,7 +211,7 @@ def _sweeper(state: BlockState, rng: random.Random, eps: float):
             forward, reverse = probs(i, r, s, w, loops)
             delta = out[s]
             log_alpha = -delta + (log(reverse) - log(forward))
-            if log_alpha >= 0.0 or uniform() < exp(log_alpha):
+            if log_alpha >= 0.0 or v < exp(log_alpha):
                 move(i, r, s, w, loops)
                 s_now += delta
                 moved += 1
@@ -279,7 +288,12 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
 
 
 def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig) -> BlockChainResult:
-    """Run the partition sampler and return retained samples plus the S trace."""
+    """Run the partition sampler and return retained samples plus the S trace.
+
+    cfg.seed seeds two streams: ``random.Random`` for the greedy initialiser
+    and ``np.random.default_rng`` for the sweeps' proposal and acceptance
+    uniforms.
+    """
     rng = random.Random(cfg.seed)
     state = mdl_partition(net, num_blocks, rng, restarts=cfg.init_restarts)
     reference = state.partition()
@@ -295,7 +309,7 @@ def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig
         samples.append(state.partition())
 
     n_vert = max(net.num_vertices, 1)
-    sweep = _sweeper(state, rng, cfg.smoothing)
+    sweep = _sweeper(state, np.random.default_rng(cfg.seed), cfg.smoothing)
     nulls = emptying = moved = 0
     for it in range(1, cfg.iterations + 1):
         s_now, sweep_nulls, sweep_emptying, sweep_moved = sweep(n_vert, s_now)

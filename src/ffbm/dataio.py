@@ -86,6 +86,16 @@ def _vertex_count(path, edges) -> int:
     return n
 
 
+def _check_vertex_ids(path, edges, num_vertices, source) -> None:
+    """Raise DataFormatError at the first edge line with an id at or beyond
+    num_vertices, the count that the feature file ``source`` sets."""
+    if max((max(u, v) for u, v, _ in edges), default=-1) >= num_vertices:
+        lineno, vid = next((lineno, x) for lineno, edge in _edge_lines(path)
+                           for x in edge[:2] if x >= num_vertices)
+        raise DataFormatError(
+            f"{path}:{lineno}: vertex id {vid} outside [0, {num_vertices}) set by {source}")
+
+
 def _read_table(path, key):
     """Columns and rows of a CSV file whose first column holds integer keys.
 
@@ -176,7 +186,8 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
     """Assemble a network from an edge list and optional feature files.
 
     The vertex count N is the row count of the first feature file given,
-    otherwise the largest edge endpoint + 1; that count may exceed
+    and an edge id at or beyond it raises DataFormatError naming its line.
+    Otherwise N is the largest edge endpoint + 1; that count may exceed
     SPARSE_VERTEX_LIMIT only if at least half of the ids in [0, N) appear in
     an edge, and a breach raises DataFormatError before anything N-sized is
     built.
@@ -187,6 +198,8 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
                         (categorical_path, parse_categorical_features)):
         if path is not None:
             matrix, block_names = parse(path, num_vertices)
+            if num_vertices is None:
+                _check_vertex_ids(edges_path, edges, matrix.shape[0], path)
             num_vertices = matrix.shape[0]
             matrices.append(matrix)
             names.extend(block_names)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -76,31 +77,35 @@ class LabelledNetwork:
 
 
 class HalfEdgeTable:
-    """Flat per-vertex lists for drawing the far end of a uniformly chosen half-edge.
+    """Per-vertex half-edge lists: rows for the move kernel, flat arrays for drawing.
 
     ends[i] holds one entry per half-edge of vertex i, in the order of
     ``net.edges``: an edge (u, v, m) puts v m times in ends[u] and u m times
     in ends[v], so a loop of multiplicity m puts i 2m times in ends[i] and
     len(ends[i]) is vertex i's degree.  loops[i] is ends[i].count(i), vertex
-    i's loop weight A_ii.  For a uniform integer x in [0, degree[i]), the
-    half-edge's far end is ends[i][x].  bits[i] is
-    degree[i].bit_length() and vertex_bits is num_vertices.bit_length():
-    the widths that ``random.Random.randrange`` draws with.
+    i's loop weight A_ii.
+
+    flat lays the rows end to end in one int array, an isolated vertex's
+    empty row standing as the single entry -1; row i starts at start[i] and
+    has width[i] = max(degree[i], 1) entries.  So for u uniform in [0, 1),
+    flat[start[i] + floor(u width[i])] is the far end of a uniform half-edge
+    of i, or -1 if i has none, and a vectorised draw needs one gather.
     """
 
-    __slots__ = ("num_vertices", "vertex_bits", "degree", "bits", "ends", "loops")
+    __slots__ = ("num_vertices", "degree", "ends", "loops", "flat", "start", "width")
 
     def __init__(self, net: LabelledNetwork):
         self.num_vertices = int(net.num_vertices)
-        self.vertex_bits = self.num_vertices.bit_length()
         self.degree = [int(x) for x in net.degrees]
-        self.bits = [k.bit_length() for k in self.degree]
         ends = [[] for _ in range(self.num_vertices)]
         for u, v, m in net.edges:
             ends[u].extend([v] * m)
             ends[v].extend([u] * m)
         self.ends = ends
         self.loops = [row.count(i) for i, row in enumerate(ends)]
+        self.flat = np.fromiter(chain.from_iterable(row or (-1,) for row in ends), dtype=np.intp)
+        self.width = np.maximum(net.degrees, 1).astype(np.intp)
+        self.start = np.cumsum(self.width) - self.width
 
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:

@@ -51,6 +51,12 @@ def stream_seed_sequence(master_seed: int, stream: str, repetition: int = 0) -> 
 
 
 def stream_seed_int(master_seed: int, stream: str, repetition: int = 0) -> int:
-    """128-bit integer seed for the named substream (for random.Random)."""
+    """128-bit integer seed for the named substream.
+
+    It seeds a partition chain (stream "block-chain"), whose
+    ``BlockChainConfig.seed`` it becomes: ``random.Random`` of it drives
+    only the greedy initialiser, and ``np.random.default_rng`` of it the
+    sweeps' proposal and acceptance draws.
+    """
     words = stream_seed_sequence(master_seed, stream, repetition).generate_state(2, np.uint64)
     return (int(words[0]) << 64) | int(words[1])

@@ -29,8 +29,8 @@ from ffbm import dcsbm
 from ffbm.block_chain import (
     _greedy_descent,
     _min_cost_assignment,
+    _proposal_draws,
     _proposal_probs,
-    _proposals,
     _sweeper,
 )
 from ffbm.dcsbm import apply_move, move_kernel
@@ -62,6 +62,10 @@ def test_config_validation():
         BlockChainConfig(smoothing=0.0)
     with pytest.raises(ValueError):
         BlockChainConfig(burn_in=1.2)
+    # The seed also seeds the sweeps' numpy generator, which takes no
+    # negative seed.
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        BlockChainConfig(seed=-1)
 
 
 # ----------------------------------------------------------------- proposals
@@ -73,29 +77,61 @@ def _block_weights(state, i):
     return w, loops
 
 
-def _propose(state, rng, eps=1.0):
-    """One draw of a fresh proposal generator, with its proposal probabilities
-    both ways: (vertex, target, forward, reverse)."""
-    i, s = next(_proposals(state, rng, eps))
-    w, loops = _block_weights(state, i)
-    return (i, s, *_proposal_probs(state, eps)(i, state.b[i], s, w, loops))
+def _swept_proposals(monkeypatch, state, rng, count, eps=1.0):
+    """The (vertex, target) of each of ``count`` proposals as one sweep on
+    the state decides them.  Every scored move is rejected (its delta reads
+    +inf), so the state stays put and a proposal the sweep does not score is
+    a null one; no block may be a singleton, or an emptying move would pass
+    for a null one."""
+    assert min(state.n) > 1
+    vertices, targets = [], {}
+    draws = block_chain._proposal_draws
+
+    def recorded_draws(half_edges, rng, chunk):
+        for draw in draws(half_edges, rng, chunk):
+            vertices.append(draw[0])
+            yield draw
+
+    def rejecting_kernel(state):
+        visit, move = dcsbm.move_kernel(state)
+
+        def scored(i, r, asked, out):
+            w, loops, best = visit(i, r, asked, out)
+            (s,) = asked
+            targets[len(vertices) - 1] = s
+            out[s] = math.inf
+            return w, loops, best
+
+        return scored, move
+
+    with monkeypatch.context() as patch:
+        patch.setattr(block_chain, "_proposal_draws", recorded_draws)
+        patch.setattr(block_chain, "move_kernel", rejecting_kernel)
+        _, nulls, emptying, moved = _sweeper(state, rng, eps)(count, 0.0)
+    assert len(vertices) == count and nulls == count - len(targets)
+    assert emptying == moved == 0
+    return [(i, targets.get(k, state.b[i])) for k, i in enumerate(vertices)]
 
 
-def test_propose_single_block(bowtie):
+def _propose(monkeypatch, state, rng, count, eps=1.0):
+    """The swept proposals with their proposal probabilities both ways:
+    (vertex, target, forward, reverse) each."""
+    probs = _proposal_probs(state, eps)
+    return [(i, s, *probs(i, state.b[i], s, *_block_weights(state, i)))
+            for i, s in _swept_proposals(monkeypatch, state, rng, count, eps)]
+
+
+def test_propose_single_block(bowtie, monkeypatch):
     state = BlockState(bowtie, [0] * 5, 1)
-    rng = random.Random(0)
-    for _ in range(20):
-        i, s, fwd, rev = _propose(state, rng)
+    for i, s, fwd, rev in _propose(monkeypatch, state, np.random.default_rng(0), 20):
         assert s == 0
         assert fwd == rev
 
 
-def test_propose_huge_smoothing_is_uniform(bowtie):
+def test_propose_huge_smoothing_is_uniform(bowtie, monkeypatch):
     # eps -> inf: p(s|t) -> 1/B, so the move probability is 1/(N B).
     state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
-    rng = random.Random(1)
-    for _ in range(50):
-        i, s, fwd, _ = _propose(state, rng, eps=1e12)
+    for i, s, fwd, _ in _propose(monkeypatch, state, np.random.default_rng(1), 50, eps=1e12):
         assert math.isclose(math.log(fwd), -math.log(5 * 2), rel_tol=1e-6)
 
 
@@ -133,23 +169,17 @@ def closed_form_proposal_probs(state, eps=1.0):
     return probs
 
 
-def test_propose_empirical_frequencies_match_closed_form():
-    # Monte Carlo on a 4-vertex two-block graph versus the closed form.
+def test_propose_empirical_frequencies_match_closed_form(monkeypatch):
+    # Monte Carlo on a 4-vertex two-block graph versus the closed form; the
+    # targets are the ones the sweep picks from the chunked draws.
     net = network_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     state = BlockState(net, [0, 0, 1, 1], 2)
     expected = closed_form_proposal_probs(state)
     assert math.isclose(sum(expected.values()), 1.0, rel_tol=1e-12)
-    rng = random.Random(2)
     draws = 100_000
-    counts = Counter()
-    reported = {}
-    proposals = _proposals(state, rng, 1.0)
+    counts = Counter(_swept_proposals(monkeypatch, state, np.random.default_rng(2), draws))
     probs = _proposal_probs(state, 1.0)
-    for _ in range(draws):
-        i, s = next(proposals)
-        counts[(i, s)] += 1
-        w, loops = _block_weights(state, i)
-        reported[(i, s)] = probs(i, state.b[i], s, w, loops)[0]
+    reported = {(i, s): probs(i, state.b[i], s, *_block_weights(state, i))[0] for i, s in counts}
     for key, p in expected.items():
         assert math.isclose(reported.get(key, p), p, rel_tol=1e-12)
         se = math.sqrt(p * (1 - p) / draws)
@@ -207,23 +237,29 @@ def test_detailed_balance_spot_check(bowtie):
         checked += 1
 
 
-def _randrange_draw(state, rng, eps, neighbours, cumulative):
-    """The proposal draw written with randrange and a bisect over cumulative
-    multiplicities, as the chain drew it before the flat half-edge table."""
-    net, num_blocks = state.net, state.B
-    i = rng.randrange(net.num_vertices)
-    ki = int(net.degrees[i])
-    if ki == 0:
-        return i, rng.randrange(num_blocks)
-    x = rng.randrange(ki)
-    t = state.b[neighbours[i][bisect_right(cumulative[i], x)]]
-    u = rng.random() * (state.e_row[t] + eps * num_blocks)
-    run = 0.0
-    for s in range(num_blocks):
-        run += state.e[t][s] + eps
-        if u < run:
-            return i, s
-    return i, num_blocks - 1
+def _scanned_target(state, j, u, eps):
+    """The target of a draw with far end j and target uniform u, read off a
+    bisect over the cumulative smoothed row of j's block."""
+    num_blocks = state.B
+    if j < 0:
+        return int(u * num_blocks)
+    t = state.b[j]
+    cumulative = list(itertools.accumulate(x + eps for x in state.e[t]))
+    return min(bisect_right(cumulative, u * (state.e_row[t] + eps * num_blocks)), num_blocks - 1)
+
+
+def test_isolated_vertex_gets_a_uniform_target(monkeypatch):
+    # Vertex 6 has no edge: its target is floor(u B), each block with
+    # probability 1/B whatever the blocks' edge counts.
+    net = network_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 0, 3)])
+    state = BlockState(net, [0, 0, 1, 1, 2, 2, 0], 3)
+    draws = 70_000
+    targets = Counter(s for i, s in
+                      _swept_proposals(monkeypatch, state, np.random.default_rng(4), draws) if i == 6)
+    total = sum(targets.values())
+    assert abs(total / draws - 1 / 7) < 3.5 * math.sqrt(6 / 49 / draws)
+    for s in range(3):
+        assert abs(targets[s] / total - 1 / 3) < 3.5 * math.sqrt(2 / 9 / total), (s, targets)
 
 
 def _loopy_network():
@@ -233,37 +269,30 @@ def _loopy_network():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_draw_move_consumes_the_randrange_stream(seed):
-    # Loops (one with multiplicity 2), parallel edges, degrees that are powers
-    # of two and an isolated vertex (7); 8 vertices make the vertex draw reject.
+def test_chain_output_does_not_depend_on_the_chunk(monkeypatch, seed):
+    # Loops (one with multiplicity 2), parallel edges and an isolated vertex
+    # (7).  Proposal k reads doubles 4k to 4k+3 of the sweep generator
+    # however they are chunked: one proposal per draw, a chunk that does not
+    # divide a sweep and one chunk for the whole chain give the default's
+    # S trace, samples and counts bit for bit.
     net = _loopy_network()
-    pairs = neighbour_pairs(net)
-    neighbours = [[j for j, _ in pairs[i]] for i in range(8)]
-    cumulative = [list(itertools.accumulate(a for _, a in pairs[i])) for i in range(8)]
-    ours = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
-    theirs = ours.copy()
-    rng_new, rng_old = random.Random(seed), random.Random(seed)
-    proposals = _proposals(ours, rng_new, 0.5)
-    moves = 0
-    for _ in range(5000):
-        move = next(proposals)
-        assert move == _randrange_draw(theirs, rng_old, 0.5, neighbours, cumulative)
-        i, s = move
-        if s != ours.b[i] and ours.n[ours.b[i]] > 1:
-            apply_move(ours, i, s)
-            apply_move(theirs, i, s)
-            moves += 1
-    assert rng_new.getstate() == rng_old.getstate()
-    assert moves > 500
+    cfg = BlockChainConfig(iterations=60, burn_in=0.0, thinning=1, seed=seed, init_restarts=1)
+    runs = {}
+    for chunk in (block_chain._CHUNK, 1, 7, cfg.iterations * net.num_vertices + 1):
+        monkeypatch.setattr(block_chain, "_CHUNK", chunk)
+        res = run_block_chain(net, 3, cfg)
+        runs[chunk] = (res.s_trace.tobytes(), np.stack(res.samples).tobytes(),
+                       res.null_proposals, res.emptying_rejections, res.accepted_moves)
+    assert len(set(runs.values())) == 1
+    assert runs[1][-1] > 20
 
 
 def test_draw_move_rejects_an_empty_network():
     net = network_from_edges(0, [])
     with pytest.raises(ValueError, match="empty network"):
-        _sweeper(BlockState(net, [], 1), random.Random(0), 1.0)(1, 0.0)
-    proposals = _proposals(BlockState(net, [], 1), random.Random(0), 1.0)
+        _sweeper(BlockState(net, [], 1), np.random.default_rng(0), 1.0)(1, 0.0)
     with pytest.raises(ValueError, match="empty network"):
-        next(proposals)
+        _proposal_draws(net.half_edges, np.random.default_rng(0), 1)
 
 
 def _pair_delta_proposal_probs(state, i, r, s, w, loops, ki, eps):
@@ -338,7 +367,7 @@ def test_proposal_probs_match_the_pair_delta_formula_and_the_moved_state(case):
 
 def test_mh_step_never_empties_blocks(bowtie):
     state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
-    sweep = _sweeper(state, random.Random(5), 1.0)
+    sweep = _sweeper(state, np.random.default_rng(5), 1.0)
     for _ in range(2000):
         sweep(1, 0.0)
         assert min(state.n) >= 1
@@ -348,14 +377,14 @@ def test_mh_step_accepts_noop():
     # With one block every proposal is the identity move and must be accepted.
     net = network_from_edges(3, [(0, 1), (1, 2)])
     state = BlockState(net, [0, 0, 0], 1)
-    sweep = _sweeper(state, random.Random(6), 1.0)
+    sweep = _sweeper(state, np.random.default_rng(6), 1.0)
     assert all(sweep(1, 0.0)[1:] == (1, 0, 0) for _ in range(50))
 
 
 def test_degree_zero_vertices_move():
     net = network_from_edges(4, [(0, 1)])
     state = BlockState(net, [0, 0, 1, 1], 2)
-    sweep = _sweeper(state, random.Random(7), 1.0)
+    sweep = _sweeper(state, np.random.default_rng(7), 1.0)
     seen = set()
     for _ in range(500):
         sweep(1, 0.0)
@@ -365,23 +394,28 @@ def test_degree_zero_vertices_move():
 
 
 def _replay_steps(state, cfg, rng, count, s_now):
-    """count one-proposal sweeps, each bound afresh to the state, with each
-    proposal first peeked at through a fresh proposal generator on a copy of
-    the RNG.  Returns the running S, with each accepted delta read from
-    delta_description_length before the step, and the tally of outcomes:
-    null, emptying, moved or rejected (by the acceptance test)."""
+    """count one-proposal sweeps, each bound afresh to the state and drawing
+    from rng, with the chunk set to one proposal.  Each proposal is first
+    peeked at through ``_proposal_draws`` on a copy of rng, and its target
+    read off ``_scanned_target``.  Returns the running S, with each accepted
+    delta read from delta_description_length before the step, and the tally
+    of outcomes: null, emptying, moved or rejected (by the acceptance test)."""
+    assert block_chain._CHUNK == 1
     tally = Counter()
-    peek = random.Random()
+    peek = np.random.default_rng()
     for _ in range(count):
-        peek.setstate(rng.getstate())
-        i, s = next(_proposals(state, peek, cfg.smoothing))
+        peek.bit_generator.state = rng.bit_generator.state
+        ((i, j, u, _),) = _proposal_draws(state.net.half_edges, peek, 1)
+        s = _scanned_target(state, j, u, cfg.smoothing)
         r = state.b[i]
         emptying = s != r and state.n[r] == 1
         delta = 0.0 if s == r or emptying else delta_description_length(state, i, s)
         s_step, *outcome = _sweeper(state, rng, cfg.smoothing)(1, s_now)
+        # Every proposal reads its four doubles, decided without an
+        # acceptance draw or not.
+        assert rng.bit_generator.state == peek.bit_generator.state
         moved = state.b[i] != r
-        if s == r or emptying:  # decided without an acceptance draw
-            assert rng.getstate() == peek.getstate()
+        assert state.b[i] == (s if moved else r)
         if s == r:
             kind = "null"
         elif emptying:
@@ -402,43 +436,47 @@ def _same_state(a, b):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_one_generator_across_sweeps_equals_a_fresh_generator_per_step(seed):
+def test_one_generator_across_sweeps_equals_a_fresh_generator_per_step(monkeypatch, seed):
     # The sweep binds b, e and e_row once; a stale reference after a move
-    # would make its draws or deltas differ from a one-proposal sweep bound
-    # afresh at every step.  Equal generator states after every sweep also
-    # show that a sweep draws no proposal past its count.
+    # would make its targets or deltas differ from a one-proposal sweep bound
+    # afresh at every step.  The bound sweep draws default chunks and the
+    # replay one proposal at a time, so this also checks the chunking.
     net = _loopy_network()
     swept = BlockState(net, [0, 0, 1, 1, 2, 2, 0, 1], 3)
     stepped = swept.copy()
     cfg = BlockChainConfig(iterations=10, seed=0)
-    rng_s, rng_m = random.Random(seed), random.Random(seed)
     s0 = description_length(net, swept)
-    sweep = _sweeper(swept, rng_s, cfg.smoothing)
-    s_swept, s_stepped = s0, s0
-    moved = 0
+    sweep = _sweeper(swept, np.random.default_rng(seed), cfg.smoothing)
+    s_swept = s0
+    snapshots = []
     for _ in range(250):
-        s_swept, nulls, emptying, sweep_moved = sweep(8, s_swept)
+        s_swept, *counts = sweep(8, s_swept)
+        snapshots.append((swept.copy(), s_swept, counts))
+    monkeypatch.setattr(block_chain, "_CHUNK", 1)
+    rng_m = np.random.default_rng(seed)
+    s_stepped = s0
+    moved = 0
+    for snapshot, s_swept, (nulls, emptying, sweep_moved) in snapshots:
         s_stepped, tally = _replay_steps(stepped, cfg, rng_m, 8, s_stepped)
         assert (nulls, emptying, sweep_moved) == (tally["null"], tally["emptying"], tally["moved"])
         moved += sweep_moved
-        assert _same_state(swept, stepped)
-        assert rng_s.getstate() == rng_m.getstate()
+        assert _same_state(snapshot, stepped)
         assert s_swept.hex() == s_stepped.hex()
     assert moved > 50
     assert math.isclose(s_swept, description_length(net, swept), abs_tol=1e-9)
 
 
-def test_chain_counts_match_a_one_step_replay():
+def test_chain_counts_match_a_one_step_replay(monkeypatch):
     # The three totals, with the replay's rejections by the acceptance test,
     # account for every one of the sweeps x N proposals; the moved count is
     # the number of label changes, and the running S matches bit for bit.
     net = two_cliques(5)
     cfg = BlockChainConfig(iterations=60, burn_in=0.0, thinning=1, seed=5, init_restarts=1)
     res = run_block_chain(net, 3, cfg)
-    rng = random.Random(cfg.seed)
-    state = mdl_partition(net, 3, rng, restarts=cfg.init_restarts)
-    s_end, tally = _replay_steps(state, cfg, rng, cfg.iterations * net.num_vertices,
-                                 description_length(net, state))
+    state = mdl_partition(net, 3, random.Random(cfg.seed), restarts=cfg.init_restarts)
+    monkeypatch.setattr(block_chain, "_CHUNK", 1)
+    s_end, tally = _replay_steps(state, cfg, np.random.default_rng(cfg.seed),
+                                 cfg.iterations * net.num_vertices, description_length(net, state))
     counts = (res.null_proposals, res.emptying_rejections, res.accepted_moves)
     assert all(type(c) is int for c in counts)
     assert counts == (tally["null"], tally["emptying"], tally["moved"])
@@ -458,8 +496,7 @@ def test_single_block_chain_proposes_only_null_moves(bowtie):
 def test_sweep_counts_emptying_rejections(bowtie):
     # Vertex 4 alone in block 1: its proposals to block 0 would empty block 1.
     state = BlockState(bowtie, [0, 0, 0, 0, 1], 2)
-    rng = random.Random(9)
-    _, nulls, emptying, moved = _sweeper(state, rng, 1.0)(200, 0.0)
+    _, nulls, emptying, moved = _sweeper(state, np.random.default_rng(9), 1.0)(200, 0.0)
     assert emptying > 0 and nulls > 0
     assert nulls + emptying + moved <= 200
     assert min(state.n) >= 1
@@ -535,7 +572,7 @@ def test_cached_block_weights_match_a_fresh_count_after_moves(case):
         _assert_matches_a_fresh_count(dup)
     assert _read_every_vertex(state) == before
 
-    _sweeper(state, rng, 1.0)(300, 0.0)
+    _sweeper(state, np.random.default_rng(seed), 1.0)(300, 0.0)
     _assert_matches_a_fresh_count(state)
     _assert_matches_a_fresh_count(_greedy_descent(net, num_blocks, rng))
 
@@ -618,15 +655,16 @@ def test_mdl_partition_pinned_planted():
 
 def test_run_block_chain_pinned_polbooks():
     # SHA-256 of the S trace's float64 bytes and of the retained partitions,
-    # recorded with the randrange draw and the pair-delta reverse score.
+    # recorded when the sweeps moved to their own numpy generator; the
+    # initial S is the greedy initialiser's, unchanged since it was pinned.
     res = run_block_chain(load_polbooks(), 3, BlockChainConfig(iterations=300, seed=11,
                                                                init_restarts=2))
     assert res.s_trace[0] == 1347.6289107484477
-    assert res.s_trace[-1] == 1345.9324468019654
+    assert res.s_trace[-1] == 1343.3618414750676
     assert hashlib.sha256(res.s_trace.tobytes()).hexdigest() == (
-        "47ccef8594c92829f750c34cfea4201162c9db4331e85e3efb7a9ed12ef2f9d8")
+        "271a1186066fa8a39fdbf17c87b27b7bd15b44503c58bae3ad3c340e1f3da134")
     assert hashlib.sha256(np.stack(res.samples).astype(np.int64).tobytes()).hexdigest() == (
-        "f6d090c15a8e21ce2cd8bc555888bd858636604f18f8b7d6fe48bdd4f699f162")
+        "c96df37fd416446f0ff90b83e5c5766252e7f5a3ee8b586c78058bc1fd9eb9b9")
 
 
 def test_run_block_chain_shapes(bowtie):
@@ -695,7 +733,7 @@ def test_burn_in_decreases_s_from_random_start():
     s0 = description_length(net, state)
     trace = []
     s_now = s0
-    sweep = _sweeper(state, rng, 1.0)
+    sweep = _sweeper(state, np.random.default_rng(13), 1.0)
     for _ in range(300):
         s_now, *_ = sweep(net.num_vertices, s_now)
         trace.append(s_now)

@@ -64,11 +64,12 @@ def test_sample_blocks_writes_outputs(synthetic_dir, tmp_path):
 
 # SHA-256 of the partition stage's outputs on polbooks at the default
 # settings and master seed 1.  They use no BLAS, so they pin every bit of
-# the greedy initialiser, the partition chain and the alignment.
+# the greedy initialiser, the partition chain and the alignment.  Recorded
+# when the sweeps moved to their own numpy generator.
 _POLBOOKS_PARTITION_STAGE = {
-    "block_samples.csv": "2f1673b9ca8bb9e1c2f1a0369610f9891fa6a94ac44a89bd2279149b936d7324",
-    "s_trace.csv": "d0c50c7fa62553aff424fa361549ad7ea369541d954d0abc948eb58cde2d91b9",
-    "responsibilities.csv": "da79eef2fb1b7c0c135e97c3527f5fa0d43b82e2eaf0ac45a6921c13869dd14d",
+    "block_samples.csv": "bb062c5c4ba99e8094b372ad131269bbda2c4a0c53bdb79395a69bf433a2484b",
+    "s_trace.csv": "545d77973bf23b3214538ef17445be75f29e8830d756b39c69ddc6d84b49c1ca",
+    "responsibilities.csv": "8218debadd385d6967f07a5dfb12348f920cf857f2e8aea8b206dddf1134d8d1",
 }
 
 
@@ -596,3 +597,16 @@ def test_huge_vertex_id_exits_two_under_a_memory_cap(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"{edges}:3: vertex id 10000000000 " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_edge_id_beyond_the_feature_rows_names_both_files(tmp_path, capsys):
+    # The feature file's three rows set N = 3, so the id 5 on line 3 of the
+    # edge file is a data error that names both files and the line.
+    edges, features = tmp_path / "e.txt", tmp_path / "f.csv"
+    edges.write_text("0 1\n# a far id\n1 5\n")
+    features.write_text("vertex,flag\n0,1\n1,0\n2,1\n")
+    assert main(["sample-blocks", "--set", f"edges={edges}", "--set", f"features={features}",
+                 "--set", "num_blocks=2", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{edges}:3: vertex id 5 outside [0, 3) set by {features}" in err
+    assert "Traceback" not in err
