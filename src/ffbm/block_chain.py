@@ -11,10 +11,13 @@ uniforms, drawn by ``_proposal_draws`` in numpy chunks of ``_CHUNK``
 proposals from the chain's own ``np.random.Generator``, the state's move
 kernel, ``dcsbm.move_kernel``, which scores and applies moves, and the
 proposal law, ``_proposal_probs``; each sweep is then one loop over N
-proposals that picks each target, rejects emptying moves, scores the rest
-and applies the accepted ones.  It is the only code that draws, scores and
-decides a partition-chain proposal.  Every proposal reads four doubles of
-the generator, used or not, so the chain's output does not depend on the
+proposals that picks each target by bisection of a per-block table of
+running sums, rejects emptying moves, scores the rest and applies the
+accepted ones.  A move whose delta S alone rules out acceptance, under a
+bound on the Hastings ratio, is rejected before its proposal probabilities
+are computed.  It is the only code that draws, scores and decides a
+partition-chain proposal.  Every proposal reads four doubles of the
+generator, used or not, so the chain's output does not depend on the
 chunk length.  The greedy initialiser draws from ``random.Random`` and
 scores every block of a vertex through its own bound kernel.  The bound
 references stay valid because moves update the state's b, e rows, e_row, n
@@ -25,8 +28,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -149,6 +154,21 @@ def _proposal_draws(half_edges, rng: np.random.Generator, count: int):
     return zip(memoryview(i), memoryview(j), memoryview(u[2]), memoryview(u[3]))
 
 
+def _hastings_bound(state: BlockState, eps: float) -> float:
+    """H > log q_reverse - log q_forward for every move on the state's network and B.
+
+    Reverse ratios (e_tr + eps) / (e_t + eps B) are at most 1 and forward
+    ones at least eps / (2E + eps B), so H = log((2E + eps B) / eps) plus a
+    1e-6 margin for rounding (an isolated vertex's ratio is 1).  H is
+    infinite, and no move is rejected early, if that ratio overflows or the
+    least proposal probability is subnormal, where rounding is not relative.
+    """
+    total = 2 * state.net.num_edges + eps * state.B
+    if not eps / total / max(state.net.num_vertices, 1) >= sys.float_info.min:
+        return math.inf
+    return math.log(total / eps) + 1e-6
+
+
 def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
     """Bind a chain once; return sweep(count, s_now), which runs ``count``
     Metropolis-Hastings steps.
@@ -158,12 +178,20 @@ def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
     the moves are scored and applied by one ``move_kernel``.  The target of
     vertex i is floor(u B) if i is isolated; otherwise t is the block of the
     drawn neighbour j and s is the first block with u (e_t + eps B) below
-    sum_{s' <= s} (e_ts' + eps), scanning up from 0 (B - 1 if the scan runs
-    out).  A null proposal (s equal to i's block r) is accepted at once and
-    a move that would empty r is rejected; any other is scored (the move's
-    delta S, then the proposal probabilities both ways) and accepted if
-    log alpha = -delta S + log q_reverse - log q_forward is nonnegative or v
-    < exp(log alpha).  Accepted deltas are added to s_now in step order.
+    sum_{s' <= s} (e_ts' + eps), or B - 1.  ``bisect_right`` reads it off a
+    table holding, per block t, the first B - 1 of those running sums
+    (``accumulate`` gives a scan's floats) and e_t + eps B.  sweep rebuilds
+    the table when called and, after each accepted move b_i: r -> s,
+    refreshes the rows of r, s and the blocks in i's w, the only rows the
+    move changes.
+
+    A null proposal (s equal to i's block r) is accepted at once and a move
+    that would empty r is rejected.  Any other gets its delta S from the
+    kernel's visit.  If delta S > H (``_hastings_bound``) and v >= exp(H -
+    delta S), it is rejected, as log alpha < H - delta S; otherwise it gets
+    both proposal probabilities and is accepted if log alpha = -delta S +
+    log q_reverse - log q_forward is nonnegative or v < exp(log alpha).
+    Accepted deltas are added to s_now in step order.
 
     sweep returns (s_now, null proposals, emptying rejections, accepted real
     moves); the other count - sum(...) steps were rejected by the
@@ -180,13 +208,21 @@ def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
     draws = chain.from_iterable(chunks())
     visit, move = move_kernel(state)
     probs = _proposal_probs(state, eps)
+    bound = _hastings_bound(state, eps)
     b, e, e_row, n, B = state.b, state.e, state.e_row, state.n, state.B
     eps_b = eps * B
-    blocks = range(B)
     log, exp = math.log, math.exp
     out = [0.0] * B
+    sums = [None] * B
+    totals = [None] * B
+
+    def refresh(blocks):
+        for t in blocks:
+            sums[t] = list(accumulate([x + eps for x in e[t][:-1]]))
+            totals[t] = e_row[t] + eps_b
 
     def sweep(count, s_now):
+        refresh(range(B))
         nulls = emptying = moved = 0
         for i, j, u, v in islice(draws, count):
             r = b[i]
@@ -194,13 +230,7 @@ def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
                 s = int(u * B)
             else:
                 t = b[j]
-                e_t = e[t]
-                u *= e_row[t] + eps_b
-                run = 0.0
-                for s in blocks:  # a scan that runs out leaves s at B - 1
-                    run += e_t[s] + eps
-                    if u < run:
-                        break
+                s = bisect_right(sums[t], u * totals[t])
             if s == r:
                 nulls += 1
                 continue
@@ -208,11 +238,14 @@ def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
                 emptying += 1
                 continue
             w, loops, _ = visit(i, r, (s,), out)
-            forward, reverse = probs(i, r, s, w, loops)
             delta = out[s]
+            if delta > bound and v >= exp(bound - delta):
+                continue
+            forward, reverse = probs(i, r, s, w, loops)
             log_alpha = -delta + (log(reverse) - log(forward))
             if log_alpha >= 0.0 or v < exp(log_alpha):
                 move(i, r, s, w, loops)
+                refresh((r, s, *w))
                 s_now += delta
                 moved += 1
         return s_now, nulls, emptying, moved

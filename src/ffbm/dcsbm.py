@@ -142,18 +142,10 @@ def log_stub_pairings(state: BlockState) -> float:
 def log_graph_multiplicity(net: LabelledNetwork) -> float:
     """Log count of half-edge pairings that produce exactly this multigraph.
 
-    prod_i k_i! / (prod_{i<j} A_ij! prod_i A_ii!!) in log form; for a simple
-    graph the denominator is 1.
+    It depends on the network alone, so ``LabelledNetwork.log_multiplicity``
+    computes it once per network.
     """
-    total = 0.0
-    for k in net.degrees:
-        total += log_factorial(int(k))
-    for u, v, m in net.edges:
-        if u == v:
-            total -= log_double_factorial_even(2 * m)
-        else:
-            total -= log_factorial(m)
-    return total
+    return net.log_multiplicity
 
 
 def log_likelihood(net: LabelledNetwork, state: BlockState) -> float:

@@ -8,6 +8,8 @@ from itertools import chain
 
 import numpy as np
 
+from .tables import log_double_factorial_even, log_factorial
+
 
 @dataclass(frozen=True, eq=False)
 class LabelledNetwork:
@@ -74,6 +76,23 @@ class LabelledNetwork:
     def half_edges(self) -> "HalfEdgeTable":
         """Lookup tables for drawing a uniform half-edge, built on first use."""
         return HalfEdgeTable(self)
+
+    @cached_property
+    def log_multiplicity(self) -> float:
+        """Log count of half-edge pairings that produce exactly this multigraph.
+
+        prod_i k_i! / (prod_{i<j} A_ij! prod_i A_ii!!) in log form, computed
+        on first use; for a simple graph the denominator is 1.
+        """
+        total = 0.0
+        for k in self.degrees:
+            total += log_factorial(int(k))
+        for u, v, m in self.edges:
+            if u == v:
+                total -= log_double_factorial_even(2 * m)
+            else:
+                total -= log_factorial(m)
+        return total
 
 
 class HalfEdgeTable:

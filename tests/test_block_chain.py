@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -500,6 +501,113 @@ def test_sweep_counts_emptying_rejections(bowtie):
     assert emptying > 0 and nulls > 0
     assert nulls + emptying + moved <= 200
     assert min(state.n) >= 1
+
+
+# ------------------------------------------- target table and Hastings bound
+
+def _fresh_target_table(state, eps):
+    """Oracle: per block t, the first B - 1 running sums of e_ts + eps and e_t + eps B."""
+    return ([list(itertools.accumulate(x + eps for x in row[:-1])) for row in state.e],
+            [row + eps * state.B for row in state.e_row])
+
+
+# Vertex 9 never gets an edge; (u, u) entries are loops and repeated pairs
+# are parallel edges.
+_edge_lists = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)),
+                       max_size=25)
+
+
+@given(st.integers(1, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks), _edge_lists,
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10),
+    st.sampled_from([0.25, 1.0, 3.0]), st.integers(0, 2**32 - 1))))
+@example((3, [(0, 0, 2), (0, 1), (1, 2, 3), (2, 2), (2, 3), (3, 4, 2), (4, 5), (5, 6), (6, 0),
+              (1, 5), (3, 7), (7, 8, 2), (8, 8)], [0, 1, 2, 0, 1, 2, 0, 1, 2, 0], 1.0, 3))
+@settings(max_examples=80, deadline=None)
+def test_target_table_matches_a_fresh_build_after_every_move(case):
+    # The sweep picks targets from a table it rebuilds when called and
+    # refreshes after each accepted move, for the rows of r, s and the blocks
+    # in w.  Swept one proposal per call, the table is compared after every
+    # step with one built afresh from the state.
+    num_blocks, edges, labels, eps, seed = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    sweep = _sweeper(state, np.random.default_rng(seed), eps)
+    table = inspect.getclosurevars(sweep).nonlocals
+    for _ in range(200):
+        sweep(1, 0.0)
+        assert (table["sums"], table["totals"]) == _fresh_target_table(state, eps)
+
+
+@given(st.integers(2, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks), _edge_lists,
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10),
+    st.sampled_from([1e-6, 1.0, 1e6]))))
+@settings(max_examples=120, deadline=None)
+def test_hastings_ratio_stays_below_the_bound(case):
+    num_blocks, edges, labels, eps = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    bound = block_chain._hastings_bound(state, eps)
+    assert math.isfinite(bound)
+    probs = _proposal_probs(state, eps)
+    for i in range(10):
+        r = state.b[i]
+        w, loops = _block_weights(state, i)
+        for s in range(num_blocks):
+            if s != r:
+                forward, reverse = probs(i, r, s, w, loops)
+                assert math.log(reverse) - math.log(forward) < bound
+
+
+def test_hastings_bound_is_infinite_where_rounding_is_not_relative(bowtie):
+    # Huge smoothing makes every ratio 1/B; eps B overflows at 1e308, and
+    # at 1e-310 the smallest proposal probability is subnormal.
+    state = BlockState(bowtie, [0, 0, 0, 1, 1], 2)
+    assert block_chain._hastings_bound(state, 1e300) == math.log(2) + 1e-6
+    for eps in (1e-310, 1e308, math.inf):
+        assert block_chain._hastings_bound(state, eps) == math.inf
+
+
+def _counted_chain(net, num_blocks, cfg, patch_bound=False):
+    """The chain's outputs and the number of proposal-law calls, with the
+    Hastings bound patched to infinity if asked."""
+    law = block_chain._proposal_probs
+    calls = []
+
+    def counted_law(state, eps):
+        probs = law(state, eps)
+
+        def counted(*args):
+            calls.append(None)
+            return probs(*args)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(block_chain, "_proposal_probs", counted_law)
+        if patch_bound:
+            patch.setattr(block_chain, "_hastings_bound", lambda state, eps: math.inf)
+        res = run_block_chain(net, num_blocks, cfg)
+    return (res.s_trace.tobytes(), np.stack(res.samples).tobytes(), res.null_proposals,
+            res.emptying_rejections, res.accepted_moves), len(calls)
+
+
+@pytest.mark.parametrize("network, cfg, skipped", [
+    pytest.param(load_polbooks, BlockChainConfig(seed=1), 0.5, id="polbooks"),
+    pytest.param(_loopy_network, BlockChainConfig(iterations=300, seed=2, init_restarts=1), 0.0,
+                 id="loopy")])
+def test_early_rejection_takes_the_full_tests_decisions(network, cfg, skipped):
+    # With the bound patched to infinity every scored proposal computes its
+    # proposal probabilities.  The default chain must give the same S trace,
+    # samples and counts bit for bit; on polbooks it skips the proposal law
+    # on more than half of its scored proposals.
+    net = network()
+    out, calls = _counted_chain(net, 3, cfg)
+    full_out, full_calls = _counted_chain(net, 3, cfg, patch_bound=True)
+    assert out == full_out
+    assert full_calls == cfg.iterations * net.num_vertices - out[2] - out[3]
+    assert calls < (1 - skipped) * full_calls
 
 
 # ------------------------------------------------------ neighbour-block cache
