@@ -54,8 +54,8 @@ class BlockChainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.smoothing <= 0:
-            raise ValueError("proposal smoothing must be positive")
+        if not (0 < self.smoothing < math.inf):
+            raise ValueError(f"proposal smoothing must be positive and finite, got {self.smoothing}")
         if self.init_restarts < 1:
             raise ValueError("need at least one greedy restart")
         # Raises if the retained set would be empty or parameters are bad.

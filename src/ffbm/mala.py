@@ -7,12 +7,20 @@ shortcut).  The step size follows a polynomially decaying schedule
 h_t = (250 s / n) (1000 + t)^(-0.8), which keeps late-chain acceptance
 high while early steps move fast.
 
+A chain draws its initial state from np.random.default_rng(seed) and then
+reads two streams of its own (_chain_generators): iteration t takes the
+B*D normals tBD .. (t+1)BD - 1 of its noise stream and uniform t of its
+accept stream, which it reads whether the MH test needs it or not.  Both
+are drawn in chunks of _CHUNK iterations, with one call per stream, and a
+chain's bytes do not depend on the chunk length.
+
 run_weight_chains runs independent chains in lockstep: chains of one
 context shape and schedule form an S x B x D stack, and each numpy call of
 an iteration (the proposal, softmax.objective_kernel and _log_densities)
-serves the whole stack.  Each chain draws from its own generator exactly as
-it would alone, and the MH decision and the U checks stay scalar per chain,
-so every chain gives the bytes of a lone run.  run_weight_chain,
+serves the whole stack; once per chunk, one multiply scales the stack's
+noise and one matmul gives its forward densities.  Each chain reads only
+its own streams, and the MH decision and the U checks stay scalar per
+chain, so every chain gives the bytes of a lone run.  run_weight_chain,
 proposal_log_density and objective_and_gradient are the one-chain calls of
 that code.
 """
@@ -32,6 +40,11 @@ from .softmax import ObjectiveContext, dot_views, objective_and_gradient, object
 SCHEDULE_OFFSET = 1000.0
 SCHEDULE_DECAY = 0.8
 
+# Iterations of noise and uniforms a chain draws at a time, capped so that
+# a chunk holds at most _CHUNK_FLOATS normals per chain.
+_CHUNK = 256
+_CHUNK_FLOATS = 2 ** 14
+
 
 @dataclass
 class WeightChainConfig:
@@ -42,13 +55,13 @@ class WeightChainConfig:
     thinning: int = 10
     sigma: float = 1.0
     step_scale: float = 0.05
-    seed: object = 0
+    seed: object = 0  # a SeedSequence, or an entropy value it takes (an int, a list of ints)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("prior standard deviation must be positive")
-        if self.step_scale <= 0:
-            raise ValueError("step-size scaling must be positive")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"prior standard deviation must be positive and finite, got {self.sigma}")
+        if not (0 < self.step_scale < math.inf):
+            raise ValueError(f"step-size scaling must be positive and finite, got {self.step_scale}")
         check_retention(self.iterations, self.burn_in, self.thinning)
 
 
@@ -85,15 +98,14 @@ def _log_densities(frm, to, grad_frm, step, drift=None, scaled=None, views=None,
     The squared norm of each slice's drift residual to - frm + step grad_frm
     is a matmul of its dot_views, so slice s gets the bits of np.vdot on that
     slice alone.  The chain passes buffers bound once: drift and scaled
-    (S x B x D), the views of a stack whose first S slices are drift, and
-    the norms the matmul writes, which may hold further products (the
-    chain's noise).  Without them each array is allocated.
+    (S x B x D), the dot_views of drift, and the S x 1 x 1 norms the matmul
+    writes.  Without them each array is allocated.
     """
     drift = np.subtract(to, frm, drift)
     np.add(drift, np.multiply(grad_frm, step, scaled), drift)
     rows, cols = views or dot_views(drift)
     norms = np.matmul(rows, cols, norms)
-    return [-x / (4.0 * step) for x in norms.ravel().tolist()[:len(drift)]]
+    return [-x / (4.0 * step) for x in norms.ravel().tolist()]
 
 
 def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, step: float):
@@ -142,8 +154,8 @@ def run_weight_chains(ctxs, cfgs) -> list:
     and whose configs share the schedule (iterations, burn_in, thinning,
     step_scale), form one stack; each stack runs one loop, and every numpy
     call of an iteration serves all its chains.  Each chain keeps its own
-    generator and draws from it exactly as alone, so chain s gives the same
-    bytes whatever runs beside it.
+    generators and draws from them exactly as alone, so chain s gives the
+    same bytes whatever runs beside it.
 
     A chain's prior width is set twice, as ctx.sigma for the objective and
     cfg.sigma for the initial draw; a chain whose two differ raises
@@ -171,21 +183,32 @@ def run_weight_chains(ctxs, cfgs) -> list:
     return results
 
 
+def _chain_generators(seed) -> tuple:
+    """A chain's three generators: its initial draw, its noise stream and its accept stream.
+
+    The first is np.random.default_rng(seed); the other two are seeded by
+    children 0 and 1 of seed's SeedSequence (seed itself when it is one,
+    else SeedSequence(seed)), the two that seed.spawn(2) would give first.
+    They are built without calling spawn, which counts its calls on the
+    seed, so one seed gives the same chain however often it runs.
+    """
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = (np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (k,), pool_size=seq.pool_size)
+                for k in (0, 1))
+    return (np.random.default_rng(seq),) + tuple(np.random.default_rng(child) for child in children)
+
+
 def _run_stack(ctxs, cfgs, labels) -> list:
     """The lockstep loop over chains of one shape and schedule; labels name them in errors."""
     ctx, cfg = ctxs[0], cfgs[0]
     steps = [step_size(t, cfg, ctx.size) for t in range(cfg.iterations)]
     size, shape = len(ctxs), (len(ctxs), ctx.num_blocks, ctx.num_features)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    generators = [_chain_generators(c.seed) for c in cfgs]
     evaluate = objective_kernel(ctxs)
-    # The drift and the noise share one buffer, so that one matmul of its
-    # dot_views gives the squared norms of both.
-    residuals = np.zeros((2,) + shape)
-    drift, noise = residuals
-    density_views = dot_views(residuals.reshape((2 * size,) + shape[1:]))
-    norms = np.empty((2 * size, 1, 1))
-    noise_norms = norms[size:]
-    state = stack_views(np.stack([rng.normal(0.0, c.sigma, shape[1:]) for rng, c in zip(rngs, cfgs)]))
+    drift = np.empty(shape)
+    density_views, norms = dot_views(drift), np.empty((size, 1, 1))
+    state = stack_views(np.stack([initial.normal(0.0, c.sigma, shape[1:])
+                                  for (initial, _, _), c in zip(generators, cfgs)]))
     weights, grad = state[0], np.empty(shape)
     values = evaluate(state, grad)
     for label, u in zip(labels, values):
@@ -196,9 +219,8 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     # copied into the states, or the two swap when every chain accepts.
     trial = stack_views(np.empty(shape))
     proposal, prop_grad = trial[0], np.empty(shape)
-    scaled = np.empty(shape)  # the proposal's noise term, then the densities' gradient term
-    draws = [(rng.standard_normal, out) for rng, out in zip(rngs, noise)]
-    chains = list(zip(labels, [rng.random for rng in rngs]))
+    scaled = np.empty(shape)  # the densities' gradient term
+    chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // max(1, shape[1] * shape[2])))
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     slots = {t: k for k, t in enumerate(keep)}
     kept = np.empty((size, len(keep)) + shape[1:])  # chain s's samples are kept[s]
@@ -209,44 +231,52 @@ def _run_stack(ctxs, cfgs, labels) -> list:
 
     add, subtract, multiply = np.add, np.subtract, np.multiply
 
-    for t, h in enumerate(steps):
-        for draw, out in draws:
-            draw(out=out)
-        multiply(grad, h, proposal)
-        subtract(weights, proposal, proposal)
-        multiply(noise, math.sqrt(2.0 * h), scaled)
-        add(proposal, scaled, proposal)
-        prop_values = evaluate(trial, prop_grad)
-        # The reverse move's density, and the forward move's from its noise.
-        log_revs = _log_densities(proposal, weights, prop_grad, h, drift, scaled, density_views, norms)
-        log_fwds = [-x / 2.0 for x in noise_norms.ravel().tolist()]
-        flags, moved = [], 0
-        for (label, uniform), u, u_prop, log_rev, log_fwd in zip(
-                chains, values, prop_values, log_revs, log_fwds):
-            if math.isnan(u_prop):
-                raise WeightChainError(
-                    f"weight-chain objective is nan at the proposal of iteration {t + 1}", label)
-            log_alpha = _log_alpha(u, u_prop, log_rev, log_fwd)
-            accept = log_alpha >= 0.0 or uniform() < math.exp(log_alpha)
-            if accept and not math.isfinite(u_prop):
-                raise WeightChainError(f"weight-chain objective is {u_prop} at iteration {t + 1}", label)
-            flags.append(accept)
-            moved += accept
-        if moved == size:
-            state, trial = trial, state
-            weights, proposal = state[0], trial[0]
-            grad, prop_grad = prop_grad, grad
-            values = prop_values
-        elif moved:
-            values = [b if a else u for a, u, b in zip(flags, values, prop_values)]
-            mask = np.array(flags)[:, None, None]
-            np.copyto(weights, proposal, where=mask)
-            np.copyto(grad, prop_grad, where=mask)
-        trace.extend(values)
-        accepted.extend(flags)
-        k = slots.get(t + 1)
-        if k is not None:
-            kept[:, k] = weights
+    for start in range(0, cfg.iterations, chunk):
+        # Each chain's noise and uniforms for the chunk's iterations, one
+        # call per stream, then the forward densities -|xi|^2 / 2 from one
+        # matmul, before the noise is scaled by sqrt(2 h_t) in place.
+        hs = steps[start:start + chunk]
+        noise, uniforms = np.empty((size, len(hs)) + shape[1:]), np.empty((size, len(hs)))
+        for (_, normal, uniform), xi, row in zip(generators, noise, uniforms):
+            normal.standard_normal(out=xi)
+            uniform.random(out=row)
+        rows, cols = dot_views(noise.reshape((size * len(hs),) + shape[1:]))
+        fwd_chunk = (np.matmul(rows, cols).reshape(size, -1) / -2.0).T.tolist()
+        multiply(noise, np.sqrt(np.multiply(2.0, hs))[:, None, None], noise)
+        for t, (h, xi, log_fwds, draws) in enumerate(
+                zip(hs, noise.swapaxes(0, 1), fwd_chunk, uniforms.T.tolist()), start + 1):
+            multiply(grad, h, proposal)
+            subtract(weights, proposal, proposal)
+            add(proposal, xi, proposal)
+            prop_values = evaluate(trial, prop_grad)
+            log_revs = _log_densities(proposal, weights, prop_grad, h, drift, scaled, density_views, norms)
+            flags, moved = [], 0
+            for label, u, u_prop, log_rev, log_fwd, draw in zip(
+                    labels, values, prop_values, log_revs, log_fwds, draws):
+                if math.isnan(u_prop):
+                    raise WeightChainError(
+                        f"weight-chain objective is nan at the proposal of iteration {t}", label)
+                log_alpha = _log_alpha(u, u_prop, log_rev, log_fwd)
+                accept = log_alpha >= 0.0 or draw < math.exp(log_alpha)
+                if accept and not math.isfinite(u_prop):
+                    raise WeightChainError(f"weight-chain objective is {u_prop} at iteration {t}", label)
+                flags.append(accept)
+                moved += accept
+            if moved == size:
+                state, trial = trial, state
+                weights, proposal = state[0], trial[0]
+                grad, prop_grad = prop_grad, grad
+                values = prop_values
+            elif moved:
+                values = [b if a else u for a, u, b in zip(flags, values, prop_values)]
+                mask = np.array(flags)[:, None, None]
+                np.copyto(weights, proposal, where=mask)
+                np.copyto(grad, prop_grad, where=mask)
+            trace.extend(values)
+            accepted.extend(flags)
+            k = slots.get(t)
+            if k is not None:
+                kept[:, k] = weights
 
     trace = np.frombuffer(trace, dtype=np.float64).reshape(-1, size)
     accepted = np.frombuffer(accepted, dtype=np.bool_).reshape(-1, size)

@@ -56,8 +56,8 @@ class ObjectiveContext:
         row_sums = targ.sum(axis=1)
         if targ.size and not np.allclose(row_sums, 1.0, atol=1e-9):
             raise ValueError("every target row must sum to 1")
-        if self.sigma <= 0:
-            raise ValueError("prior standard deviation must be positive")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"prior standard deviation must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targ)
         rows, inverse, counts = np.unique(feats, axis=0, return_inverse=True, return_counts=True)

@@ -61,6 +61,11 @@ def test_retained_indices_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         BlockChainConfig(smoothing=0.0)
+    # A non-finite smoothing makes every scored move's log alpha NaN, so
+    # the chain would never move.
+    for smoothing in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+            BlockChainConfig(smoothing=smoothing)
     with pytest.raises(ValueError):
         BlockChainConfig(burn_in=1.2)
     # The seed also seeds the sweeps' numpy generator, which takes no

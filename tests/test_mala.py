@@ -19,7 +19,7 @@ from ffbm import (
     step_size,
 )
 from ffbm import mala
-from ffbm.sampling import retained_indices
+from ffbm.sampling import retained_indices, stream_seed_sequence
 from ffbm.softmax import objective_kernel, stack_views
 
 from conftest import objective_failing_at
@@ -63,6 +63,12 @@ def test_step_size_validation():
         step_size(0, cfg, 0)
     with pytest.raises(ValueError):
         WeightChainConfig(step_scale=-1.0)
+    # A NaN step scale would otherwise fail only later, as a misleading
+    # WeightChainError at the first proposal.
+    for field in ("sigma", "step_scale"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                WeightChainConfig(**{field: value})
 
 
 # ------------------------------------------------------------- accept formula
@@ -215,10 +221,13 @@ def test_empty_context_is_rejected():
 def reference_weight_chain(ctx, cfg):
     """The weight chain as a plain loop over the public objective_and_gradient
     and proposal_log_density, which run_weight_chain must match byte for
-    byte.  Returns the U trace, the retained samples and the acceptance flags."""
-    rng = np.random.default_rng(cfg.seed)
+    byte.  The initial state comes from default_rng(seed), and iteration t
+    draws its noise from the first child of SeedSequence(seed) and one
+    uniform, used or not, from the second.  Returns the U trace, the
+    retained samples and the acceptance flags."""
+    noise_rng, accept_rng = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
     shape = (ctx.num_blocks, ctx.num_features)
-    weights = rng.normal(0.0, cfg.sigma, shape)
+    weights = np.random.default_rng(cfg.seed).normal(0.0, cfg.sigma, shape)
     value, grad = objective_and_gradient(weights, ctx)
     keep = set(retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning))
     trace = [value]
@@ -226,13 +235,14 @@ def reference_weight_chain(ctx, cfg):
     accepted = []
     for t in range(cfg.iterations):
         h = step_size(t, cfg, ctx.size)
-        noise = rng.standard_normal(shape)
+        noise = noise_rng.standard_normal(shape)
+        uniform = accept_rng.random()
         proposal = weights - h * grad + math.sqrt(2.0 * h) * noise
         prop_value, prop_grad = objective_and_gradient(proposal, ctx)
         log_fwd = -float(np.vdot(noise, noise)) / 2.0
         log_alpha = (value - prop_value + proposal_log_density(proposal, weights, prop_grad, h)
                      - log_fwd)
-        accept = log_alpha >= 0.0 or rng.random() < math.exp(log_alpha)
+        accept = log_alpha >= 0.0 or uniform < math.exp(log_alpha)
         if accept:
             weights, value, grad = proposal, prop_value, prop_grad
         accepted.append(accept)
@@ -242,10 +252,11 @@ def reference_weight_chain(ctx, cfg):
     return np.array(trace), samples, np.array(accepted)
 
 
-def polbooks_context():
-    """Polbooks' first 74 vertices with soft targets, as a repetition's training set."""
+def polbooks_context(seed=3):
+    """Polbooks' first 74 vertices with soft targets drawn from the seed, as a
+    repetition's training set."""
     net = load_polbooks()
-    raw = np.random.default_rng(3).random((74, 3))
+    raw = np.random.default_rng(seed).random((74, 3))
     return ObjectiveContext(net.features[:74], raw / raw.sum(axis=1, keepdims=True), 1.0)
 
 
@@ -274,6 +285,43 @@ def test_weight_chain_equals_the_reference_loop(make_context, seed):
     assert res.accepted.tobytes() == accepted.tobytes()
     assert res.acceptance_ratio == float(accepted.sum()) / cfg.iterations
     assert res.mean_objective == float(trace[1:].mean())
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("chunk, floats", [(1, None), (7, None), (301, None), (None, 20)])
+def test_weight_chain_output_does_not_depend_on_the_chunk(monkeypatch, size, chunk, floats):
+    # Iteration t reads normals tK .. (t+1)K - 1 and uniform t of its chain's
+    # streams, so chunks of 1, 7, the whole chain (T + 1) and the float
+    # cap's 2 iterations (K = 9) give the bytes of the default chunk.
+    ctxs = [polbooks_context(seed) for seed in range(3, 3 + size)]
+    cfgs = [WeightChainConfig(iterations=300, burn_in=0.2, thinning=3, step_scale=0.5, seed=s)
+            for s in range(size)]
+    default = run_weight_chains(ctxs, cfgs)
+    monkeypatch.setattr(mala, "_CHUNK", chunk or mala._CHUNK)
+    monkeypatch.setattr(mala, "_CHUNK_FLOATS", floats or mala._CHUNK_FLOATS)
+    for a, b in zip(default, run_weight_chains(ctxs, cfgs)):
+        assert 0.0 < a.accepted.mean() < 1.0
+        assert a.u_trace.tobytes() == b.u_trace.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.accepted.tobytes() == b.accepted.tobytes()
+
+
+def test_one_config_runs_twice_to_the_same_bytes():
+    # A run's chains are seeded by SeedSequences; the noise and accept
+    # streams are derived from the seed without spawn, which would count its
+    # calls on the seed and give a second run other children.
+    seed = stream_seed_sequence(1, "weight-chain", 0)
+    cfg = WeightChainConfig(iterations=200, burn_in=0.0, thinning=1, step_scale=0.5, seed=seed)
+    ctx = polbooks_context()
+    a, b = run_weight_chain(ctx, cfg), run_weight_chain(ctx, cfg)
+    fresh = run_weight_chain(ctx, WeightChainConfig(iterations=200, burn_in=0.0, thinning=1, step_scale=0.5,
+                                                    seed=stream_seed_sequence(1, "weight-chain", 0)))
+    assert seed.n_children_spawned == 0
+    assert 0.0 < a.accepted.mean() < 1.0
+    for res in (b, fresh):
+        assert a.u_trace.tobytes() == res.u_trace.tobytes()
+        assert a.samples.tobytes() == res.samples.tobytes()
+        assert a.accepted.tobytes() == res.accepted.tobytes()
 
 
 @pytest.mark.parametrize("call, value, where", [

@@ -163,6 +163,10 @@ def test_context_validates_rows():
         ObjectiveContext(np.zeros((2, 1)), np.array([[0.7, 0.2], [0.5, 0.5]]), 1.0)
     with pytest.raises(ValueError):
         ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), 0.0)
+    # A NaN prior width would give a NaN objective and gradient without an error.
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), sigma)
 
 
 def test_contexts_compare_and_hash_by_identity():
