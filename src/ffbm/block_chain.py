@@ -19,9 +19,9 @@ are computed.  It is the only code that draws, scores and decides a
 partition-chain proposal.  Every proposal reads four doubles of the
 generator, used or not, so the chain's output does not depend on the
 chunk length.  The greedy initialiser draws from ``random.Random`` and
-scores every block of a vertex through its own bound kernel.  The bound
-references stay valid because moves update the state's b, e rows, e_row, n
-and eta in place and never rebind them.
+scores a vertex against its neighbours' blocks through its own bound
+kernel.  The bound references stay valid because moves update the state's
+b, e rows, e_row, n and eta in place and never rebind them.
 """
 
 from __future__ import annotations
@@ -257,12 +257,11 @@ def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
                   restarts: int = BlockChainConfig.init_restarts) -> BlockState:
     """Greedy minimum-description-length partition with a fixed block count.
 
-    Each restart begins at a uniformly random labelling (patched so no block
-    starts empty) and repeats zero-temperature sweeps: vertices in random
-    order, each moved to its best block if that strictly lowers S, until a
-    full sweep makes no improvement.  The best of the restarts is returned;
-    a single greedy pass gets trapped in shallow local minima too often
-    (e.g. mixed splits of two disjoint cliques).
+    Each restart is one ``_greedy_descent`` from a uniformly random
+    labelling (patched so no block starts empty) to a local minimum of S
+    under moves of one vertex to a block of its neighbours.  The best of
+    the restarts is returned; a single descent gets trapped in shallow
+    local minima too often (e.g. mixed splits of two disjoint cliques).
     """
     n_vert = net.num_vertices
     if num_blocks < 1:
@@ -284,6 +283,18 @@ def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
 
 
 def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -> BlockState:
+    """One zero-temperature descent from a random labelling drawn from rng.
+
+    A visit scores vertex i, unless it is alone in its block, against its
+    move set: the blocks of its w in w's order, or every block when i has
+    no half-edges (the move kernel's targets=None).  i moves to the first
+    block of least delta S below 0.  The first pass visits every vertex in
+    shuffled order; each later pass visits, sorted and then shuffled, the
+    far ends of the half-edges of the vertices the previous pass moved,
+    each once.  A pass that moves nothing is followed by a full pass unless
+    it was one, and a full pass that moves nothing ends the descent, so no
+    vertex that may leave its block can lower S within its move set.
+    """
     n_vert = net.num_vertices
     labels = [rng.randrange(num_blocks) for _ in range(n_vert)]
     counts = [0] * num_blocks
@@ -300,24 +311,26 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
     state = BlockState(net, labels, num_blocks)
     visit, move = move_kernel(state)
     b, n = state.b, state.n
-    order = list(range(n_vert))
-    targets = range(num_blocks)
+    ends = net.half_edges.ends
+    order, full = list(range(n_vert)), True
     deltas = [0.0] * num_blocks
-    improved = True
-    while improved:
-        improved = False
+    while True:
         rng.shuffle(order)
+        moved = []
         for i in order:
             r = b[i]
             if n[r] == 1:
                 continue
-            # Only a strict improvement moves the vertex, and ties go to the
-            # lowest block label.
-            w, loops, best = visit(i, r, targets, deltas)
+            w, loops, best = visit(i, r, None, deltas)
             if best != r:
                 move(i, r, best, w, loops)
-                improved = True
-    return state
+                moved.append(i)
+        if moved:
+            order, full = sorted({j for i in moved for j in ends[i]}), False
+        elif full:
+            return state
+        else:
+            order, full = list(range(n_vert)), True
 
 
 def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig) -> BlockChainResult:

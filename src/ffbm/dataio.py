@@ -28,11 +28,16 @@ class DataFormatError(ValueError):
     """Malformed input data (maps to exit code 2 in the CLI)."""
 
 
+def read_bytes(path) -> bytes:
+    """The whole of an input file, as stored."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_text(path) -> str:
     """The whole of an input file, decoded as UTF-8 with line endings kept."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -191,8 +191,11 @@ def move_kernel(state: BlockState):
     mutate the w it returns.  It then sets out[s] = S(b with b_i <- s) -
     S(b) for every s in targets (out[r] = 0.0) and returns (w, loops,
     best): best is the first target, in the order given, of least delta
-    below 0, or r if none lowers S.  A vertex that is being scored must not
-    be alone in r (n_r > 1); an empty targets only reads w and loops.
+    below 0, or r if none lowers S.  targets=None asks for i's neighbour
+    blocks, the blocks of w in w's order, or for every block when i has no
+    half-edges; the greedy initialiser's move set.  A vertex that is being
+    scored must not be alone in r (n_r > 1); an empty targets only reads w
+    and loops.
 
     Each target's delta is one left-to-right sum in a fixed order: the row
     factorials of r and s, the (r,r), (s,s) and (r,s) pair terms, the
@@ -228,6 +231,7 @@ def move_kernel(state: BlockState):
     ends, degree, loop_weight = half_edges.ends, half_edges.degree, half_edges.loops
     lf, logs, rows = _LOG_FACT, _LOG_INT, _ROWS
     lcp = log_count_partitions
+    every_block = range(state.B)
 
     def visit(i, r, targets, out):
         w = cache[i]
@@ -239,6 +243,8 @@ def move_kernel(state: BlockState):
             cache[i] = w
         loops = loop_weight[i]
         best = r
+        if targets is None:
+            targets = w or every_block
         if not targets:
             return w, loops, best
 

@@ -10,6 +10,7 @@ the metrics.  run_repetition is the same code for one repetition.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .analysis import (
 )
 from .block_chain import estimate_responsibilities, run_block_chain
 from .config import PARTITION_CHAIN, REDUCED_WEIGHT_CHAIN, WEIGHT_CHAIN, RunConfig, chain_config
-from .dataio import DataFormatError, load_network, load_polbooks
+from .dataio import DataFormatError, load_network, load_polbooks, read_bytes
 from .graph import LabelledNetwork, split_vertices
 from .mala import WeightChainError, run_weight_chains
 from .sampling import stream_seed_int, stream_seed_sequence
@@ -256,8 +257,18 @@ def aggregate_reports(reports) -> dict:
     return {"mean": mean, "std": std}
 
 
+_INPUT_KEYS = ("edges", "features", "categorical_features")
+
+
 def experiment_payload(net: LabelledNetwork, cfg: RunConfig, reports) -> dict:
-    """JSON-ready experiment summary mirroring the per-dataset results table."""
+    """JSON-ready experiment summary mirroring the per-dataset results table.
+
+    The config holds the input paths as given; "input_sha256" maps each
+    given path's key to the SHA-256 of the file's bytes, so the same data
+    read from another directory can be recognised.  A run on the bundled
+    network gives no paths and no "input_sha256".
+    """
+    config = cfg.to_dict()
     payload = {
         "dataset": {
             "num_vertices": net.num_vertices,
@@ -265,8 +276,12 @@ def experiment_payload(net: LabelledNetwork, cfg: RunConfig, reports) -> dict:
             "num_features": net.num_features,
             "feature_names": list(net.feature_names),
         },
-        "config": cfg.to_dict(),
-        "per_repetition": [r.to_dict() for r in reports],
+        "config": config,
     }
+    digests = {key: hashlib.sha256(read_bytes(config[key])).hexdigest()
+               for key in _INPUT_KEYS if config[key] is not None}
+    if digests:
+        payload["input_sha256"] = digests
+    payload["per_repetition"] = [r.to_dict() for r in reports]
     payload.update(aggregate_reports(reports))
     return payload

@@ -729,20 +729,68 @@ def test_mdl_partition_separates_cliques():
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
-# Greedy partitions recorded when each target's delta was evaluated on its
-# own; scoring all targets in one kernel pass must keep every tie-break.
+def test_greedy_scores_the_blocks_of_a_vertex_s_neighbours(monkeypatch):
+    # A vertex with half-edges is scored against the blocks of its w alone,
+    # a vertex without (polbooks plus isolated vertex 105) against every block.
+    polbooks = load_polbooks()
+    net = network_from_edges(106, polbooks.edges)
+    scored = []
+
+    def recording_kernel(state):
+        visit, move = dcsbm.move_kernel(state)
+
+        def recorded(i, r, targets, out):
+            out[:] = [None] * len(out)
+            w, loops, best = visit(i, r, targets, out)
+            scored.append((i, {s for s, delta in enumerate(out) if delta is not None}, set(w)))
+            return w, loops, best
+
+        return recorded, move
+
+    monkeypatch.setattr(block_chain, "move_kernel", recording_kernel)
+    mdl_partition(net, 3, random.Random(4), restarts=2)
+    degree = net.half_edges.degree
+    assert any(i == 105 for i, _, _ in scored)
+    assert any(len(blocks) < 3 for _, _, blocks in scored)
+    for i, asked, blocks in scored:
+        assert asked == (blocks if degree[i] else {0, 1, 2})
+
+
+@given(st.integers(2, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops, repeated pairs
+    # are parallel edges, and multiplicities reach 3.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.integers(0, 2**32 - 1))))
+@settings(max_examples=60, deadline=None)
+def test_mdl_partition_ends_at_a_local_minimum_of_its_move_set(case):
+    # No vertex that may leave its block lowers S by a move to a block of its
+    # move set: its neighbours' blocks, or every block when it has no edges.
+    num_blocks, edges, seed = case
+    net = network_from_edges(10, edges)
+    state = mdl_partition(net, num_blocks, random.Random(seed), restarts=2)
+    for i in range(10):
+        if state.n[state.b[i]] > 1:
+            w, _ = _block_weights(state, i)
+            for s in (w if net.half_edges.degree[i] else range(num_blocks)):
+                assert delta_description_length(state, i, s) >= 0
+
+
+# Greedy partitions recorded when the greedy moved to scoring each vertex
+# against its neighbours' blocks and to revisiting only the neighbourhoods of
+# moved vertices (seed 2's partition was the same before).
 _POLBOOKS_GREEDY = {
-    1: "222022220000000000200000000012110000000000000000022220000021111122122211111111111111121111111111111111122",
+    1: "111211112222222222222222222201002222222222222222212112222210000011011100000000000000010000000000000000011",
     2: "222022220000000000000000000012110000000000000000020220000021111122122211111111111111121111111111111111122",
 }
 _PLANTED_GREEDY = (
-    "01333012121011013232121331013330032200231130232203130003222230120001303213203310"
-    "03220112111103120000133110033201033200210321101302330033311130023310201203331221"
-    "03230131211231122302303321131101323212102331210103323213312331312201000103120301"
-    "10030103023332030231313322010012212132103100230000331321113121100321122320103120"
-    "30322323003210311331210122212333223122232331303130222130210032330312123031101020"
-    "21322131111032231333330000201332102211122111331220230011211301110320122013230022"
-    "30323113010031023321"
+    "30322310120300230323110220212220322212220302112322321212331112332020102312323300"
+    "11321002001112032121013003322310222320302130130213031331300030331202320131220331"
+    "10323111100130333313311230010001332312012210313003210331202220203330212012023210"
+    "02322111122233223323210333101213331023322033332221212130002010321220021332323030"
+    "22033332220101003123300133103113132130212030321033333013312213221103033010031311"
+    "33331121100322320012122322120221013331013100320322332000200110002322012203112213"
+    "23122003102223231300"
 )
 
 
@@ -768,16 +816,16 @@ def test_mdl_partition_pinned_planted():
 
 def test_run_block_chain_pinned_polbooks():
     # SHA-256 of the S trace's float64 bytes and of the retained partitions,
-    # recorded when the sweeps moved to their own numpy generator; the
-    # initial S is the greedy initialiser's, unchanged since it was pinned.
+    # recorded when the greedy initialiser moved to the neighbour-block move
+    # set; the initial S is that initialiser's.
     res = run_block_chain(load_polbooks(), 3, BlockChainConfig(iterations=300, seed=11,
                                                                init_restarts=2))
-    assert res.s_trace[0] == 1347.6289107484477
-    assert res.s_trace[-1] == 1343.3618414750676
+    assert res.s_trace[0] == 1340.774573411112
+    assert res.s_trace[-1] == 1343.361841475066
     assert hashlib.sha256(res.s_trace.tobytes()).hexdigest() == (
-        "271a1186066fa8a39fdbf17c87b27b7bd15b44503c58bae3ad3c340e1f3da134")
+        "fcef2610236f92c845f6992b1f3814648dc05f43cabb9dedadb5b6bfa01eff12")
     assert hashlib.sha256(np.stack(res.samples).astype(np.int64).tobytes()).hexdigest() == (
-        "c96df37fd416446f0ff90b83e5c5766252e7f5a3ee8b586c78058bc1fd9eb9b9")
+        "f0f33f69209a2e052dbf22a12a85144688e96ee52cb10480981f35d68fbc5d29")
 
 
 def test_run_block_chain_shapes(bowtie):
@@ -819,9 +867,18 @@ def _kernel_scoring(score):
     return kernel
 
 
+def _start_mixed(monkeypatch):
+    """Start the chain from labels alternating over two blocks, so a guard
+    test's premise does not depend on where the greedy initialiser ends."""
+    monkeypatch.setattr(block_chain, "mdl_partition",
+                        lambda net, num_blocks, rng, restarts: BlockState(
+                            net, [i % 2 for i in range(net.num_vertices)], num_blocks))
+
+
 def test_run_block_chain_rejects_drifting_deltas(monkeypatch):
     # Deltas 1e-3 off the truth pass every per-sweep check but leave the
     # accumulated S away from a fresh evaluation at the chain's end.
+    _start_mixed(monkeypatch)
     monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: delta + 1e-3))
     cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
     with pytest.raises(ArithmeticError, match="fresh evaluation"):
@@ -830,6 +887,7 @@ def test_run_block_chain_rejects_drifting_deltas(monkeypatch):
 
 def test_run_block_chain_names_the_non_finite_sweep(monkeypatch):
     # A delta of -inf is accepted and turns the running S into -inf.
+    _start_mixed(monkeypatch)
     monkeypatch.setattr(block_chain, "move_kernel", _kernel_scoring(lambda delta: -math.inf))
     cfg = BlockChainConfig(iterations=20, burn_in=0.0, thinning=1, seed=2)
     with pytest.raises(ArithmeticError, match="sweep 1$"):

@@ -65,11 +65,11 @@ def test_sample_blocks_writes_outputs(synthetic_dir, tmp_path):
 # SHA-256 of the partition stage's outputs on polbooks at the default
 # settings and master seed 1.  They use no BLAS, so they pin every bit of
 # the greedy initialiser, the partition chain and the alignment.  Recorded
-# when the sweeps moved to their own numpy generator.
+# when the greedy initialiser moved to the neighbour-block move set.
 _POLBOOKS_PARTITION_STAGE = {
-    "block_samples.csv": "bb062c5c4ba99e8094b372ad131269bbda2c4a0c53bdb79395a69bf433a2484b",
-    "s_trace.csv": "545d77973bf23b3214538ef17445be75f29e8830d756b39c69ddc6d84b49c1ca",
-    "responsibilities.csv": "8218debadd385d6967f07a5dfb12348f920cf857f2e8aea8b206dddf1134d8d1",
+    "block_samples.csv": "36232a9dfe22b78123938c53c2eb90f10696834aab6c8623b1077fbfcf2bafbd",
+    "s_trace.csv": "a4aedf6329e20818f8874c1e40d3a001cb55c383a41e6869363738ef86d9b6f1",
+    "responsibilities.csv": "c396a5d7786cb34d23632dbeaf4c99513fb4e78bbdb870314a9135d8167649d5",
 }
 
 
@@ -125,6 +125,32 @@ def test_run_is_byte_deterministic(synthetic_dir, tmp_path):
     sample_a = (out_a / "rep000" / "theta_samples.csv").read_bytes()
     sample_b = (out_b / "rep000" / "theta_samples.csv").read_bytes()
     assert sample_a == sample_b
+
+
+def test_report_names_its_input_files_by_digest(synthetic_dir, tmp_path):
+    # The same files under two directories give two paths but one digest
+    # each; the bundled network gives neither.
+    inst, _ = synthetic_dir
+    settings = ["--seed", "2", "--set", "repetitions=1", "--set", "block_iters=20",
+                "--set", "theta_iters=100"]
+    payloads = []
+    for name in ("a", "b"):
+        data = tmp_path / name
+        data.mkdir()
+        for file in ("edges.txt", "features.csv"):
+            (data / file).write_bytes((inst / file).read_bytes())
+        assert main(["report", *settings, "--set", f"edges={data / 'edges.txt'}",
+                     "--set", f"features={data / 'features.csv'}", "--set", "num_blocks=2",
+                     "--out-dir", str(tmp_path / f"out_{name}")]) == 0
+        payloads.append(json.loads((tmp_path / f"out_{name}" / "report.json").read_text()))
+    a, b = payloads
+    assert a["config"]["edges"] != b["config"]["edges"]
+    assert a["input_sha256"] == b["input_sha256"] == {
+        file.split(".")[0]: hashlib.sha256((inst / file).read_bytes()).hexdigest()
+        for file in ("edges.txt", "features.csv")}
+
+    assert main(["report", *settings, "--out-dir", str(tmp_path / "bundled")]) == 0
+    assert "input_sha256" not in json.loads((tmp_path / "bundled" / "report.json").read_text())
 
 
 def test_report_structure(synthetic_dir, tmp_path):
