@@ -37,6 +37,7 @@ from .dataio import (
     read_weight_samples,
 )
 from .pipeline import (
+    _naming,
     experiment_payload,
     load_config_network,
     partition_stage,
@@ -181,19 +182,21 @@ def _run_command(args) -> int:
     if args.command == "reduce":
         return _cmd_reduce(cfg, net, out)
 
-    if args.command == "sample-blocks":
-        artifacts = partition_stage(net, cfg, 0)
+    if args.command in ("sample-blocks", "sample-theta"):
+        # The stages of repetition 0, so the outputs equal rep000/ of a one-repetition run.
+        theta = args.command == "sample-theta"
+        if theta:
+            require_features(net)
+        with _naming(cfg, [0]):
+            artifacts = partition_stage(net, cfg, 0)
+            if theta:
+                weight_stage(net, cfg, [artifacts])
         _write_block_outputs(out, artifacts)
-        print(f"wrote {len(artifacts.block_result.samples)} retained partition samples to {out}")
-        return 0
-
-    if args.command == "sample-theta":
-        require_features(net)
-        artifacts = partition_stage(net, cfg, 0)
-        weight_stage(net, cfg, [0], [artifacts])
-        _write_block_outputs(out, artifacts)
-        _write_theta_outputs(out, artifacts, net)
-        print(f"wrote {len(artifacts.weight_result.samples)} retained weight samples to {out}")
+        if theta:
+            _write_theta_outputs(out, artifacts, net)
+            print(f"wrote {len(artifacts.weight_result.samples)} retained weight samples to {out}")
+        else:
+            print(f"wrote {len(artifacts.block_result.samples)} retained partition samples to {out}")
         return 0
 
     keep = args.command == "run"

@@ -34,7 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import check_retention, retained_indices
-from .softmax import ObjectiveContext, dot_views, objective_and_gradient, objective_kernel, stack_views
+from .softmax import (
+    ObjectiveContext,
+    check_sigma,
+    dot_views,
+    objective_and_gradient,
+    objective_kernel,
+    stack_views,
+)
 
 # The step-size schedule's offset and decay exponent.
 SCHEDULE_OFFSET = 1000.0
@@ -58,8 +65,7 @@ class WeightChainConfig:
     seed: object = 0  # a SeedSequence, or an entropy value it takes (an int, a list of ints)
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise ValueError(f"prior standard deviation must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         if not (0 < self.step_scale < math.inf):
             raise ValueError(f"step-size scaling must be positive and finite, got {self.step_scale}")
         check_retention(self.iterations, self.burn_in, self.thinning)

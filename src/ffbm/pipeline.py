@@ -1,11 +1,16 @@
 """End-to-end experiment orchestration: chains, metrics, repetitions.
 
 A repetition runs four stages: partition_stage, weight_stage, screen_stage
-(with reduce_dim) and repetition_report.  run_experiment cuts the
-repetitions into one contiguous run per worker (one run when jobs is 1) and
-takes each run stage by stage: its partition chains, then its weight and
-screen stages, whose chains run in lockstep (mala.run_weight_chains), then
-the metrics.  run_repetition is the same code for one repetition.
+(with reduce_dim) and repetition_report.  Each stage reads and fills a
+RepetitionArtifacts, which carries its repetition index.  run_experiment
+cuts the repetitions into one contiguous run per worker (one run when jobs
+is 1) and takes each run stage by stage: its partition chains, then its
+weight and screen stages, whose chains run in lockstep
+(mala.run_weight_chains), then the metrics.  run_repetition is the same
+code for one repetition.  Both check the stages' preconditions
+(check_preconditions) before any stage runs, and every stage runs inside
+_naming, which puts the failing repetition and the master seed in an
+exception's message.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .softmax import ObjectiveContext
 class RepetitionArtifacts:
     """Chain-level outputs of one repetition, filled in stage by stage."""
 
+    repetition: int
     block_result: object
     responsibilities: np.ndarray
     split: object = None
@@ -61,48 +67,58 @@ def partition_stage(net: LabelledNetwork, cfg: RunConfig, repetition: int) -> Re
     block_res = run_block_chain(net, cfg.num_blocks, block_cfg)
     responsibilities = estimate_responsibilities(
         block_res.samples, block_res.reference, cfg.num_blocks)
-    return RepetitionArtifacts(block_result=block_res, responsibilities=responsibilities)
+    return RepetitionArtifacts(repetition, block_res, responsibilities)
 
 
-def _weight_chains(cfg: RunConfig, repetitions, arts, features, chain, stream) -> list:
-    """The weight chains of the repetitions on the training rows of their feature columns, in lockstep."""
+def _weight_chains(cfg: RunConfig, arts, features, chain, stream) -> list:
+    """The weight chains of the artifacts on the training rows of their feature columns, in lockstep."""
     ctxs = [ObjectiveContext(f[art.split.train], art.responsibilities[art.split.train], cfg.sigma)
             for f, art in zip(features, arts)]
-    cfgs = [chain_config(cfg, chain, seed=stream_seed_sequence(cfg.seed, stream, rep))
-            for rep in repetitions]
+    cfgs = [chain_config(cfg, chain, seed=stream_seed_sequence(cfg.seed, stream, art.repetition))
+            for art in arts]
     return run_weight_chains(ctxs, cfgs)
 
 
 def require_features(net: LabelledNetwork) -> None:
-    """The weight stage's precondition; callers check it before any stage runs."""
+    """The weight stage's precondition: a feature matrix, and two vertices to split."""
     if net.num_features == 0:
         raise DataFormatError("the weight sampler needs a feature matrix")
+    if net.num_vertices < 2:
+        raise DataFormatError("the weight stage splits the vertices into train and test sides, "
+                              f"which needs at least 2 vertices, got {net.num_vertices}")
 
 
-def weight_stage(net: LabelledNetwork, cfg: RunConfig, repetitions, arts) -> None:
-    """Stage 2 for the given repetitions and their artifacts: each one's
-    train/test split, then all their weight chains, on all features, in lockstep.
+def check_preconditions(net: LabelledNetwork, cfg: RunConfig) -> None:
+    """What the stages of a repetition need of the network and the config
+    beyond the config's own rules; run_experiment and run_repetition check
+    it before any stage runs."""
+    require_features(net)
+    if cfg.reduce_dim is not None:
+        check_target_dim(cfg.reduce_dim, net.num_features)
 
-    A failing chain raises WeightChainError whose chain is its position in repetitions.
+
+def weight_stage(net: LabelledNetwork, cfg: RunConfig, arts) -> None:
+    """Stage 2 for the given artifacts: each one's train/test split, then all
+    their weight chains, on all features, in lockstep.
+
+    A failing chain raises WeightChainError whose chain is its position in arts.
     """
     require_features(net)
-    for rep, art in zip(repetitions, arts):
+    for art in arts:
         art.split = split_vertices(net.num_vertices, cfg.train_fraction,
-                                   stream_seed_sequence(cfg.seed, "split", rep))
-    results = _weight_chains(cfg, repetitions, arts, [net.features] * len(arts),
-                             WEIGHT_CHAIN, "weight-chain")
+                                   stream_seed_sequence(cfg.seed, "split", art.repetition))
+    results = _weight_chains(cfg, arts, [net.features] * len(arts), WEIGHT_CHAIN, "weight-chain")
     for art, result in zip(arts, results):
         art.weight_result = result
 
 
-def screen_stage(net: LabelledNetwork, cfg: RunConfig, repetitions, arts) -> None:
-    """Stage 3 for the given repetitions: each keeps its reduce_dim best-scoring
+def screen_stage(net: LabelledNetwork, cfg: RunConfig, arts) -> None:
+    """Stage 3 for the given artifacts: each keeps its reduce_dim best-scoring
     features, then their weight chains rerun on them in lockstep."""
     for art in arts:
         summary = summarize_weights(art.weight_result.samples)
         art.reduction = reduce_dimension(summary, cfg.reduce_multiplier, cfg.reduce_dim)
-    results = _weight_chains(cfg, repetitions, arts,
-                             [net.features[:, art.reduction.kept] for art in arts],
+    results = _weight_chains(cfg, arts, [net.features[:, art.reduction.kept] for art in arts],
                              REDUCED_WEIGHT_CHAIN, "reduced-weight-chain")
     for art, result in zip(arts, results):
         art.reduced_weight_result = result
@@ -143,33 +159,36 @@ def repetition_report(net: LabelledNetwork, cfg: RunConfig, art: RepetitionArtif
 def run_repetition(net: LabelledNetwork, cfg: RunConfig, repetition: int):
     """One full pipeline pass: the partition, weight and (with reduce_dim)
     screen stages, then metrics; run_experiment's code for one repetition."""
-    reports, arts = _repetitions_task((net, cfg, [repetition], True))
+    check_preconditions(net, cfg)
+    reports, arts = _repetitions_task(net, cfg, [repetition], True)
     return reports[0], arts[0]
 
 
-def _name_repetition(exc: Exception, cfg: RunConfig, repetition: int) -> None:
-    """Put the repetition and the master seed in an exception's message; its
-    type stays, and with it the exit code."""
-    exc.args = (f"repetition {repetition} (master seed {cfg.seed}): {exc}",)
-
-
 @contextmanager
-def _naming(cfg: RunConfig, repetition: int):
-    """Re-raise an exception raised inside, named by _name_repetition."""
+def _naming(cfg: RunConfig, reps):
+    """Re-raise an exception raised inside with the master seed and its
+    repetition in the message; its type stays, and with it the exit code.
+
+    reps is a contiguous sequence of the repetition indices inside.  A
+    WeightChainError names reps[exc.chain]; any other exception names them
+    all, as "repetition 3" or "repetitions 0 to 4".
+    """
     try:
         yield
     except Exception as exc:
-        _name_repetition(exc, cfg, repetition)
+        if isinstance(exc, WeightChainError):
+            reps = reps[exc.chain:exc.chain + 1]
+        which = f"repetition {reps[0]}" if len(reps) == 1 else f"repetitions {reps[0]} to {reps[-1]}"
+        exc.args = (f"{which} (master seed {cfg.seed}): {exc}",)
         raise
 
 
-def _repetitions_task(args):
+def _repetitions_task(net: LabelledNetwork, cfg: RunConfig, repetitions, keep_artifacts: bool):
     """Every stage of a run of repetitions: their partition chains one by
     one, then their weight and screen chains in lockstep, then the metrics."""
-    net, cfg, repetitions, keep_artifacts = args
     arts = []
     for rep in repetitions:
-        with _naming(cfg, rep):
+        with _naming(cfg, [rep]):
             art = partition_stage(net, cfg, rep)
         if not keep_artifacts:
             # Only the S trace and the responsibilities are read from here on;
@@ -177,16 +196,13 @@ def _repetitions_task(args):
             # other repetition's partition chain.
             art.block_result.samples = []
         arts.append(art)
-    try:
-        weight_stage(net, cfg, repetitions, arts)
+    with _naming(cfg, repetitions):
+        weight_stage(net, cfg, arts)
         if cfg.reduce_dim is not None:
-            screen_stage(net, cfg, repetitions, arts)
-    except WeightChainError as exc:
-        _name_repetition(exc, cfg, repetitions[exc.chain])
-        raise
+            screen_stage(net, cfg, arts)
     reports = []
-    for rep, art in zip(repetitions, arts):
-        with _naming(cfg, rep):
+    for art in arts:
+        with _naming(cfg, [art.repetition]):
             reports.append(repetition_report(net, cfg, art))
     return reports, (arts if keep_artifacts else None)
 
@@ -198,26 +214,27 @@ def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_art
     near-equal length, each run in its own worker process when jobs > 1.
     A run goes stage by stage: every partition chain, then the weight and
     screen chains of all its repetitions in lockstep (chain s of a lockstep
-    stack equals the chain run alone), then the metrics.  A failing
-    partition chain, weight chain or metric raises its exception, of its
-    own type, with the repetition index and the master seed in the message.
+    stack equals the chain run alone), then the metrics.
+
+    check_preconditions runs before any stage.  An exception raised in a
+    stage keeps its type, and its message gains the master seed and the
+    repetition it names: the failing repetition for a partition chain, a
+    weight chain or a metric, and the run's repetitions for anything else
+    raised in the lockstep weight and screen stages.
     """
-    require_features(net)
-    if cfg.reduce_dim is not None:
-        check_target_dim(cfg.reduce_dim, net.num_features)
-    repetitions = range(cfg.repetitions)
-    parts = min(jobs, cfg.repetitions)
-    bounds = [len(repetitions) * i // parts for i in range(parts + 1)]
-    tasks = [(net, cfg, repetitions[a:b], keep_artifacts) for a, b in zip(bounds, bounds[1:])]
+    check_preconditions(net, cfg)
+    count, parts = cfg.repetitions, min(jobs, cfg.repetitions)
+    runs = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+    args = ([net] * parts, [cfg] * parts, runs, [keep_artifacts] * parts)
     if parts > 1:
         # Imported here: the process pool costs about 20 ms of imports,
         # which a serial run need not pay.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parts) as pool:
-            results = list(pool.map(_repetitions_task, tasks))
+            results = list(pool.map(_repetitions_task, *args))
     else:
-        results = [_repetitions_task(t) for t in tasks]
+        results = list(map(_repetitions_task, *args))
     reports = [r for rs, _ in results for r in rs]
     artifacts = [a for _, arts in results for a in arts] if keep_artifacts else None
     return reports, artifacts

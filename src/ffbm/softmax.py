@@ -10,9 +10,24 @@ weights is a soft cross-entropy plus a Gaussian ridge penalty.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_sigma(sigma: float) -> None:
+    """The prior width rule of the objective and of the weight chain.
+
+    The objective divides by sigma^2 and by 2 sigma^2, so sigma^2 must be a
+    normal float and 2 sigma^2 finite: about 1.5e-154 <= sigma <= 9.5e153.
+    The sign is checked on its own, since -sigma squares to a valid width.
+    """
+    width = float(sigma)
+    square = width * width  # a Python float product overflows to inf, where ** raises
+    if not (width > 0 and square >= sys.float_info.min and math.isfinite(2.0 * square)):
+        raise ValueError("prior standard deviation must be positive and finite, with sigma^2 "
+                         f"a normal float and 2 sigma^2 finite, got {sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +71,7 @@ class ObjectiveContext:
         row_sums = targ.sum(axis=1)
         if targ.size and not np.allclose(row_sums, 1.0, atol=1e-9):
             raise ValueError("every target row must sum to 1")
-        if not (0 < self.sigma < math.inf):
-            raise ValueError(f"prior standard deviation must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targ)
         rows, inverse, counts = np.unique(feats, axis=0, return_inverse=True, return_counts=True)

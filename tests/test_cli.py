@@ -311,7 +311,7 @@ def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monke
                                      "proposal_smoothing=nan", "sigma=nan", "step_scale=inf",
                                      "reduced_step_scale=inf", "reduce_multiplier=nan",
                                      "reduce_multiplier=0", "num_blocks=none", "num_blocks=0",
-                                     "seed=-1"])
+                                     "seed=-1", "sigma=1e200", "sigma=1e-170"])
 def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting):
     import ffbm.pipeline as pipeline_mod
 
@@ -321,6 +321,36 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting)
     monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
     code = main(["run", "--set", "repetitions=1", "--set", setting, "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["report", "sample-theta"])
+def test_one_vertex_network_fails_before_any_stage(tmp_path, monkeypatch, capsys, command):
+    # The weight stage splits the vertices into train and test sides.
+    import ffbm.pipeline as pipeline_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the partition chain ran on a network the weight stage cannot split")
+
+    monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
+    (tmp_path / "edges.txt").write_text("0 0\n")
+    (tmp_path / "features.csv").write_text("vertex,flag\n0,1\n")
+    code = main([command, "--set", f"edges={tmp_path / 'edges.txt'}",
+                 "--set", f"features={tmp_path / 'features.csv'}", "--set", "num_blocks=1",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "at least 2 vertices, got 1" in capsys.readouterr().err
+
+
+def test_run_repetition_checks_the_preconditions_before_any_stage(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the partition chain ran on input a later stage rejects")
+
+    monkeypatch.setattr(pipeline, "run_block_chain", never)
+    with pytest.raises(ValueError, match=r"target dimension 5 outside \[1, 3\]"):
+        pipeline.run_repetition(load_polbooks(), RunConfig(reduce_dim=5), 0)
+    featureless = ffbm.network_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(DataFormatError, match="feature matrix"):
+        pipeline.run_repetition(featureless, RunConfig(num_blocks=2), 0)
 
 
 def test_chain_settings_are_checked_when_the_config_is_built():
@@ -471,6 +501,75 @@ def test_failing_weight_chain_of_a_stack_names_its_repetition(synthetic_dir, tmp
     assert stacks == ([4] if jobs == 1 else [])
     assert ("repetition 1 (master seed 4): weight-chain objective is nan at the proposal of "
             "iteration 7") in capsys.readouterr().err
+
+
+def test_stage_command_names_a_failing_weight_chain_as_repetition_zero(synthetic_dir, tmp_path,
+                                                                       monkeypatch, capsys):
+    objective_failing_at(monkeypatch, 7, math.nan)
+    _, cfg = synthetic_dir
+    assert main(["sample-theta", "--config", str(cfg), "--seed", "4",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert ("repetition 0 (master seed 4): weight-chain objective is nan at the proposal of "
+            "iteration 7") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample-blocks", "sample-theta"])
+def test_stage_command_names_a_failing_partition_chain_as_repetition_zero(synthetic_dir, tmp_path,
+                                                                          monkeypatch, capsys, command):
+    import ffbm.pipeline as pipeline_mod
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("chain broke")
+
+    monkeypatch.setattr(pipeline_mod, "run_block_chain", broken)
+    _, cfg = synthetic_dir
+    assert main([command, "--config", str(cfg), "--seed", "4",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "repetition 0 (master seed 4): chain broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, named", [(1, "repetitions 0 to 2"), (2, "repetition 0")])
+@pytest.mark.parametrize("error, code", [(ArithmeticError, 3), (ValueError, 2)])
+def test_failure_in_the_lockstep_stages_names_their_repetitions(synthetic_dir, tmp_path, monkeypatch,
+                                                                 capsys, jobs, named, error, code):
+    # A failure of the screen is no one chain's, so it names the repetitions
+    # of its lockstep run: the one run 0-2 under --jobs 1; under --jobs 2 the
+    # runs are 0 and 1-2, and run 0's failure comes first.
+    import ffbm.pipeline as pipeline_mod
+
+    def broken(samples):
+        raise error("screen broke")
+
+    monkeypatch.setattr(pipeline_mod, "summarize_weights", broken)
+    _, cfg = synthetic_dir
+    assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
+                 "--set", "repetitions=3", "--set", "reduce_dim=1",
+                 "--out-dir", str(tmp_path / "out")]) == code
+    assert f"{named} (master seed 4): screen broke" in capsys.readouterr().err
+
+
+def test_undefined_block_accuracy_is_null_and_left_out_of_the_mean(synthetic_dir, tmp_path,
+                                                                   monkeypatch):
+    # A block with no vertex on the test side has no test accuracy.
+    import ffbm.pipeline as pipeline_mod
+
+    real = pipeline_mod.repetition_report
+
+    def without_block_one(net, cfg, art):
+        report = real(net, cfg, art)
+        if art.repetition == 0:
+            report.accuracy_test[1] = math.nan
+        return report
+
+    monkeypatch.setattr(pipeline_mod, "repetition_report", without_block_one)
+    _, cfg = synthetic_dir
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    first, second = (rep["accuracy_test"] for rep in payload["per_repetition"])
+    assert first[1] is None and second[1] is not None
+    assert payload["mean"]["accuracy_test"] == [(first[0] + second[0]) / 2, second[1]]
+    assert payload["std"]["accuracy_test"][1] == 0.0
 
 
 def test_repetitions_drop_their_partition_samples_before_the_weight_stage():

@@ -1,4 +1,6 @@
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from scipy.optimize import minimize
 
 from ffbm import (
     ObjectiveContext,
+    WeightChainConfig,
     class_probabilities,
     log_partition_given_features,
     objective,
     objective_and_gradient,
     objective_gradient,
 )
+from ffbm.softmax import check_sigma
 
 
 def random_context(rng, num_blocks, num_features, size, sigma=1.0):
@@ -167,6 +171,33 @@ def test_context_validates_rows():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be positive and finite"):
             ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), sigma)
+
+
+def test_prior_width_keeps_its_square_normal_and_twice_its_square_finite():
+    # The bounds sqrt(smallest normal) and sqrt(largest float / 2) pass, and
+    # 1% beyond either fails; -1 squares to a valid width, so the sign is checked.
+    lowest, highest = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 2)
+    for sigma in (lowest, highest, 1.0):
+        check_sigma(sigma)
+        WeightChainConfig(sigma=sigma)
+    for sigma in (0.99 * lowest, 1.01 * highest, 1e-170, 1e200, -1.0, 0.0):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), sigma)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            WeightChainConfig(sigma=sigma)
+
+
+def test_context_pickled_after_use_gives_the_same_bits():
+    # The bound kernel is a closure, which pickle cannot take; it is dropped
+    # and rebound on the copy's first call.
+    rng = np.random.default_rng(4)
+    ctx = random_context(rng, 3, 4, 20, sigma=0.8)
+    weights = rng.normal(size=(3, 4))
+    value, grad = objective_and_gradient(weights, ctx)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy._kernel is None
+    copy_value, copy_grad = objective_and_gradient(weights, copy)
+    assert copy_value == value and copy_grad.tobytes() == grad.tobytes()
 
 
 def test_contexts_compare_and_hash_by_identity():
