@@ -169,6 +169,15 @@ def block_accuracy(weight_samples, responsibilities, features, vertex_set) -> np
     return loss_and_accuracy(weight_samples, responsibilities, features, vertex_set)[1]
 
 
+def null_if_undefined(value):
+    """value with NaN, also each NaN entry of a list, as None: a metric
+    undefined in a repetition (a block with no vertex on a side) is JSON's
+    null in report.json."""
+    if isinstance(value, list):
+        return [null_if_undefined(x) for x in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 @dataclass
 class EvaluationReport:
     """Metrics of one experiment repetition."""
@@ -188,17 +197,12 @@ class EvaluationReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and np.isnan(x):
-                return None
-            return x
-
         out = {
             "mean_description_length": self.mean_dl,
             "loss_train": self.loss_train,
             "loss_test": self.loss_test,
-            "accuracy_train": [clean(float(a)) for a in self.accuracy_train],
-            "accuracy_test": [clean(float(a)) for a in self.accuracy_test],
+            "accuracy_train": null_if_undefined([float(a) for a in self.accuracy_train]),
+            "accuracy_test": null_if_undefined([float(a) for a in self.accuracy_test]),
             "acceptance_ratio": self.acceptance_ratio,
             "mean_objective": self.mean_objective,
         }

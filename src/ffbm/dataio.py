@@ -76,14 +76,15 @@ def _edge_lines(path):
         yield lineno, (u, v, m)
 
 
-def _vertex_count(path, edges) -> int:
-    """N taken from edge ids alone: the largest id + 1, under the rule of
-    SPARSE_VERTEX_LIMIT; a breach names the first line with the largest id."""
-    n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+def _vertex_count(path, lines) -> int:
+    """N taken from the ids of the (line number, edge) pairs of _edge_lines
+    alone: the largest id + 1, under the rule of SPARSE_VERTEX_LIMIT; a
+    breach names the first line with the largest id."""
+    n = 1 + max((max(u, v) for _, (u, v, _) in lines), default=-1)
     if n > SPARSE_VERTEX_LIMIT:
-        seen = len({x for u, v, _ in edges for x in (u, v)})
+        seen = len({x for _, (u, v, _) in lines for x in (u, v)})
         if 2 * seen < n:
-            lineno = next(lineno for lineno, (u, v, _) in _edge_lines(path) if n - 1 in (u, v))
+            lineno = next(lineno for lineno, (u, v, _) in lines if n - 1 in (u, v))
             raise DataFormatError(
                 f"{path}:{lineno}: vertex id {n - 1} would make {n} vertices, of which only {seen} "
                 f"appear in an edge; without a feature file, a vertex count above "
@@ -91,11 +92,12 @@ def _vertex_count(path, edges) -> int:
     return n
 
 
-def _check_vertex_ids(path, edges, num_vertices, source) -> None:
-    """Raise DataFormatError at the first edge line with an id at or beyond
-    num_vertices, the count that the feature file ``source`` sets."""
-    if max((max(u, v) for u, v, _ in edges), default=-1) >= num_vertices:
-        lineno, vid = next((lineno, x) for lineno, edge in _edge_lines(path)
+def _check_vertex_ids(path, lines, num_vertices, source) -> None:
+    """Raise DataFormatError at the first of the (line number, edge) pairs
+    of _edge_lines with an id at or beyond num_vertices, the count that the
+    feature file ``source`` sets."""
+    if max((max(u, v) for _, (u, v, _) in lines), default=-1) >= num_vertices:
+        lineno, vid = next((lineno, x) for lineno, edge in lines
                            for x in edge[:2] if x >= num_vertices)
         raise DataFormatError(
             f"{path}:{lineno}: vertex id {vid} outside [0, {num_vertices}) set by {source}")
@@ -197,22 +199,22 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
     an edge, and a breach raises DataFormatError before anything N-sized is
     built.
     """
-    edges = parse_edge_list(edges_path)
+    lines = list(_edge_lines(edges_path))
     num_vertices, matrices, names = None, [], []
     for path, parse in ((features_path, parse_features),
                         (categorical_path, parse_categorical_features)):
         if path is not None:
             matrix, block_names = parse(path, num_vertices)
             if num_vertices is None:
-                _check_vertex_ids(edges_path, edges, matrix.shape[0], path)
+                _check_vertex_ids(edges_path, lines, matrix.shape[0], path)
             num_vertices = matrix.shape[0]
             matrices.append(matrix)
             names.extend(block_names)
     if num_vertices is None:
-        num_vertices = _vertex_count(edges_path, edges)
+        num_vertices = _vertex_count(edges_path, lines)
     feats = np.hstack(matrices) if matrices else None
     try:
-        return network_from_edges(num_vertices, edges, feats, tuple(names))
+        return network_from_edges(num_vertices, [edge for _, edge in lines], feats, tuple(names))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 

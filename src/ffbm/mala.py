@@ -47,6 +47,9 @@ from .softmax import (
 SCHEDULE_OFFSET = 1000.0
 SCHEDULE_DECAY = 0.8
 
+# The largest step-size scaling a chain accepts; see WeightChainConfig.
+MAX_STEP_SCALE = 1e6
+
 # Iterations of noise and uniforms a chain draws at a time, capped so that
 # a chunk holds at most _CHUNK_FLOATS normals per chain.
 _CHUNK = 256
@@ -55,7 +58,15 @@ _CHUNK_FLOATS = 2 ** 14
 
 @dataclass
 class WeightChainConfig:
-    """Hyperparameters of the weight sampler."""
+    """Hyperparameters of the weight sampler.
+
+    step_scale is the s of the step-size schedule, refused unless
+    0 < s <= MAX_STEP_SCALE.  The schedule already divides by the context's
+    vertex count, so s = O(1) is the useful range at any N.  The first step
+    on a one-vertex context is about s, the largest step any chain takes;
+    far above the cap the proposal densities overflow (on polbooks at
+    s = 1e150) and every proposal is rejected with a numpy warning.
+    """
 
     iterations: int = 10000
     burn_in: float = 0.4
@@ -66,8 +77,9 @@ class WeightChainConfig:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        if not (0 < self.step_scale < math.inf):
-            raise ValueError(f"step-size scaling must be positive and finite, got {self.step_scale}")
+        if not (0 < self.step_scale <= MAX_STEP_SCALE):
+            raise ValueError(f"step-size scaling must be positive and finite, and at most "
+                             f"{MAX_STEP_SCALE:g}, got {self.step_scale}")
         check_retention(self.iterations, self.burn_in, self.thinning)
 
 

@@ -26,6 +26,7 @@ from .analysis import (
     check_target_dim,
     loss_and_accuracy,
     mean_description_length,
+    null_if_undefined,
     reduce_dimension,
     summarize_weights,
 )
@@ -240,37 +241,27 @@ def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_art
     return reports, artifacts
 
 
-_LIST_METRICS = ("accuracy_train", "accuracy_test")
-_SKIP_METRICS = ("kept_features",)
-
-
 def aggregate_reports(reports) -> dict:
-    """Mean and population std of every numeric metric across repetitions.
+    """Mean and population std across repetitions of every metric but
+    kept_features, which names features rather than measuring them.
 
-    Per-block accuracy lists are aggregated elementwise ignoring undefined
-    (empty-block) entries; all-undefined entries aggregate to null.
+    A metric's values, scalars or lists alike, are read as one float array
+    with null read as NaN, and each entry is averaged over the repetitions
+    where it is defined, so a list aggregates entry by entry.  An entry
+    undefined in every repetition aggregates to null.
     """
     dicts = [r.to_dict() for r in reports]
     mean, std = {}, {}
     for key in dicts[0]:
-        if key in _SKIP_METRICS:
+        if key == "kept_features":
             continue
-        values = [d.get(key) for d in dicts]
-        if key in _LIST_METRICS:
-            arr = np.array([[np.nan if v is None else v for v in row] for row in values], dtype=float)
-            with np.errstate(invalid="ignore"):
-                m = np.nanmean(arr, axis=0)
-                s = np.nanstd(arr, axis=0)
-            mean[key] = [None if np.isnan(x) else float(x) for x in m]
-            std[key] = [None if np.isnan(x) else float(x) for x in s]
-        else:
-            numeric = np.array([v for v in values if v is not None], dtype=float)
-            if numeric.size == 0:
-                mean[key] = None
-                std[key] = None
-            else:
-                mean[key] = float(numeric.mean())
-                std[key] = float(numeric.std(ddof=0))
+        values = np.array([d.get(key) for d in dicts], dtype=float)
+        # Zeros stand in for entries undefined everywhere, which numpy's
+        # nan-reductions would warn about, and are masked out again below.
+        empty = np.isnan(values).all(axis=0)
+        values = np.where(empty, 0.0, values)
+        mean[key], std[key] = (null_if_undefined(np.where(empty, np.nan, f(values, axis=0)).tolist())
+                               for f in (np.nanmean, np.nanstd))
     return {"mean": mean, "std": std}
 
 

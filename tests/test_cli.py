@@ -311,7 +311,9 @@ def test_featureless_input_fails_before_any_stage(synthetic_dir, tmp_path, monke
                                      "proposal_smoothing=nan", "sigma=nan", "step_scale=inf",
                                      "reduced_step_scale=inf", "reduce_multiplier=nan",
                                      "reduce_multiplier=0", "num_blocks=none", "num_blocks=0",
-                                     "seed=-1", "sigma=1e200", "sigma=1e-170"])
+                                     "seed=-1", "sigma=1e200", "sigma=1e-170",
+                                     "step_scale=1e300", "step_scale=1e308",
+                                     "reduce_dim=1 reduced_step_scale=1e300"])
 def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting):
     import ffbm.pipeline as pipeline_mod
 
@@ -319,7 +321,8 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, monkeypatch, setting)
         raise AssertionError("the partition chain ran with a configuration a later stage rejects")
 
     monkeypatch.setattr(pipeline_mod, "run_block_chain", never)
-    code = main(["run", "--set", "repetitions=1", "--set", setting, "--out-dir", str(tmp_path)])
+    overrides = [arg for item in setting.split() for arg in ("--set", item)]
+    code = main(["run", "--set", "repetitions=1", *overrides, "--out-dir", str(tmp_path)])
     assert code == 2
 
 
@@ -570,6 +573,37 @@ def test_undefined_block_accuracy_is_null_and_left_out_of_the_mean(synthetic_dir
     assert first[1] is None and second[1] is not None
     assert payload["mean"]["accuracy_test"] == [(first[0] + second[0]) / 2, second[1]]
     assert payload["std"]["accuracy_test"][1] == 0.0
+
+
+def test_a_block_undefined_in_every_repetition_runs_clean_under_runtime_warnings_as_errors(tmp_path):
+    # On this six-block instance each seed leaves a block with no vertex on
+    # the test side of its one repetition, so that block's test accuracy is
+    # undefined everywhere and aggregates to null, without a numpy warning.
+    data = tmp_path / "data"
+    assert main(["generate", "--num-vertices", "30", "--num-blocks", "6", "--affinity-diag", "0.5",
+                 "--affinity-off", "0.05", "--seed", "2", "--out-dir", str(data)]) == 0
+    code = (
+        "import sys\n"
+        "from ffbm.cli import main\n"
+        "out, args = sys.argv[1], sys.argv[2:]\n"
+        "for seed in ('1', '2', '3'):\n"
+        "    code = main(['report', '--seed', seed, '--out-dir', f'{out}/{seed}', *args])\n"
+        "    if code:\n"
+        "        sys.exit(code)\n")
+    src = Path(ffbm.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, str(tmp_path),
+         "--set", f"edges={data / 'edges.txt'}", "--set", f"features={data / 'features.csv'}",
+         "--set", "num_blocks=6", "--set", "repetitions=1", "--set", "block_iters=50",
+         "--set", "theta_iters=500"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for seed in ("1", "2", "3"):
+        payload = json.loads((tmp_path / seed / "report.json").read_text())
+        undefined = [j for j, x in enumerate(payload["per_repetition"][0]["accuracy_test"]) if x is None]
+        assert undefined
+        for part in ("mean", "std"):
+            assert all(payload[part]["accuracy_test"][j] is None for j in undefined)
 
 
 def test_repetitions_drop_their_partition_samples_before_the_weight_stage():

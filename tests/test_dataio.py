@@ -130,6 +130,33 @@ def test_sparse_vertex_ids_need_half_of_them_in_edges(tmp_path, low_ids, ok):
     assert load_network(tmp_path / "e.txt", tmp_path / "f.csv").num_vertices == far + 1
 
 
+@pytest.mark.parametrize("edges, features, error", [
+    ("0 1\n1 2\n", None, None),
+    ("0 1\n1 2\n", "vertex,flag\n0,1\n1,0\n2,1\n", None),
+    ("0 1\n1 5\n", "vertex,flag\n0,1\n1,0\n2,1\n", r"e.txt:2: vertex id 5 outside \[0, 3\)"),
+    (f"0 1\n1 {SPARSE_VERTEX_LIMIT + 1}\n", None, rf"e.txt:2: vertex id {SPARSE_VERTEX_LIMIT + 1} "),
+], ids=["edges", "with-features", "id-beyond-features", "sparse-ids"])
+def test_load_network_reads_the_edge_file_once(tmp_path, monkeypatch, edges, features, error):
+    # The error paths name a line from the parsed edges, not from a second
+    # read of a file that may have changed since.
+    import ffbm.dataio as dataio
+
+    paths = []
+    read_bytes = dataio.read_bytes
+    monkeypatch.setattr(dataio, "read_bytes", lambda path: paths.append(path) or read_bytes(path))
+    (tmp_path / "e.txt").write_text(edges)
+    args = [tmp_path / "e.txt"]
+    if features is not None:
+        (tmp_path / "f.csv").write_text(features)
+        args.append(tmp_path / "f.csv")
+    if error is None:
+        load_network(*args)
+    else:
+        with pytest.raises(DataFormatError, match=error):
+            load_network(*args)
+    assert paths.count(tmp_path / "e.txt") == 1
+
+
 @pytest.mark.parametrize("kind, text", [
     ("features", "vertex,flag\n0,1\n1,0\n2,1\n,\n"),
     ("categorical", 'vertex,title\n0,"two\nlines"\n1,x\n2,y\n'),
