@@ -92,21 +92,18 @@ def reduce_dimension(summary: WeightSummary, multiplier: float, target_dim: int)
 
 
 def mean_description_length(s_values, num_vertices: int, num_edges: int,
-                            num_blocks: int = None) -> float:
-    """Average retained description length per entity (vertices plus edges).
+                            num_blocks: int) -> float:
+    """(mean of the retained S - N log B) / (N + E), in nats per entity.
 
-    This gauges how well the block model fits the graph, so when num_blocks
-    is given the partition-encoding constant N log B (which is independent
-    of the partition and cancels everywhere in sampling) is subtracted from
-    each retained value before averaging; published per-entity figures
-    follow that convention.
+    This gauges how well the block model fits the graph, so the
+    partition-encoding constant N log B, which is independent of the
+    partition and cancels everywhere in sampling, is subtracted from the
+    mean; published per-entity figures follow that convention.
     """
     s_values = np.asarray(s_values, dtype=np.float64)
     if s_values.size == 0:
         raise ValueError("empty description-length trace")
-    total = float(s_values.mean())
-    if num_blocks is not None:
-        total -= num_vertices * np.log(num_blocks)
+    total = float(s_values.mean()) - num_vertices * np.log(num_blocks)
     return total / (num_vertices + num_edges)
 
 
@@ -180,7 +177,11 @@ def null_if_undefined(value):
 
 @dataclass
 class EvaluationReport:
-    """Metrics of one experiment repetition."""
+    """Metrics of one experiment repetition.
+
+    extras holds further metrics, written after the named ones by to_dict,
+    which refuses an extras key that would replace one of them.
+    """
 
     mean_dl: float
     loss_train: float
@@ -212,5 +213,8 @@ class EvaluationReport:
             out["reduced_loss_train"] = self.reduced_loss_train
             out["reduced_loss_test"] = self.reduced_loss_test
             out["reduced_acceptance_ratio"] = self.reduced_acceptance_ratio
+        shadowed = sorted(out.keys() & self.extras.keys())
+        if shadowed:
+            raise ValueError(f"extras may not replace the metrics {shadowed}")
         out.update(self.extras)
         return out

@@ -155,7 +155,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_reduce(cfg, net, out: Path) -> int:
+def _cmd_reduce(cfg, out: Path) -> int:
     if cfg.reduce_dim is None:
         raise DataFormatError("reduce needs reduce_dim set (e.g. --set reduce_dim=10)")
     sample_file = out / "theta_samples.csv"
@@ -177,10 +177,9 @@ def _run_command(args) -> int:
     cfg = build_config(args.config, args.overrides, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    net = load_config_network(cfg)
-
     if args.command == "reduce":
-        return _cmd_reduce(cfg, net, out)
+        return _cmd_reduce(cfg, out)
+    net = load_config_network(cfg)
 
     if args.command in ("sample-blocks", "sample-theta"):
         # The stages of repetition 0, so the outputs equal rep000/ of a one-repetition run.

@@ -67,7 +67,6 @@ class BlockState:
     loop, so a cached entry always equals a fresh count.  The cache lives
     here rather than in a kernel because several kernels may be bound to
     one state, and a move through any of them must reach all of them.
-    Cached dicts are replaced, never mutated, so copy() shares them.
     """
 
     __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta", "block_weights")
@@ -107,18 +106,6 @@ class BlockState:
         self.n = n
         self.eta = eta
         self.block_weights = [None] * len(labels)
-
-    def copy(self) -> "BlockState":
-        dup = object.__new__(BlockState)
-        dup.net = self.net
-        dup.b = list(self.b)
-        dup.B = self.B
-        dup.e = [row[:] for row in self.e]
-        dup.e_row = list(self.e_row)
-        dup.n = list(self.n)
-        dup.eta = [dict(d) for d in self.eta]
-        dup.block_weights = list(self.block_weights)
-        return dup
 
     def partition(self) -> np.ndarray:
         return np.array(self.b, dtype=np.int64)

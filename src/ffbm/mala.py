@@ -89,8 +89,8 @@ class WeightChainResult:
     retained: list
     u_trace: np.ndarray  # objective after each iteration, incl. the initial draw
     acceptance_ratio: float
-    mean_objective: float = field(default=math.nan)  # mean U over iterations 1..T
-    accepted: np.ndarray = field(default=None, repr=False)  # per-iteration flags
+    mean_objective: float  # mean U over iterations 1..T
+    accepted: np.ndarray = field(repr=False)  # per-iteration flags
 
 
 def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
@@ -104,9 +104,13 @@ def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
 class WeightChainError(ArithmeticError):
     """A non-finite objective in one weight chain; chain is its index in run_weight_chains' input."""
 
-    def __init__(self, message, chain=0):
+    def __init__(self, message, chain):
         super().__init__(message)
         self.chain = chain
+
+    def __reduce__(self):
+        # A --jobs worker pickles the error back; the default rebuilds it from args alone.
+        return type(self), (*self.args, self.chain)
 
 
 def _log_densities(frm, to, grad_frm, step, drift=None, scaled=None, views=None, norms=None) -> list:

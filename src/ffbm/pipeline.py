@@ -245,17 +245,26 @@ def aggregate_reports(reports) -> dict:
     """Mean and population std across repetitions of every metric but
     kept_features, which names features rather than measuring them.
 
-    A metric's values, scalars or lists alike, are read as one float array
-    with null read as NaN, and each entry is averaged over the repetitions
-    where it is defined, so a list aggregates entry by entry.  An entry
-    undefined in every repetition aggregates to null.
+    The metrics are the keys of every repetition, in first-seen order.  A
+    metric's values, scalars or lists alike, are read as one float array
+    with null, or a missing key, read as NaN, and each entry is averaged
+    over the repetitions where it is defined, so a list aggregates entry by
+    entry; a list that is null as a whole is undefined in each entry.  An
+    entry undefined in every repetition aggregates to null.  A metric whose
+    values differ in shape (a number and a list, or lists of two lengths)
+    raises ValueError naming it.
     """
     dicts = [r.to_dict() for r in reports]
     mean, std = {}, {}
-    for key in dicts[0]:
+    for key in dict.fromkeys(key for d in dicts for key in d):
         if key == "kept_features":
             continue
-        values = np.array([d.get(key) for d in dicts], dtype=float)
+        values = [d.get(key) for d in dicts]
+        shapes = {np.shape(v) for v in values if v is not None}
+        if len(shapes) > 1:
+            raise ValueError(f"report key {key!r} takes shapes {sorted(shapes)} in different repetitions")
+        blank = np.full(shapes.pop() if shapes else (), np.nan)
+        values = np.array([blank if v is None else v for v in values], dtype=float)
         # Zeros stand in for entries undefined everywhere, which numpy's
         # nan-reductions would warn about, and are masked out again below.
         empty = np.isnan(values).all(axis=0)

@@ -153,7 +153,7 @@ def test_reduce_consistency_with_membership_rule():
 # ------------------------------------------------------------------- metrics
 
 def test_mean_description_length_constant_trace():
-    assert mean_description_length([7.0, 7.0, 7.0], 3, 4) == 1.0
+    assert mean_description_length([7.0, 7.0, 7.0], 3, 4, num_blocks=1) == 1.0
 
 
 def test_mean_description_length_subtracts_partition_constant():
@@ -163,7 +163,7 @@ def test_mean_description_length_subtracts_partition_constant():
 
 def test_mean_description_length_empty_error():
     with pytest.raises(ValueError):
-        mean_description_length([], 3, 4)
+        mean_description_length([], 3, 4, num_blocks=1)
 
 
 def test_cross_entropy_uniform_classifier():

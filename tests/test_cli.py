@@ -106,6 +106,32 @@ def test_reduce_rejects_oversized_target(synthetic_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", ["missing", "folder", "malformed"])
+def test_reduce_reads_only_its_sample_file(synthetic_dir, tmp_path, data):
+    # reduce beside the data, and from a directory holding only
+    # theta_samples.csv with data paths that cannot be read: same bytes.
+    _, cfg = synthetic_dir
+    beside, alone = tmp_path / "beside", tmp_path / "alone"
+    assert main(["sample-theta", "--config", str(cfg), "--seed", "3", "--out-dir", str(beside)]) == 0
+    alone.mkdir()
+    (alone / "theta_samples.csv").write_bytes((beside / "theta_samples.csv").read_bytes())
+    bad = {"missing": tmp_path / "nonexistent", "folder": alone,
+           "malformed": beside / "theta_summary.json"}[data]
+    assert main(["reduce", "--config", str(cfg), "--set", "reduce_dim=1",
+                 "--out-dir", str(beside)]) == 0
+    assert main(["reduce", "--config", str(cfg), "--set", "reduce_dim=1",
+                 "--set", f"edges={bad}", "--set", f"features={bad}", "--out-dir", str(alone)]) == 0
+    for name in ("reduction.csv", "reduction.json"):
+        assert (alone / name).read_bytes() == (beside / name).read_bytes()
+
+
+def test_reduce_of_a_malformed_sample_file_exits_two(tmp_path, capsys):
+    (tmp_path / "theta_samples.csv").write_text("t,0.a,1.a\n0,0.5,x\n")
+    assert main(["reduce", "--set", "reduce_dim=1", "--out-dir", str(tmp_path)]) == 2
+    assert "theta_samples.csv:2: row t=0 has a weight that is not a finite number" in \
+        capsys.readouterr().err
+
+
 def test_reduce_without_samples_fails(synthetic_dir, tmp_path):
     _, cfg = synthetic_dir
     code = main(["reduce", "--config", str(cfg), "--out-dir", str(tmp_path / "empty"),
@@ -638,9 +664,14 @@ def test_repetitions_drop_their_partition_samples_before_the_weight_stage():
     assert peaks[4] - peaks[1] < sum(b.nbytes for b in samples)
 
 
-@pytest.mark.parametrize("command", ["sample-blocks", "sample-theta", "reduce", "report", "run"])
-@pytest.mark.parametrize("case", ["edges-dir", "features-dir", "config-dir", "out-dir-file",
-                                  "malformed-edges", "bad-bytes"])
+# reduce reads its config, its output directory and theta_samples.csv, not
+# the data files (test_reduce_reads_only_its_sample_file).
+@pytest.mark.parametrize("case, command", [
+    (case, command)
+    for case in ("edges-dir", "features-dir", "config-dir", "out-dir-file", "malformed-edges",
+                 "bad-bytes")
+    for command in ("sample-blocks", "sample-theta", "reduce", "report", "run")
+    if command != "reduce" or case in ("config-dir", "out-dir-file")])
 def test_unreadable_or_malformed_input_exits_two(synthetic_dir, tmp_path, monkeypatch, capsys,
                                                  command, case):
     import ffbm.pipeline as pipeline_mod

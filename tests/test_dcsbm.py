@@ -258,7 +258,7 @@ def test_move_deltas_match_single_target_oracle_and_recompute(case):
             assert sum(math.isnan(x) for x in single) == num_blocks - 1
             if s != r:
                 assert every[s].hex() == _sequential_delta(state, i, r, s).hex()
-            moved = state.copy()
+            moved = BlockState(state.net, state.b, state.B)
             apply_move(moved, i, s)
             assert abs(every[s] - (description_length(net, moved) - s_before)) <= 1e-9
 
@@ -373,7 +373,7 @@ def test_log_table_is_exact_and_sized_by_the_state():
 @pytest.mark.parametrize("i, target", [(0, -1), (0, 3), (-1, 0), (105, 0)])
 def test_apply_move_rejects_a_vertex_or_target_out_of_range(i, target):
     state = BlockState(load_polbooks(), [k % 3 for k in range(105)], 3)
-    before = state.copy()
+    before = BlockState(state.net, state.b, state.B)
     with pytest.raises(ValueError, match="outside"):
         apply_move(state, i, target)
     with pytest.raises(ValueError, match="outside"):

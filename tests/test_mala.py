@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,12 @@ def test_weight_chain_names_the_non_finite_step(monkeypatch, call, value, where)
     cfg = WeightChainConfig(iterations=50, burn_in=0.0, thinning=1, seed=13)
     with pytest.raises(ArithmeticError, match=where):
         run_weight_chain(separated_context(), cfg)
+
+
+def test_weight_chain_error_keeps_its_chain_through_pickling():
+    # A --jobs worker sends the error back to the main process by pickle.
+    exc = pickle.loads(pickle.dumps(mala.WeightChainError("objective is nan", 2)))
+    assert (type(exc), str(exc), exc.chain) == (mala.WeightChainError, "objective is nan", 2)
 
 
 def test_weight_chain_rejects_an_infinite_proposal(monkeypatch):

@@ -118,3 +118,24 @@ def test_a_list_valued_extra_aggregates_entry_by_entry(second, mean, std):
     assert aggregate["mean"]["ess"] == mean and aggregate["std"]["ess"] == std
     assert aggregate["mean"]["rhat"] == 1.25 and aggregate["std"]["rhat"] == 0.25
 
+
+def test_a_list_null_as_a_whole_is_undefined_in_each_entry():
+    aggregate = aggregate_reports([_report(extras={"ess": [1.0, 2.0]}), _report(extras={"ess": None})])
+    assert aggregate["mean"]["ess"] == [1.0, 2.0] and aggregate["std"]["ess"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("second", [[1.0, 2.0], 1.0])
+def test_a_metric_of_two_shapes_is_refused_by_name(second):
+    with pytest.raises(ValueError, match="'ess' takes shapes"):
+        aggregate_reports([_report(extras={"ess": [1.0]}), _report(extras={"ess": second})])
+
+
+def test_a_metric_of_any_repetition_is_aggregated():
+    aggregate = aggregate_reports([_report(), _report(extras={"rhat": 1.5})])
+    assert list(aggregate["mean"])[-1] == "rhat"
+    assert aggregate["mean"]["rhat"] == 1.5 and aggregate["std"]["rhat"] == 0.0
+
+
+def test_extras_may_not_replace_a_metric():
+    with pytest.raises(ValueError, match="loss_train"):
+        _report(extras={"loss_train": 0.0, "ess": 3.0}).to_dict()
