@@ -18,9 +18,10 @@ bound on the Hastings ratio, is rejected before its proposal probabilities
 are computed.  It is the only code that draws, scores and decides a
 partition-chain proposal.  Every proposal reads four doubles of the
 generator, used or not, so the chain's output does not depend on the
-chunk length.  The greedy initialiser draws from ``random.Random`` and
-scores a vertex against its neighbours' blocks through its own bound
-kernel.  The bound references stay valid because moves update the state's
+chunk length.  The greedy initialiser, a multilevel agglomerative run,
+draws from ``random.Random``, scores block merges through
+``dcsbm.merge_kernel`` and scores a vertex against its neighbours' blocks
+through its own bound move kernel.  The bound references stay valid because moves update the state's
 b, e rows, e_row, n and eta in place and never rebind them.
 """
 
@@ -35,7 +36,7 @@ from itertools import accumulate, chain, islice
 
 import numpy as np
 
-from .dcsbm import BlockState, description_length, move_kernel
+from .dcsbm import BlockState, description_length, merge_kernel, move_kernel
 from .graph import LabelledNetwork
 from .sampling import check_retention, retained_indices
 
@@ -48,7 +49,7 @@ class BlockChainConfig:
     burn_in: float = 0.2
     thinning: int = 5
     smoothing: float = 1.0
-    init_restarts: int = 8
+    init_restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -253,15 +254,22 @@ def _sweeper(state: BlockState, rng: np.random.Generator, eps: float):
     return sweep
 
 
+# The multilevel initialiser's schedule.  While more than _ONE_MERGE * B
+# blocks remain, a round merges them down to max(B, floor(_MERGE_RATIO *
+# blocks)); from there each round merges one pair.  At or below _DENSE_CAP
+# * B blocks a dense BlockState is built after each round for a descent pass.
+_MERGE_RATIO = 0.5
+_ONE_MERGE = 2
+_DENSE_CAP = 64
+
+
 def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
                   restarts: int = BlockChainConfig.init_restarts) -> BlockState:
     """Greedy minimum-description-length partition with a fixed block count.
 
-    Each restart is one ``_greedy_descent`` from a uniformly random
-    labelling (patched so no block starts empty) to a local minimum of S
-    under moves of one vertex to a block of its neighbours.  The best of
-    the restarts is returned; a single descent gets trapped in shallow
-    local minima too often (e.g. mixed splits of two disjoint cliques).
+    Each restart is one ``_agglomerate`` run, from every vertex in its own
+    block down to num_blocks blocks, drawing from rng; the restart of least
+    S is returned (the first among equals).
     """
     n_vert = net.num_vertices
     if num_blocks < 1:
@@ -275,45 +283,132 @@ def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
 
     best_state, best_s = None, math.inf
     for _ in range(restarts):
-        state = _greedy_descent(net, num_blocks, rng)
+        state = _agglomerate(net, num_blocks, rng)
         s_val = description_length(net, state)
         if s_val < best_s:
             best_state, best_s = state, s_val
     return best_state
 
 
-def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -> BlockState:
-    """One zero-temperature descent from a random labelling drawn from rng.
+def _agglomerate(net: LabelledNetwork, num_blocks: int, rng: random.Random) -> BlockState:
+    """One multilevel run (Peixoto, PRE 89 012804, arXiv 1310.4378) from singletons.
+
+    Every vertex starts in its own block, and each round binds a
+    ``merge_kernel`` on the current labels.  While more than _ONE_MERGE * B
+    blocks remain, every block proposes a merge (``_block_merge``); the
+    proposals are applied lowest delta S first, through union-find, until
+    max(B, floor(_MERGE_RATIO * blocks)) remain.  Below that, the one pair
+    of least delta S merges (``_pair_merge``).  Merged blocks are numbered
+    in the order of their lowest old label.  After every round that leaves
+    at most _DENSE_CAP * B blocks but more than B, a BlockState is built and
+    one ``_descend`` pass moves the vertices with half-edges; at B the
+    descent runs to its local minimum.
+    """
+    labels = list(range(net.num_vertices))
+    blocks = net.num_vertices
+    while blocks > num_blocks:
+        rows, delta = merge_kernel(net, labels, blocks)
+        if blocks > _ONE_MERGE * num_blocks:
+            goal = max(num_blocks, int(_MERGE_RATIO * blocks))
+            merges = sorted(_block_merge(r, rows[r], delta, blocks, rng) for r in range(blocks))
+        else:
+            goal = blocks - 1
+            merges = [_pair_merge(delta, blocks)]
+        labels = _merge_blocks(labels, blocks, merges, goal)
+        blocks = goal
+        if num_blocks < blocks <= _DENSE_CAP * num_blocks:
+            state = BlockState(net, labels, blocks)
+            _descend(state, rng, once=True)
+            labels = state.b
+    state = BlockState(net, labels, num_blocks)
+    _descend(state, rng)
+    return state
+
+
+def _block_merge(r: int, row: dict, delta, blocks: int, rng: random.Random) -> tuple:
+    """(delta S, r, s) of block r's proposed merge: the block s of least
+    delta S among those its row shares a half-edge with, in the row's order
+    (the first among equals), or one block drawn from rng if it shares none.
+    Each candidate's cutoff is the best delta S so far."""
+    best, low = -1, math.inf
+    for s in row:
+        if s != r:
+            value = delta(r, s, low)
+            if value < low:
+                best, low = s, value
+    if best < 0:
+        best = rng.randrange(blocks - 1)
+        best += best >= r
+        low = delta(r, best)
+    return low, r, best
+
+
+def _pair_merge(delta, blocks: int) -> tuple:
+    """(delta S, r, s) of the pair r < s of least delta S over all pairs.
+
+    Pairs are scored in the order of their lower bounds (delta with cutoff
+    -inf), each with the best delta S so far as its cutoff, and the search
+    stops at the first bound that cannot win; so the merged log q is read
+    only for a pair that may still win.
+    """
+    best = (math.inf, -1, -1)
+    bounds = sorted((delta(r, s, -math.inf), r, s)
+                    for r in range(blocks) for s in range(r + 1, blocks))
+    for bound, r, s in bounds:
+        if bound >= best[0]:
+            break
+        value = delta(r, s, best[0])
+        if value < best[0]:
+            best = (value, r, s)
+    return best
+
+
+def _merge_blocks(labels, blocks: int, merges, goal: int) -> list:
+    """The labels after joining the (delta, r, s) merges in order, through
+    union-find, until ``goal`` of the ``blocks`` blocks remain."""
+    parent = list(range(blocks))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _, r, s in merges:
+        if blocks == goal:
+            break
+        r, s = find(r), find(s)
+        if r != s:
+            parent[max(r, s)] = min(r, s)
+            blocks -= 1
+    new = {}
+    relabel = [new.setdefault(find(t), len(new)) for t in range(len(parent))]
+    return [relabel[x] for x in labels]
+
+
+def _descend(state: BlockState, rng: random.Random, once: bool = False) -> None:
+    """Zero-temperature single-vertex descent of the state, drawing from rng.
 
     A visit scores vertex i, unless it is alone in its block, against its
     move set: the blocks of its w in w's order, or every block when i has
     no half-edges (the move kernel's targets=None).  i moves to the first
     block of least delta S below 0.  The first pass visits every vertex in
-    shuffled order; each later pass visits, sorted and then shuffled, the
-    far ends of the half-edges of the vertices the previous pass moved,
-    each once.  A pass that moves nothing is followed by a full pass unless
-    it was one, and a full pass that moves nothing ends the descent, so no
-    vertex that may leave its block can lower S within its move set.
+    shuffled order; with once, it visits only the vertices with half-edges
+    and is the only pass.  Otherwise each later pass visits, sorted and then
+    shuffled, the far ends of the half-edges of the vertices the previous
+    pass moved, each once.  A pass that moves nothing is followed by a full
+    pass unless it was one, and a full pass that moves nothing ends the
+    descent, so no vertex that may leave its block can lower S within its
+    move set.
     """
-    n_vert = net.num_vertices
-    labels = [rng.randrange(num_blocks) for _ in range(n_vert)]
-    counts = [0] * num_blocks
-    for x in labels:
-        counts[x] += 1
-    for blk in range(num_blocks):
-        while counts[blk] == 0:
-            donor = rng.randrange(n_vert)
-            if counts[labels[donor]] > 1:
-                counts[labels[donor]] -= 1
-                labels[donor] = blk
-                counts[blk] += 1
-
-    state = BlockState(net, labels, num_blocks)
     visit, move = move_kernel(state)
     b, n = state.b, state.n
-    ends = net.half_edges.ends
-    order, full = list(range(n_vert)), True
-    deltas = [0.0] * num_blocks
+    half_edges = state.net.half_edges
+    ends = half_edges.ends
+    every = range(state.net.num_vertices)
+    order = [i for i in every if half_edges.degree[i]] if once else list(every)
+    full = True
+    deltas = [0.0] * state.B
     while True:
         rng.shuffle(order)
         moved = []
@@ -325,12 +420,14 @@ def _greedy_descent(net: LabelledNetwork, num_blocks: int, rng: random.Random) -
             if best != r:
                 move(i, r, best, w, loops)
                 moved.append(i)
+        if once:
+            return
         if moved:
             order, full = sorted({j for i in moved for j in ends[i]}), False
         elif full:
-            return state
+            return
         else:
-            order, full = list(range(n_vert)), True
+            order, full = list(every), True
 
 
 def run_block_chain(net: LabelledNetwork, num_blocks: int, cfg: BlockChainConfig) -> BlockChainResult:

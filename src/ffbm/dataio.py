@@ -8,6 +8,7 @@ Vertex ids are 0-based everywhere.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from importlib import resources
@@ -34,10 +35,18 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
-def read_text(path) -> str:
-    """The whole of an input file, decoded as UTF-8 with line endings kept."""
+def read_text(path, digests=None, key=None) -> str:
+    """The whole of an input file, decoded as UTF-8 with line endings kept.
+
+    With a dict ``digests``, the SHA-256 of the bytes read is stored there
+    under ``key``, so a caller can name the file's contents without reading
+    it again.
+    """
+    data = read_bytes(path)
+    if digests is not None:
+        digests[key] = hashlib.sha256(data).hexdigest()
     try:
-        return read_bytes(path).decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
@@ -58,9 +67,10 @@ def parse_edge_list(path):
     return [edge for _, edge in _edge_lines(path)]
 
 
-def _edge_lines(path):
-    """(line number, (u, v, m)) of each edge line, checked as parse_edge_list says."""
-    for lineno, line in content_lines(read_text(path)):
+def _edge_lines(path, text=None):
+    """(line number, (u, v, m)) of each edge line of text (by default the
+    file's), checked as parse_edge_list says."""
+    for lineno, line in content_lines(read_text(path) if text is None else text):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise DataFormatError(f"{path}:{lineno}: expected 'u v [m]', got {line!r}")
@@ -103,14 +113,16 @@ def _check_vertex_ids(path, lines, num_vertices, source) -> None:
             f"{path}:{lineno}: vertex id {vid} outside [0, {num_vertices}) set by {source}")
 
 
-def _read_table(path, key):
+def _read_table(path, key, text=None):
     """Columns and rows of a CSV file whose first column holds integer keys.
+
+    text is the file's contents, read from path when not given.
 
     Cells are stripped and rows of blank cells skipped.  Returns the column
     names after `key` and one (line number, key, other cells) triple per row,
     each row checked to have one cell per column.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path) if text is None else text, newline=""))
     try:
         header = [cell.strip() for cell in next(reader, [])]
         if not header or header[0] != key:
@@ -132,13 +144,13 @@ def _read_table(path, key):
     return header[1:], rows
 
 
-def _read_vertex_table(path, num_vertices=None):
+def _read_vertex_table(path, num_vertices=None, text=None):
     """Columns and per-vertex cells of a CSV file keyed by a 'vertex' column.
 
     Every vertex id in [0, N) must appear exactly once; N defaults to the
-    number of rows.
+    number of rows.  text is the file's contents, read when not given.
     """
-    columns, rows = _read_table(path, "vertex")
+    columns, rows = _read_table(path, "vertex", text)
     if num_vertices is None:
         num_vertices = len(rows)
     cells = [None] * num_vertices
@@ -154,13 +166,14 @@ def _read_vertex_table(path, num_vertices=None):
     return columns, cells
 
 
-def parse_features(path, num_vertices: int = None):
+def parse_features(path, num_vertices: int = None, text: str = None):
     """Read a binary feature CSV with header 'vertex,<name1>,...,<nameD>'.
 
     Every vertex in [0, N) must appear exactly once; entries must be 0 or 1.
-    N defaults to the number of rows.  Returns (matrix, names).
+    N defaults to the number of rows.  text is the file's contents, read
+    from path when not given.  Returns (matrix, names).
     """
-    columns, cells = _read_vertex_table(path, num_vertices)
+    columns, cells = _read_vertex_table(path, num_vertices, text)
     for vid, row in enumerate(cells):
         for cell in row:
             if cell not in ("0", "1"):
@@ -168,14 +181,15 @@ def parse_features(path, num_vertices: int = None):
     return np.array(cells, dtype=np.int8).reshape(len(cells), len(columns)), tuple(columns)
 
 
-def parse_categorical_features(path, num_vertices: int = None):
+def parse_categorical_features(path, num_vertices: int = None, text: str = None):
     """Read a categorical CSV and one-hot expand it into binary flags.
 
     Each column c with observed values v becomes flags named 'c-v'; flag
     order is column order, then sorted values within a column.  N defaults
-    to the number of rows.  Returns (matrix, names).
+    to the number of rows.  text is the file's contents, read from path when
+    not given.  Returns (matrix, names).
     """
-    columns, cells = _read_vertex_table(path, num_vertices)
+    columns, cells = _read_vertex_table(path, num_vertices, text)
     names = []
     index = {}
     for c, col in enumerate(columns):
@@ -197,14 +211,18 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
     Otherwise N is the largest edge endpoint + 1; that count may exceed
     SPARSE_VERTEX_LIMIT only if at least half of the ids in [0, N) appear in
     an edge, and a breach raises DataFormatError before anything N-sized is
-    built.
+    built.  Each file is read once; the network's input_sha256 maps
+    "edges", "features" and "categorical_features" to the SHA-256 of the
+    bytes of each file given.
     """
-    lines = list(_edge_lines(edges_path))
+    digests = {}
+    lines = list(_edge_lines(edges_path, read_text(edges_path, digests, "edges")))
     num_vertices, matrices, names = None, [], []
-    for path, parse in ((features_path, parse_features),
-                        (categorical_path, parse_categorical_features)):
+    for key, path, parse in (("features", features_path, parse_features),
+                             ("categorical_features", categorical_path,
+                              parse_categorical_features)):
         if path is not None:
-            matrix, block_names = parse(path, num_vertices)
+            matrix, block_names = parse(path, num_vertices, read_text(path, digests, key))
             if num_vertices is None:
                 _check_vertex_ids(edges_path, lines, matrix.shape[0], path)
             num_vertices = matrix.shape[0]
@@ -214,7 +232,8 @@ def load_network(edges_path, features_path=None, categorical_path=None) -> Label
         num_vertices = _vertex_count(edges_path, lines)
     feats = np.hstack(matrices) if matrices else None
     try:
-        return network_from_edges(num_vertices, [edge for _, edge in lines], feats, tuple(names))
+        return network_from_edges(num_vertices, [edge for _, edge in lines], feats, tuple(names),
+                                  input_sha256=digests)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 

@@ -15,7 +15,9 @@ reads a vertex's neighbour blocks and scores its moves, and a move, which
 applies one.  The bound references stay valid because every move mutates
 b, the rows of e, e_row, n, eta and the neighbour-block cache in place and
 never rebinds them.  The greedy initialiser, the partition chain,
-``delta_description_length`` and ``apply_move`` all go through it.
+``delta_description_length`` and ``apply_move`` all go through it.  The
+initialiser's block merges have one implementation too, ``merge_kernel``,
+which scores them on per-round block statistics kept in dict rows.
 
 Conventions: the edge-count matrix e is symmetric with e[r][r] twice the
 number of intra-block edges, so the half-edge count of block r is
@@ -327,6 +329,88 @@ def move_kernel(state: BlockState):
             cache[j] = None
 
     return visit, move
+
+
+def merge_kernel(net: LabelledNetwork, labels, num_blocks: int):
+    """Bind the block statistics of a partition once; return (rows, delta), its merge kernel.
+
+    The statistics are built in one O(N + E) pass over the labels and
+    edges, with no B x B list: rows[r] maps each block s that shares a
+    half-edge with r to e_rs (rows[r][r] = e_rr, doubled), beside e_r, n_r,
+    the degree histogram of each block and log q(e_r, n_r).  There must be
+    at least two blocks, every label must lie in [0, num_blocks) and no
+    block may be empty.
+
+    delta(r, s, cutoff) is S(b with blocks r and s merged, B - 1 blocks) -
+    S(b) for r != s, exactly: the pairing terms of r, s and their shared
+    neighbour blocks, the degree prior of the two blocks, and the terms
+    that depend on B alone (the edge-matrix prior and N log B), in that
+    order.  The merged block's log q(e_r + e_s, n_r + n_s) is read only if
+    the lower bound L = delta' - min(log q(e_r, n_r), log q(e_s, n_s)),
+    where delta' is everything else, lies below cutoff; otherwise delta
+    returns L, which is then at least cutoff.  L is a bound because q(m, n)
+    does not decrease in either argument for n >= 1, so the merged count is
+    at least the larger of the two; the exact value is summed as delta' +
+    ((log q_merged - the larger) - the smaller), so in floats too it is
+    never below L and a cutoff never changes which merge is least.
+    """
+    rows = [{} for _ in range(num_blocks)]
+    for u, v, m in net.edges:
+        r, s = labels[u], labels[v]
+        row = rows[r]
+        if r == s:
+            row[r] = row.get(r, 0) + 2 * m
+        else:
+            row[s] = row.get(s, 0) + m
+            rows[s][r] = rows[s].get(r, 0) + m
+    e_row = [sum(row.values()) for row in rows]
+    n = [0] * num_blocks
+    eta = [{} for _ in range(num_blocks)]
+    degree = net.half_edges.degree
+    for i, r in enumerate(labels):
+        n[r] += 1
+        hist = eta[r]
+        hist[degree[i]] = hist.get(degree[i], 0) + 1
+    log_factorial(max(2 * net.num_edges, net.num_vertices))
+    log_q = [log_count_partitions(e_row[r], n[r]) for r in range(num_blocks)]
+    lf, lcp = _LOG_FACT, log_count_partitions
+    # The edge-matrix prior's change, log C(a + E, E) - log C(a + B + E, E)
+    # with a = B(B - 1)/2 - 1, as a sum of B logs: log_multiset would size
+    # the log-factorial table to B^2/2 + E.
+    base, num_edges = num_blocks * (num_blocks - 1) // 2 - 1, net.num_edges
+    fewer_blocks = sum(math.log(base + j) - math.log(base + num_edges + j)
+                       for j in range(1, num_blocks + 1))
+    fewer_blocks += net.num_vertices * (log_integer(num_blocks - 1) - log_integer(num_blocks))
+
+    def delta(r, s, cutoff=math.inf):
+        e_r, e_s = rows[r], rows[s]
+        row_r, row_s = e_row[r], e_row[s]
+        value = lf[row_r + row_s] - lf[row_r] - lf[row_s]
+        h_r, h_s, e_rs = e_r.get(r, 0) // 2, e_s.get(s, 0) // 2, e_r.get(s, 0)
+        h_m = h_r + h_s + e_rs
+        value -= (h_m * LOG2 + lf[h_m]) - (h_r * LOG2 + lf[h_r]) - (h_s * LOG2 + lf[h_s])
+        value += lf[e_rs]
+        small, large = (e_r, e_s) if len(e_r) <= len(e_s) else (e_s, e_r)
+        for t, x in small.items():
+            if t != r and t != s:
+                y = large.get(t)
+                if y:
+                    value -= lf[x + y] - lf[x] - lf[y]
+        n_r, n_s = n[r], n[s]
+        value += lf[n_r + n_s] - lf[n_r] - lf[n_s]
+        small, large = (eta[r], eta[s]) if len(eta[r]) <= len(eta[s]) else (eta[s], eta[r])
+        for k, x in small.items():
+            y = large.get(k)
+            if y:
+                value -= lf[x + y] - lf[x] - lf[y]
+        value += fewer_blocks
+        low, high = sorted((log_q[r], log_q[s]))
+        bound = value - low
+        if bound >= cutoff:
+            return bound
+        return value + ((lcp(row_r + row_s, n_r + n_s) - high) - low)
+
+    return rows, delta
 
 
 def _check_move(state: BlockState, i: int, target: int) -> None:

@@ -19,7 +19,10 @@ class LabelledNetwork:
     sorted and with repeated pairs merged; self-loops are allowed.  Degrees
     count half-edges: an edge of multiplicity m adds m to each endpoint, so a
     loop of multiplicity m adds 2m to its vertex.  The per-vertex neighbour
-    lists live in ``half_edges``, one entry per half-edge.
+    lists live in ``half_edges``, one entry per half-edge.  input_sha256 maps
+    the role of each file a network was read from ("edges", "features",
+    "categorical_features") to the SHA-256 of its bytes; it is empty for a
+    network built in memory.
 
     Instances are immutable after construction, safe to share between
     concurrently running samplers, and compare and hash by identity.
@@ -29,6 +32,7 @@ class LabelledNetwork:
     edges: tuple  # ((u, v, mult), ...) with u <= v
     features: np.ndarray  # N x D, entries in {0, 1}
     feature_names: tuple
+    input_sha256: dict = field(default_factory=dict, repr=False)
 
     degrees: np.ndarray = field(init=False, repr=False)
     num_edges: int = field(init=False)
@@ -127,7 +131,8 @@ class HalfEdgeTable:
         self.start = np.cumsum(self.width) - self.width
 
 
-def network_from_edges(num_vertices, edges, features=None, feature_names=None) -> LabelledNetwork:
+def network_from_edges(num_vertices, edges, features=None, feature_names=None,
+                       input_sha256=None) -> LabelledNetwork:
     """Build a LabelledNetwork; features default to an empty N x 0 matrix."""
     if features is None:
         features = np.zeros((num_vertices, 0), dtype=np.int8)
@@ -135,7 +140,7 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None) -
     elif feature_names is None:
         feature_names = tuple(f"f{d}" for d in range(np.asarray(features).shape[1]))
     edges = tuple(e if len(e) == 3 else (e[0], e[1], 1) for e in edges)
-    return LabelledNetwork(num_vertices, edges, features, feature_names)
+    return LabelledNetwork(num_vertices, edges, features, feature_names, dict(input_sha256 or {}))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ exception's message.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .analysis import (
 )
 from .block_chain import estimate_responsibilities, run_block_chain
 from .config import PARTITION_CHAIN, REDUCED_WEIGHT_CHAIN, WEIGHT_CHAIN, RunConfig, chain_config
-from .dataio import DataFormatError, load_network, load_polbooks, read_bytes
+from .dataio import DataFormatError, load_network, load_polbooks
 from .graph import LabelledNetwork, split_vertices
 from .mala import WeightChainError, run_weight_chains
 from .sampling import stream_seed_int, stream_seed_sequence
@@ -282,8 +281,10 @@ def experiment_payload(net: LabelledNetwork, cfg: RunConfig, reports) -> dict:
 
     The config holds the input paths as given; "input_sha256" maps each
     given path's key to the SHA-256 of the file's bytes, so the same data
-    read from another directory can be recognised.  A run on the bundled
-    network gives no paths and no "input_sha256".
+    read from another directory can be recognised.  The digests are those
+    that ``load_network`` recorded on net when it read the files, so net
+    must be the config's network, and no file is read here.  A run on the
+    bundled network gives no paths and no "input_sha256".
     """
     config = cfg.to_dict()
     payload = {
@@ -295,8 +296,7 @@ def experiment_payload(net: LabelledNetwork, cfg: RunConfig, reports) -> dict:
         },
         "config": config,
     }
-    digests = {key: hashlib.sha256(read_bytes(config[key])).hexdigest()
-               for key in _INPUT_KEYS if config[key] is not None}
+    digests = {key: net.input_sha256[key] for key in _INPUT_KEYS if config[key] is not None}
     if digests:
         payload["input_sha256"] = digests
     payload["per_repetition"] = [r.to_dict() for r in reports]

@@ -28,7 +28,7 @@ from ffbm import (
 from ffbm import block_chain
 from ffbm import dcsbm
 from ffbm.block_chain import (
-    _greedy_descent,
+    _descend,
     _min_cost_assignment,
     _proposal_draws,
     _proposal_probs,
@@ -678,7 +678,8 @@ def test_cached_block_weights_match_a_fresh_count_after_moves(case):
 
     _sweeper(state, np.random.default_rng(seed), 1.0)(300, 0.0)
     _assert_matches_a_fresh_count(state)
-    _assert_matches_a_fresh_count(_greedy_descent(net, num_blocks, rng))
+    _descend(state, rng)
+    _assert_matches_a_fresh_count(state)
 
 
 # --------------------------------------------------------------- greedy init
@@ -718,6 +719,49 @@ def test_mdl_partition_separates_cliques():
     state = mdl_partition(net, 2, random.Random(11))
     first, second = set(state.b[:5]), set(state.b[5:])
     assert len(first) == 1 and len(second) == 1 and first != second
+
+
+def test_mdl_partition_with_a_block_per_vertex():
+    state = mdl_partition(two_cliques(3), 6, random.Random(0))
+    assert state.b == list(range(6))
+
+
+def test_mdl_partition_places_isolated_vertices():
+    # A block with no neighbour block merges into one drawn from rng; on a
+    # network with no edge at all every block is such a block.
+    net = network_from_edges(11, two_cliques(5).edges)
+    state = mdl_partition(net, 2, random.Random(3))
+    assert len(set(state.b[:5])) == len(set(state.b[5:10])) == 1 and state.b[0] != state.b[5]
+    empty = network_from_edges(7, [])
+    state = mdl_partition(empty, 3, random.Random(1))
+    assert sorted(set(state.b)) == [0, 1, 2]
+    assert state.b == mdl_partition(empty, 3, random.Random(1)).b
+
+
+def test_merge_rounds_halve_then_merge_one_pair_and_go_dense_below_the_cap(monkeypatch):
+    # Halving rounds while more than 2B blocks remain, then one merge a
+    # round; a dense state is built only at or below 64 B blocks.
+    merged_from, dense = [], []
+    kernel, state_type = block_chain.merge_kernel, block_chain.BlockState
+
+    def recorded_kernel(net, labels, num_blocks):
+        merged_from.append(num_blocks)
+        return kernel(net, labels, num_blocks)
+
+    def recorded_state(net, labels, num_blocks):
+        dense.append(num_blocks)
+        return state_type(net, labels, num_blocks)
+
+    monkeypatch.setattr(block_chain, "merge_kernel", recorded_kernel)
+    monkeypatch.setattr(block_chain, "BlockState", recorded_state)
+    mdl_partition(load_polbooks(), 3, random.Random(0))
+    assert merged_from == [105, 52, 26, 13, 6, 5, 4]
+    assert dense == [52, 26, 13, 6, 5, 4, 3]
+    merged_from.clear()
+    dense.clear()
+    mdl_partition(_planted_network(), 2, random.Random(0))
+    assert merged_from[:3] == [500, 250, 125] and merged_from[-1] == 3
+    assert dense[0] == 125 <= block_chain._DENSE_CAP * 2 and dense[-1] == 2
 
 
 def test_greedy_scores_the_blocks_of_a_vertex_s_neighbours(monkeypatch):
@@ -767,21 +811,20 @@ def test_mdl_partition_ends_at_a_local_minimum_of_its_move_set(case):
                 assert delta_description_length(state, i, s) >= 0
 
 
-# Greedy partitions recorded when the greedy moved to scoring each vertex
-# against its neighbours' blocks and to revisiting only the neighbourhoods of
-# moved vertices (seed 2's partition was the same before).
+# Greedy partitions recorded when the multilevel agglomerative run replaced
+# the random-label restarts.  Both polbooks seeds reach the same labels.
 _POLBOOKS_GREEDY = {
-    1: "111211112222222222222222222201002222222222222222212112222210000011011100000000000000010000000000000000011",
-    2: "222022220000000000000000000012110000000000000000020220000021111122122211111111111111121111111111111111122",
+    1: "000100001111111111111111111120221111111111111111101001111102222200200022222222222222202222222222222222200",
+    2: "000100001111111111111111111120221111111111111111101001111102222200200022222222222222202222222222222222200",
 }
 _PLANTED_GREEDY = (
-    "30322310120300230323110220212220322212220302112322321212331112332020102312323300"
-    "11321002001112032121013003322310222320302130130213031331300030331202320131220331"
-    "10323111100130333313311230010001332312012210313003210331202220203330212012023210"
-    "02322111122233223323210333101213331023322033332221212130002010321220021332323030"
-    "22033332220101003123300133103113132130212030321033333013312213221103033010031311"
-    "33331121100322320012122322120221013331013100320322332000200110002322012203112213"
-    "23122003102223231300"
+    "01312031230122020012300310100303230322121120330301303301213000102131021200313112"
+    "23031100101013010312231333123120310301231022011300113133301321122323113033200330"
+    "32221200312310033110123033001321121320113301021131331002021222023303311120102330"
+    "02203003300113223111031331203000313001133210132312002030013103133331303103221232"
+    "30303223021010013210121013033211023211003220223113303131131310013011121203110132"
+    "33100200121233030322312123301103132031203211001331330303031313301100333211311000"
+    "10300321210131133303"
 )
 
 
@@ -807,16 +850,16 @@ def test_mdl_partition_pinned_planted():
 
 def test_run_block_chain_pinned_polbooks():
     # SHA-256 of the S trace's float64 bytes and of the retained partitions,
-    # recorded when the greedy initialiser moved to the neighbour-block move
-    # set; the initial S is that initialiser's.
+    # recorded when the multilevel agglomerative run became the initialiser;
+    # the initial S is that initialiser's.
     res = run_block_chain(load_polbooks(), 3, BlockChainConfig(iterations=300, seed=11,
                                                                init_restarts=2))
-    assert res.s_trace[0] == 1340.774573411112
-    assert res.s_trace[-1] == 1343.361841475066
+    assert res.s_trace[0] == 1355.647820286306
+    assert res.s_trace[-1] == 1346.1503893225035
     assert hashlib.sha256(res.s_trace.tobytes()).hexdigest() == (
-        "fcef2610236f92c845f6992b1f3814648dc05f43cabb9dedadb5b6bfa01eff12")
+        "d290240e4933c83a74bb368704dc2379a6c32ea7d99ea78cb862cff41e4a0a96")
     assert hashlib.sha256(np.stack(res.samples).astype(np.int64).tobytes()).hexdigest() == (
-        "f0f33f69209a2e052dbf22a12a85144688e96ee52cb10480981f35d68fbc5d29")
+        "e966b21f00a6770d44e2d20fcb90d72da90dc6d81afb161942499d7466fcdd5b")
 
 
 def test_run_block_chain_shapes(bowtie):

@@ -20,7 +20,7 @@ from ffbm import (
     network_from_edges,
 )
 from ffbm import load_polbooks
-from ffbm.dcsbm import INFINITE_DELTA, move_kernel
+from ffbm.dcsbm import INFINITE_DELTA, merge_kernel, move_kernel
 from ffbm.tables import _LOG_INT, log_count_partitions, log_double_factorial_even, log_factorial
 
 from conftest import pair_deltas, random_multigraph
@@ -261,6 +261,62 @@ def test_move_deltas_match_single_target_oracle_and_recompute(case):
             moved = BlockState(state.net, state.b, state.B)
             apply_move(moved, i, s)
             assert abs(every[s] - (description_length(net, moved) - s_before)) <= 1e-9
+
+
+def _merged_labels(labels, r, s):
+    """The labels with block s joined to block r, numbered 0..B-2 in the order of the old labels."""
+    number = {t: k for k, t in enumerate(sorted(set(labels) - {s}))}
+    number[s] = number[r]
+    return [number[x] for x in labels]
+
+
+@given(st.integers(2, 5).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops and repeated
+    # pairs are parallel edges.  Vertices 0..B-1 open the blocks, so none is
+    # empty.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    st.lists(st.integers(0, num_blocks - 1), min_size=10, max_size=10).map(
+        lambda labels: list(range(num_blocks)) + labels[num_blocks:]))))
+@example((2, [(0, 0, 2), (0, 1), (1, 2, 3), (2, 2)], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]))
+@example((3, [(0, 1, 2), (1, 1), (3, 4), (5, 6)], [0, 1, 0, 1, 0, 1, 0, 1, 0, 2]))
+@settings(max_examples=80, deadline=None)
+def test_merge_deltas_match_fresh_description_lengths(case):
+    # delta(r, s) is S after joining blocks r and s (B - 1 blocks, relabelled)
+    # minus S before, terms of B alone included; with a cutoff at or above
+    # its lower bound delta returns the bound, and below it the exact value.
+    num_blocks, edges, labels = case
+    net = network_from_edges(10, edges)
+    state = BlockState(net, labels, num_blocks)
+    before = description_length(net, state)
+    rows, delta = merge_kernel(net, labels, num_blocks)
+    for r in range(num_blocks):
+        assert rows[r] == {s: x for s, x in enumerate(state.e[r]) if x}
+        for s in range(num_blocks):
+            if s == r:
+                continue
+            merged = _merged_labels(labels, r, s)
+            after = description_length(net, BlockState(net, merged, num_blocks - 1))
+            exact = delta(r, s)
+            assert abs(exact - (after - before)) <= 1e-9
+            bound = delta(r, s, -math.inf)
+            assert bound <= exact
+            assert delta(r, s, bound) == bound
+            assert delta(r, s, math.nextafter(bound, math.inf)) == exact
+
+
+def test_merge_kernel_of_singletons_and_of_an_isolated_vertex():
+    # From singletons every block row is a vertex's neighbour weights; an
+    # isolated vertex's block has an empty row, and joining it to another
+    # block changes only the degree prior and the terms of B.
+    net = network_from_edges(4, [(0, 1), (1, 2, 2), (2, 2)])
+    rows, delta = merge_kernel(net, [0, 1, 2, 3], 4)
+    assert rows == [{1: 1}, {0: 1, 2: 2}, {1: 2, 2: 2}, {}]
+    for r, s in ((0, 1), (1, 2), (3, 0), (2, 3)):
+        merged = _merged_labels([0, 1, 2, 3], r, s)
+        after = description_length(net, BlockState(net, merged, 3))
+        before = description_length(net, BlockState(net, [0, 1, 2, 3], 4))
+        assert abs(delta(r, s) - (after - before)) <= 1e-9
 
 
 def test_apply_move_keeps_statistics_consistent():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 from array import array
@@ -57,6 +58,15 @@ def test_count_partitions_base_cases():
 def test_count_partitions_clamped_and_monotone(m, n):
     assert count_partitions(m, n) == count_partitions(m, min(n, m))
     assert count_partitions(m, n) <= count_partitions(m, n + 1)
+
+
+def test_merged_partition_count_is_at_least_either_part():
+    # The merge kernel's lower bound: q(m, n) does not decrease in either
+    # argument for n >= 1, so q(m1 + m2, n1 + n2) >= max(q(m1, n1), q(m2, n2)).
+    for m1, m2 in itertools.product(range(16), repeat=2):
+        for n1, n2 in itertools.product(range(1, 7), repeat=2):
+            merged = count_partitions(m1 + m2, n1 + n2)
+            assert merged >= max(count_partitions(m1, n1), count_partitions(m2, n2))
 
 
 def test_log_count_partitions():
