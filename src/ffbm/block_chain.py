@@ -399,7 +399,11 @@ def _descend(state: BlockState, rng: random.Random, once: bool = False) -> None:
     pass moved, each once.  A pass that moves nothing is followed by a full
     pass unless it was one, and a full pass that moves nothing ends the
     descent, so no vertex that may leave its block can lower S within its
-    move set.
+    move set.  A pass that ends at labels the descent has already held also
+    ends it: S is a function of the labels, so the moves between summed to
+    no change, and were ties whose delta S rounded below 0, which could
+    otherwise repeat forever.  Labels are compared by the hash of their
+    tuple.
     """
     visit, move = move_kernel(state)
     b, n = state.b, state.n
@@ -407,7 +411,7 @@ def _descend(state: BlockState, rng: random.Random, once: bool = False) -> None:
     ends = half_edges.ends
     every = range(state.net.num_vertices)
     order = [i for i in every if half_edges.degree[i]] if once else list(every)
-    full = True
+    full, held = True, {hash(tuple(b))}
     deltas = [0.0] * state.B
     while True:
         rng.shuffle(order)
@@ -423,6 +427,10 @@ def _descend(state: BlockState, rng: random.Random, once: bool = False) -> None:
         if once:
             return
         if moved:
+            labels = hash(tuple(b))
+            if labels in held:
+                return
+            held.add(labels)
             order, full = sorted({j for i in moved for j in ends[i]}), False
         elif full:
             return

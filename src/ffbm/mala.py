@@ -15,14 +15,20 @@ are drawn in chunks of _CHUNK iterations, with one call per stream, and a
 chain's bytes do not depend on the chunk length.
 
 run_weight_chains runs independent chains in lockstep: chains of one
-context shape and schedule form an S x B x D stack, and each numpy call of
-an iteration (the proposal, softmax.objective_kernel and _log_densities)
+context shape and schedule form an S x B x D stack, and each numpy call
 serves the whole stack; once per chunk, one multiply scales the stack's
-noise and one matmul gives its forward densities.  Each chain reads only
-its own streams, and the MH decision and the U checks stay scalar per
-chain, so every chain gives the bytes of a lone run.  run_weight_chain,
-proposal_log_density and objective_and_gradient are the one-chain calls of
-that code.
+noise and one matmul gives its forward densities.  A stack computes blocks
+of iterations ahead of their MH tests, as if every proposal were accepted
+(each made from the one before, with only its gradient) or every one
+rejected (all made from the states, in one call).  Once per block, the
+value half of softmax.objective_halves and _drift_norms give the block's
+objectives and reverse densities, and _decide settles the tests in
+iteration order up to the first surprise; the work past it is dropped.
+Every number comes from the ufuncs, per-slice matmuls and dots a
+one-iteration block uses, each slice alone, so how far a block runs ahead
+changes no bit, and every chain gives the bytes of a lone run.
+run_weight_chain, proposal_log_density and objective_and_gradient are the
+one-chain calls of this code.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ from .softmax import (
     check_sigma,
     dot_views,
     objective_and_gradient,
-    objective_kernel,
-    stack_views,
+    objective_halves,
 )
 
 # The step-size schedule's offset and decay exponent.
@@ -54,6 +59,10 @@ MAX_STEP_SCALE = 1e6
 # a chunk holds at most _CHUNK_FLOATS normals per chain.
 _CHUNK = 256
 _CHUNK_FLOATS = 2 ** 14
+
+# The most iterations a chain computes ahead of its MH tests, capped so that
+# its block buffers hold at most _CHUNK_FLOATS floats per chain.
+_DEPTH = 32
 
 
 @dataclass
@@ -113,21 +122,21 @@ class WeightChainError(ArithmeticError):
         return type(self), (*self.args, self.chain)
 
 
-def _log_densities(frm, to, grad_frm, step, drift=None, scaled=None, views=None, norms=None) -> list:
-    """log q(frm -> to) of every slice of S x B x D stacks, as a list of S
-    floats, up to the additive constant shared by both directions.
+def _drift_norms(frm, to, grad_frm, step, drift=None, scaled=None, views=None, norms=None):
+    """|to - frm + step grad_frm|^2 of every slice of ... x B x D stacks, as an
+    array of shape (..., 1, 1); log q(frm -> to) is this over -4 step, up to
+    the additive constant shared by both directions.
 
-    The squared norm of each slice's drift residual to - frm + step grad_frm
-    is a matmul of its dot_views, so slice s gets the bits of np.vdot on that
-    slice alone.  The chain passes buffers bound once: drift and scaled
-    (S x B x D), the dot_views of drift, and the S x 1 x 1 norms the matmul
-    writes.  Without them each array is allocated.
+    step is a float, or an array that broadcasts against the stacks with one
+    step per leading index.  The norms are a matmul of the drift's
+    dot_views, so a slice gets the bits of np.vdot on that slice alone.  The
+    chain passes buffers bound once: drift and scaled (the stacks' shape),
+    the dot_views of drift, and the norms.  Without them each is allocated.
     """
     drift = np.subtract(to, frm, drift)
     np.add(drift, np.multiply(grad_frm, step, scaled), drift)
     rows, cols = views or dot_views(drift)
-    norms = np.matmul(rows, cols, norms)
-    return [-x / (4.0 * step) for x in norms.ravel().tolist()]
+    return np.matmul(rows, cols, norms)
 
 
 def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, step: float):
@@ -135,21 +144,15 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
 
     A state of two or fewer dimensions (a B x D matrix, or a vector) gives a
     float; a stack of B x D states gives an array with one value per state.
-    It is the one-call use of the chain's _log_densities.
+    It is the one-call use of the chain's _drift_norms.
     """
     if step <= 0:
         raise ValueError("step size must be positive")
     frm, to, grad_frm = (np.asarray(a, dtype=np.float64) for a in (frm, to, grad_frm))
     lead, state = (frm.shape[:-2], frm.shape[-2:]) if frm.ndim >= 2 else ((), (1, frm.size))
     shape = (math.prod(lead),) + state
-    values = _log_densities(frm.reshape(shape), to.reshape(shape), grad_frm.reshape(shape), step)
-    return values[0] if not lead else np.array(values).reshape(lead)
-
-
-def _log_alpha(u_cur, u_prop, log_rev, log_fwd) -> float:
-    """log Metropolis-Hastings ratio of current -> proposal from the two
-    objectives and the proposal densities log q(proposal -> current), log q(current -> proposal)."""
-    return u_cur - u_prop + log_rev - log_fwd
+    norms = _drift_norms(frm.reshape(shape), to.reshape(shape), grad_frm.reshape(shape), step)
+    return float(norms[0, 0, 0]) / (-4.0 * step) if not lead else norms.reshape(lead) / (-4.0 * step)
 
 
 def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveContext, step: float) -> float:
@@ -158,7 +161,7 @@ def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveCon
     u_prop, grad_prop = objective_and_gradient(proposal, ctx)
     log_fwd = proposal_log_density(current, proposal, grad_cur, step)
     log_rev = proposal_log_density(proposal, current, grad_prop, step)
-    return min(0.0, _log_alpha(u_cur, u_prop, log_rev, log_fwd))
+    return min(0.0, u_cur - u_prop + log_rev - log_fwd)
 
 
 def run_weight_chain(ctx: ObjectiveContext, cfg: WeightChainConfig) -> WeightChainResult:
@@ -220,85 +223,196 @@ def _chain_generators(seed) -> tuple:
     return (np.random.default_rng(seq),) + tuple(np.random.default_rng(child) for child in children)
 
 
+def _decide(labels, t, values, proposed, drift_norms, tests, accepts) -> tuple:
+    """Settle the MH tests of iterations t + 1, t + 2, ... of a stack, in order.
+
+    values holds the chains' objectives after iteration t; when t = 0 that
+    is the initial draw, and a non-finite value there raises.  Entries kS to
+    (k + 1)S - 1 of proposed hold the objectives of the proposals of
+    iteration t + k + 1, made as if every chain accepted every proposal
+    before it (accepts) or rejected every one (not accepts); the same
+    entries of drift_norms over -4 h give their reverse densities.  tests[k]
+    holds that iteration's -4 h, forward densities and uniforms; log alpha
+    is u - u' + log q(reverse) - log q(forward).  The scan stops at the
+    first iteration at which a chain decides otherwise, since the later
+    proposals assumed it did not.  Returns the flags of the last iteration
+    decided and the number decided.
+    """
+    if t == 0:
+        for label, u in zip(labels, values):
+            if not math.isfinite(u):
+                raise WeightChainError(f"weight-chain objective is {u} at the initial draw", label)
+    flags, k, size = [], 0, len(labels)
+    for k, (quarter, fwds, uniforms) in enumerate(tests, 1):
+        first, end = (k - 1) * size, k * size
+        prop_values, flags = proposed[first:end], []
+        for label, u, u_prop, norm, log_fwd, draw in zip(
+                labels, values, prop_values, drift_norms[first:end], fwds, uniforms):
+            if math.isnan(u_prop):
+                raise WeightChainError(
+                    f"weight-chain objective is nan at the proposal of iteration {t + k}", label)
+            log_alpha = u - u_prop + norm / quarter - log_fwd
+            accept = log_alpha >= 0.0 or draw < math.exp(log_alpha)
+            if accept and not math.isfinite(u_prop):
+                raise WeightChainError(f"weight-chain objective is {u_prop} at iteration {t + k}", label)
+            flags.append(accept)
+        if accepts:
+            if not all(flags):
+                break
+            values = prop_values
+        elif any(flags):
+            break
+    return flags, k
+
+
 def _run_stack(ctxs, cfgs, labels) -> list:
     """The lockstep loop over chains of one shape and schedule; labels name them in errors."""
     ctx, cfg = ctxs[0], cfgs[0]
     steps = [step_size(t, cfg, ctx.size) for t in range(cfg.iterations)]
+    step_cols = np.array(steps)[:, None, None, None]
     size, shape = len(ctxs), (len(ctxs), ctx.num_blocks, ctx.num_features)
     generators = [_chain_generators(c.seed) for c in cfgs]
-    evaluate = objective_kernel(ctxs)
-    drift = np.empty(shape)
-    density_views, norms = dot_views(drift), np.empty((size, 1, 1))
-    state = stack_views(np.stack([initial.normal(0.0, c.sigma, shape[1:])
-                                  for (initial, _, _), c in zip(generators, cfgs)]))
-    weights, grad = state[0], np.empty(shape)
-    values = evaluate(state, grad)
-    for label, u in zip(labels, values):
-        if not math.isfinite(u):
-            raise WeightChainError(f"weight-chain objective is {u} at the initial draw", label)
+    floats = shape[1] * shape[2]
+    chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // max(1, floats), cfg.iterations))
+    # Slot 0 holds the states and slot k the proposal of k iterations ahead;
+    # per chain and slot the block buffers hold 5 B x D arrays, 3 of U and
+    # one U x B.
+    per_slot = 5 * floats + (3 + shape[1]) * ctx.rows.shape[0]
+    depth_cap = max(1, min(_DEPTH, _CHUNK_FLOATS // per_slot, chunk))
+    states, grads = np.empty((depth_cap + 1,) + shape), np.empty((depth_cap + 1,) + shape)
+    gradient, objective_values = objective_halves(ctxs, states, grads)
+    drift, scaled = np.empty((depth_cap,) + shape), np.empty((depth_cap,) + shape)
+    norms = np.empty((depth_cap, size, 1, 1))
 
-    # Two buffers, the states and the proposals: accepted proposals are
-    # copied into the states, or the two swap when every chain accepts.
-    trial = stack_views(np.empty(shape))
-    proposal, prop_grad = trial[0], np.empty(shape)
-    scaled = np.empty(shape)  # the densities' gradient term
-    chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // max(1, shape[1] * shape[2])))
+    def block_views(run, before):
+        # The arguments of _drift_norms for the proposals in slots run, but
+        # the steps and the states they go to, then the norms as one flat
+        # view and the states before them.
+        return (states[run], grads[run], drift[before], scaled[before], dot_views(drift[before]),
+                norms[before], norms[before].reshape(-1), states[before])
+
+    # One iteration's views are indexed, not sliced: numpy handles the
+    # three-dimensional views faster.
+    blocks = [None, block_views(1, 0)] + [block_views(slice(1, n + 1), slice(n)) for n in range(2, depth_cap + 1)]
+    state_slots, grad_slots = list(states), list(grads)
+    state, grad = state_slots[0], grad_slots[0]
+    for (initial, _, _), c, weights in zip(generators, cfgs, state):
+        weights[...] = initial.normal(0.0, c.sigma, shape[1:])
+    gradient(0, 1)
+    values = objective_values(0, 1)
+    _decide(labels, 0, values, (), (), (), True)
+
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
-    slots = {t: k for k, t in enumerate(keep)}
     kept = np.empty((size, len(keep)) + shape[1:])  # chain s's samples are kept[s]
-    if 0 in slots:
-        kept[:, 0] = weights
+    keep_at, r = keep + [cfg.iterations + 1], 0  # keep_at[r] is the next iteration to keep
+    if keep_at[0] == 0:
+        kept[:, 0], r = state, 1
     # Row-major (iteration, chain) records, 8 and 1 bytes an entry.
     trace, accepted = array("d", values), bytearray()
 
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
+    faults = []  # the floating-point errors met by a block that runs ahead
+    # Errors of the kinds the caller's error state does not ignore are
+    # recorded, not reported, while a block runs ahead.
+    guard = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    guard["call"] = lambda kind, flag: faults.append(kind)
 
+    def ahead(t, n, i, accepts):
+        # The proposals of iterations t + 1 .. t + n, as if every chain
+        # accepted each one (each from the one before, with its gradient) or
+        # rejected each one (all from the states, as one run); then, once
+        # for the block, their objectives and reverse densities.
+        frm, grad_frm, drift_n, scaled_n, views, norms_n, flat_norms, to = blocks[n]
+        hs = steps[t] if n == 1 else step_cols[t:t + n]
+        if accepts or n == 1:
+            for k in range(n):
+                proposal = state_slots[k + 1]
+                multiply(grad_slots[k], steps[t + k], proposal)
+                subtract(state_slots[k], proposal, proposal)
+                add(proposal, xi_slots[i + k], proposal)
+                gradient(k + 1, k + 2)
+        else:
+            multiply(grad, hs, frm)
+            subtract(state, frm, frm)
+            add(frm, xis[i:i + n], frm)
+            gradient(1, n + 1)
+            to = state
+        _drift_norms(frm, to, grad_frm, hs, drift_n, scaled_n, views, norms_n)
+        return objective_values(1, n + 1), flat_norms.tolist()
+
+    noise_buffer, uniform_buffer = np.empty((size, chunk) + shape[1:]), np.empty((size, chunk))
+    # moved and stayed count the iterations every chain accepted, and rejected.
+    depth, accepts, moved, stayed = 1, True, 0, 0
     for start in range(0, cfg.iterations, chunk):
         # Each chain's noise and uniforms for the chunk's iterations, one
         # call per stream, then the forward densities -|xi|^2 / 2 from one
         # matmul, before the noise is scaled by sqrt(2 h_t) in place.
         hs = steps[start:start + chunk]
-        noise, uniforms = np.empty((size, len(hs)) + shape[1:]), np.empty((size, len(hs)))
+        noise, uniforms = noise_buffer[:, :len(hs)], uniform_buffer[:, :len(hs)]
         for (_, normal, uniform), xi, row in zip(generators, noise, uniforms):
             normal.standard_normal(out=xi)
             uniform.random(out=row)
         rows, cols = dot_views(noise.reshape((size * len(hs),) + shape[1:]))
         fwd_chunk = (np.matmul(rows, cols).reshape(size, -1) / -2.0).T.tolist()
+        tests = list(zip([-4.0 * h for h in hs], fwd_chunk, uniforms.T.tolist()))
         multiply(noise, np.sqrt(np.multiply(2.0, hs))[:, None, None], noise)
-        for t, (h, xi, log_fwds, draws) in enumerate(
-                zip(hs, noise.swapaxes(0, 1), fwd_chunk, uniforms.T.tolist()), start + 1):
-            multiply(grad, h, proposal)
-            subtract(weights, proposal, proposal)
-            add(proposal, xi, proposal)
-            prop_values = evaluate(trial, prop_grad)
-            log_revs = _log_densities(proposal, weights, prop_grad, h, drift, scaled, density_views, norms)
-            flags, moved = [], 0
-            for label, u, u_prop, log_rev, log_fwd, draw in zip(
-                    labels, values, prop_values, log_revs, log_fwds, draws):
-                if math.isnan(u_prop):
-                    raise WeightChainError(
-                        f"weight-chain objective is nan at the proposal of iteration {t}", label)
-                log_alpha = _log_alpha(u, u_prop, log_rev, log_fwd)
-                accept = log_alpha >= 0.0 or draw < math.exp(log_alpha)
-                if accept and not math.isfinite(u_prop):
-                    raise WeightChainError(f"weight-chain objective is {u_prop} at iteration {t}", label)
-                flags.append(accept)
-                moved += accept
-            if moved == size:
-                state, trial = trial, state
-                weights, proposal = state[0], trial[0]
-                grad, prop_grad = prop_grad, grad
-                values = prop_values
-            elif moved:
-                values = [b if a else u for a, u, b in zip(flags, values, prop_values)]
-                mask = np.array(flags)[:, None, None]
-                np.copyto(weights, proposal, where=mask)
-                np.copyto(grad, prop_grad, where=mask)
+        xis = noise.swapaxes(0, 1)
+        xi_slots = list(xis)
+        t, stop = start, start + len(hs)
+        while t < stop:
+            # A block that assumes acceptance runs at most one iteration
+            # further than the mean run of iterations every chain accepted.
+            n, i = min(depth, stop - t, 1 + moved // (t - moved + 1) if accepts else depth), t - start
+            if n == 1:
+                proposed, drift_norms = ahead(t, 1, i, accepts)
+            else:
+                # Work past the first surprise is dropped and must raise no
+                # warning: a block that meets a floating-point error is run
+                # again one iteration at a time, which raises what that raises.
+                with np.errstate(**guard):
+                    proposed, drift_norms = ahead(t, n, i, accepts)
+                if faults:
+                    faults.clear()
+                    depth = 1
+                    continue
+            flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n], accepts)
+            if j > 1:
+                # Iterations t + 1 .. t + j - 1 went as assumed in every chain.
+                trace.extend(proposed[:(j - 1) * size] if accepts else values * (j - 1))
+                accepted.extend((b"\x01" if accepts else b"\x00") * (size * (j - 1)))
+                while keep_at[r] < t + j:
+                    kept[:, r] = state_slots[keep_at[r] - t] if accepts else state
+                    r += 1
+            # Iteration t + j moves the chains that accept to slot j.
+            last = proposed[(j - 1) * size:j * size]
+            if all(flags):
+                copyto(state, state_slots[j])
+                copyto(grad, grad_slots[j])
+                values = last
+            else:
+                if accepts and j > 1:
+                    copyto(state, state_slots[j - 1])
+                    copyto(grad, grad_slots[j - 1])
+                    values = proposed[(j - 2) * size:(j - 1) * size]
+                if any(flags):
+                    mask = np.array(flags)[:, None, None]
+                    copyto(state, state_slots[j], where=mask)
+                    copyto(grad, grad_slots[j], where=mask)
+                    values = [b if a else u for a, u, b in zip(flags, values, last)]
+            # The next block assumes the outcome that more iterations had in
+            # every chain so far, and runs twice as far ahead as this one if
+            # this went as assumed throughout, else one iteration.
+            surprised = not all(flags) if accepts else any(flags)
+            moved += (j - 1 if accepts else 0) + all(flags)
+            stayed += (0 if accepts else j - 1) + (not any(flags))
+            depth = 1 if surprised else min(2 * depth, depth_cap)
+            accepts = moved >= stayed
+            t += j
             trace.extend(values)
             accepted.extend(flags)
-            k = slots.get(t)
-            if k is not None:
-                kept[:, k] = weights
+            if keep_at[r] == t:
+                kept[:, r] = state
+                r += 1
 
     trace = np.frombuffer(trace, dtype=np.float64).reshape(-1, size)
     accepted = np.frombuffer(accepted, dtype=np.bool_).reshape(-1, size)

@@ -127,7 +127,7 @@ def _cross_entropy(weights: np.ndarray, log_z: np.ndarray, ctx: ObjectiveContext
     log_z holds the log-normalisers of the distinct rows under weights;
     weights may be one B x D matrix or a stack of them (one value each).
     The losses score batches of retained samples with it, as matrix-vector
-    products.  objective_kernel takes the same two terms as one dot per
+    products.  objective_halves takes the same two terms as one dot per
     slice (dot_views), which a stack needs so that its values equal its
     slices'; the two forms may differ in the last bit, and the losses keep
     this one so that report.json keeps its bits.
@@ -137,35 +137,50 @@ def _cross_entropy(weights: np.ndarray, log_z: np.ndarray, ctx: ObjectiveContext
 
 
 def dot_views(stack: np.ndarray):
-    """(S, 1, K) and (S, K, 1) views of a C-contiguous S x B x D stack, K = B * D.
+    """(..., 1, K) and (..., K, 1) views of a C-contiguous ... x B x D stack, K = B * D.
 
     Their matmul is |W|^2 of every slice: numpy computes each
     (1, K) @ (K, 1) product with the dot that np.vdot calls, so a stack's
     values equal its slices' and np.vdot's bit for bit.  A pairwise sum
     such as (x * x).sum() does not.
     """
-    size, k = stack.shape[0], stack.shape[1] * stack.shape[2]
-    return stack.reshape(size, 1, k), stack.reshape(size, k, 1)
+    lead, k = stack.shape[:-2], stack.shape[-2] * stack.shape[-1]
+    return stack.reshape(*lead, 1, k), stack.reshape(*lead, k, 1)
 
 
 def stack_views(weights: np.ndarray) -> tuple:
-    """A C-contiguous S x B x D weight stack with the views objective_kernel reads:
-    its slices transposed, then its dot_views.  Taken once per buffer."""
+    """A C-contiguous S x B x D weight stack with its slices transposed and
+    its dot_views, the views objective_kernel takes."""
     return (weights, weights.swapaxes(-1, -2)) + dot_views(weights)
 
 
-def objective_kernel(ctxs):
-    """Bind the objective and gradient of a stack of S contexts of one shape (U, B, D).
+def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
+    """Bind the objective and gradient of a stack of S contexts of one shape
+    (U, B, D) to a block of weight stacks, split into a gradient half and a
+    value half.
 
-    Returns evaluate(views, grad): for the stack_views of an S x B x D
-    weight stack it writes the gradient of slice s under ctxs[s] into
-    grad[s] and returns the S objectives as floats.  The contexts' arrays
-    are stacked and the work arrays allocated once, here; each numpy call
-    then runs once on the whole stack.  Every reduction works slice by
-    slice in the order a lone slice uses: matmul (one BLAS call per slice),
-    max and sum along the last axis, and dots through dot_views.  So slice
-    s gets the bits that a stack of ctxs[s] alone gets, whatever the rest
-    holds.
+    states and grads are C-contiguous n x S x B x D buffers, slot k of each
+    holding one weight stack and its gradient.  Returns gradient(first,
+    stop), which writes into grads[k], for the slots k of first .. stop - 1,
+    the gradient of each slice under its context, and keeps each distinct
+    row's peak logit and softmax normaliser in slot k; and values(first,
+    stop), which returns the objectives of those slots as one list, S floats
+    a slot, from the kept peaks and normalisers and three dots per slice.
+    A value is only as current as the last gradient call on its slot.
+
+    The weight chain (mala._run_stack) runs the gradient half once per
+    proposal it computes ahead of its MH tests, on one slot or, for
+    proposals made as if every one were rejected, on a run of them, and the
+    value half once per block.  The contexts' arrays are stacked and the
+    work arrays allocated once, here, and the views of a run of slots on its
+    first use; each numpy call then runs once on a whole run.  Every
+    reduction works slice by slice in the order a lone slice uses: matmul
+    (one BLAS call per slice), max and sum along the last axis, and dots
+    through dot_views; every other step is element by element.  So slice s
+    of slot k gets the bits that a one-slot block holding ctxs[s] alone
+    gets, whatever the other slices and slots hold and however the runs are
+    cut, and a block's objectives equal those of the two halves run one
+    slot at a time.
     """
     shapes = {(c.rows.shape[0], c.num_blocks, c.num_features) for c in ctxs}
     if len(shapes) != 1:
@@ -180,41 +195,88 @@ def objective_kernel(ctxs):
     moment_cols = dot_views(moments)[1]
     twice_variance = [2.0 * c.sigma**2 for c in ctxs]
 
-    logits = np.empty((s, u, b))  # the logits, then the shifted exponentials, then the softmax
-    probs_t = logits.swapaxes(-1, -2)
-    peak, total, log_z = np.empty((s, u, 1)), np.empty((s, u, 1)), np.empty((s, u, 1))
-    # Row-constant views of the same shape as logits, which numpy combines
-    # with them faster than it broadcasts.
-    peaks, totals = np.broadcast_to(peak, logits.shape), np.broadcast_to(total, logits.shape)
-    log_z_rows = log_z.reshape(s, 1, u)
-    dots = np.empty((3, s, 1, 1))  # counts . logZ, <W, moments> and |W|^2 of every slice
-    cross, moment, ridge = dots
-    dot_values = dots.reshape(3, s)
-    decay = np.empty((s, b, d))
+    slots = states.shape[0]
+    logits = np.empty((slots, s, u, b))  # the logits, then the shifted exponentials, then the softmax
+    peaks, totals, log_z = np.empty((slots, s, u, 1)), np.empty((slots, s, u, 1)), np.empty((slots, s, u, 1))
+    decay = np.empty(states.shape)
+    dots = np.empty((3, slots, s, 1, 1))  # counts . logZ, <W, moments> and |W|^2 of every slice
+    flat_rows, flat_cols = dot_views(states)
+    gradient_runs, value_runs = {}, {}  # first * slots + stop: the views of those slots
     maximum, add_up = np.maximum.reduce, np.add.reduce
     matmul, add, subtract, divide, exp, log = np.matmul, np.add, np.subtract, np.divide, np.exp, np.log
 
-    def evaluate(views, grad):
-        weights, transposed, flat_rows, flat_cols = views
-        # The soft cross-entropy, through the log-normaliser of each distinct
-        # row: counts . logZ - <W, targets.T @ features>.
-        matmul(rows, transposed, logits)
-        maximum(logits, -1, None, peak, True)
-        subtract(logits, peaks, logits)
-        exp(logits, logits)
-        add_up(logits, -1, None, total, True)
-        log(total, log_z)
-        add(peak, log_z, log_z)
-        matmul(log_z_rows, counts, cross)
-        matmul(flat_rows, moment_cols, moment)
-        matmul(flat_rows, flat_cols, ridge)
-        # The gradient: softmax.T @ weighted rows - moments + W / sigma^2.
-        divide(logits, totals, logits)
+    # The views of a run of slots; one slot is indexed, not sliced, as numpy
+    # handles the three-dimensional views faster.
+    def gradient_views(run):
+        # The peaks and normalisers also as row-constant views of the
+        # logits' shape, which numpy combines with them faster than it
+        # broadcasts.
+        shape = logits[run].shape
+        return (states[run], states[run].swapaxes(-1, -2), logits[run], logits[run].swapaxes(-1, -2),
+                peaks[run], totals[run], np.broadcast_to(peaks[run], shape),
+                np.broadcast_to(totals[run], shape), grads[run], decay[run])
+
+    def value_views(run, first, stop):
+        return (peaks[run], totals[run], log_z[run], log_z.reshape(slots, s, 1, u)[run], *dots[:, run],
+                flat_rows[run], flat_cols[run], dots.reshape(3, -1)[:, first * s:stop * s],
+                twice_variance * (stop - first))
+
+    def gradient(first, stop):
+        # The softmax of each distinct row, through its peak and normaliser,
+        # then softmax.T @ weighted rows - moments + W / sigma^2.
+        key = first * slots + stop
+        run = gradient_runs.get(key) or gradient_runs.setdefault(
+            key, gradient_views(first if stop == first + 1 else slice(first, stop)))
+        weights, transposed, logit, probs_t, peak, total, peak_rows, total_rows, grad, scaled = run
+        matmul(rows, transposed, logit)
+        maximum(logit, -1, None, peak, True)
+        subtract(logit, peak_rows, logit)
+        exp(logit, logit)
+        add_up(logit, -1, None, total, True)
+        divide(logit, total_rows, logit)
         matmul(probs_t, weighted_rows, grad)
         subtract(grad, moments, grad)
-        divide(weights, variance, decay)
-        add(grad, decay, grad)
-        return [c - m + r / v for c, m, r, v in zip(*dot_values.tolist(), twice_variance)]
+        divide(weights, variance, scaled)
+        add(grad, scaled, grad)
+
+    def values(first, stop):
+        # The soft cross-entropy, through the log-normaliser of each distinct
+        # row, and the ridge: counts . logZ - <W, targets.T @ features> +
+        # |W|^2 / (2 sigma^2).
+        key = first * slots + stop
+        run = value_runs.get(key) or value_runs.setdefault(
+            key, value_views(first if stop == first + 1 else slice(first, stop), first, stop))
+        peak, total, logs, log_rows, cross, moment, ridge, weight_rows, weight_cols, flat, variances = run
+        log(total, logs)
+        add(peak, logs, logs)
+        matmul(log_rows, counts, cross)
+        matmul(weight_rows, moment_cols, moment)
+        matmul(weight_rows, weight_cols, ridge)
+        crosses, moments_, ridges = flat.tolist()
+        return [c - m + r / v for c, m, r, v in zip(crosses, moments_, ridges, variances)]
+
+    return gradient, values
+
+
+def objective_kernel(ctxs):
+    """The objective and gradient of a stack of S contexts of one shape, in one call.
+
+    Returns evaluate(views, grad): for a tuple whose first entry is an
+    S x B x D weight stack, such as its stack_views, it writes the gradient
+    of slice s under ctxs[s] into grad[s] and returns the S objectives as
+    floats.  It runs the gradient half, then the value half, of
+    objective_halves on a one-slot copy of the stack: the depth-one use of
+    the two halves the weight chain runs.
+    """
+    state, state_grad = np.empty((2, 1, len(ctxs), ctxs[0].num_blocks, ctxs[0].num_features))
+    gradient, values = objective_halves(ctxs, state, state_grad)
+    weights, weights_grad, copyto = state[0], state_grad[0], np.copyto
+
+    def evaluate(views, grad):
+        copyto(weights, views[0])
+        gradient(0, 1)
+        copyto(grad, weights_grad)
+        return values(0, 1)
 
     return evaluate
 
@@ -228,15 +290,19 @@ def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
     sum_j y_ij log(1/a_ij) = logZ_i - sum_j y_ij logit_ij.
     Row k of the gradient is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2;
     both sums run over the distinct rows, weighted by their counts.
-    This is the one-chain call of objective_kernel, which the weight chain
-    runs.  The kernel is bound once per context and reused, with its work
-    arrays, so two threads must not call this on one context at once.
+    This is the one-chain call of objective_kernel, the depth-one use of the
+    halves the weight chain runs.  The kernel is bound once per context and
+    reused, with its work arrays, so two threads must not call this on one
+    context at once.
     """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (ctx.num_blocks, ctx.num_features):
+        raise ValueError(f"weights of shape {weights.shape} for a context of {ctx.num_blocks} blocks "
+                         f"and {ctx.num_features} features")
     if ctx._kernel is None:
         object.__setattr__(ctx, "_kernel", objective_kernel([ctx]))
-    weights = np.array(weights, dtype=np.float64, order="C")[None]
-    grad = np.empty_like(weights)
-    (value,) = ctx._kernel(stack_views(weights), grad)
+    grad = np.empty((1,) + weights.shape)
+    (value,) = ctx._kernel((weights,), grad)
     return value, grad[0]
 
 

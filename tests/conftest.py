@@ -72,24 +72,24 @@ def two_cliques(size):
     return network_from_edges(2 * size, edges)
 
 
-def objective_failing_at(monkeypatch, call, value, chain=0):
-    """Make the chains' objective evaluation number `call` (0 is the initial
-    draw) return value for position `chain` of its stack; returns the sizes
-    of the stacks the kernel was bound for."""
-    real, calls, stacks = ffbm.mala.objective_kernel, [], []
+def objective_failing_at(monkeypatch, iteration, value, chain=0):
+    """Make position `chain` of every stack read value as its objective at
+    `iteration`: the initial draw at 0, else the proposal of that iteration.
 
-    def patched(ctxs):
-        evaluate = real(ctxs)
-        stacks.append(len(ctxs))
+    The value is set where the chains' MH tests read it, mala._decide, so
+    it does not depend on how far ahead of its tests a chain computes.
+    Returns the sizes of the stacks whose initial draws were checked.
+    """
+    real, stacks = ffbm.mala._decide, []
 
-        def failing(views, grad):
-            values = evaluate(views, grad)
-            calls.append(None)
-            if len(calls) - 1 == call:
-                values[chain] = value
-            return values
+    def failing(labels, t, values, proposed, *tests):
+        if t == 0 and not proposed:
+            stacks.append(len(labels))
+        if iteration == 0 == t:
+            values[chain] = value
+        elif 0 <= iteration - t - 1 < len(proposed) // len(labels):
+            proposed[(iteration - t - 1) * len(labels) + chain] = value
+        return real(labels, t, values, proposed, *tests)
 
-        return failing
-
-    monkeypatch.setattr(ffbm.mala, "objective_kernel", patched)
+    monkeypatch.setattr(ffbm.mala, "_decide", failing)
     return stacks

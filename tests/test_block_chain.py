@@ -811,6 +811,32 @@ def test_mdl_partition_ends_at_a_local_minimum_of_its_move_set(case):
                 assert delta_description_length(state, i, s) >= 0
 
 
+def test_descent_ends_when_a_tie_rounds_below_zero_both_ways(monkeypatch):
+    # A move whose delta S rounds below 0 from either side of a tie would take
+    # its vertex back and forth forever.  Here vertex 0 always reads the
+    # other block as best; the descent ends when a pass returns to labels it
+    # has held.
+    real, moves = block_chain.move_kernel, []
+
+    def kernel(state):
+        visit, move = real(state)
+
+        def tied(i, r, targets, deltas):
+            w, loops, best = visit(i, r, targets, deltas)
+            if i == 0:
+                moves.append(r)
+                assert len(moves) < 100, "the descent does not end"
+                best = 1 - r
+            return w, loops, best
+
+        return tied, move
+
+    monkeypatch.setattr(block_chain, "move_kernel", kernel)
+    net = network_from_edges(6, list(two_cliques(3).edges) + [(0, 3)])
+    _descend(BlockState(net, [0, 0, 0, 1, 1, 1], 2), random.Random(0))
+    assert moves[:2] == [0, 1]
+
+
 # Greedy partitions recorded when the multilevel agglomerative run replaced
 # the random-label restarts.  Both polbooks seeds reach the same labels.
 _POLBOOKS_GREEDY = {

@@ -547,13 +547,13 @@ def test_failing_weight_chain_of_a_stack_names_its_repetition(synthetic_dir, tmp
                                                               capsys, jobs):
     # Four repetitions: one lockstep stack of four under --jobs 1, one stack
     # of two per worker under --jobs 2.  The second chain of each stack gets
-    # a NaN proposal U at iteration 7 (evaluation 0 is the initial draw); in
+    # a NaN proposal U at iteration 7 (iteration 0 is the initial draw); in
     # both cases that is repetition 1, the first to fail in index order.
     stacks = objective_failing_at(monkeypatch, 7, math.nan, chain=1)
     _, cfg = synthetic_dir
     assert main(["report", "--config", str(cfg), "--seed", "4", "--jobs", str(jobs),
                  "--set", "repetitions=4", "--out-dir", str(tmp_path / "out")]) == 3
-    # The workers bind their kernels in their own processes.
+    # The workers run their stacks in their own processes.
     assert stacks == ([4] if jobs == 1 else [])
     assert ("repetition 1 (master seed 4): weight-chain objective is nan at the proposal of "
             "iteration 7") in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,101 @@ def test_weight_chain_output_does_not_depend_on_the_chunk(monkeypatch, size, chu
         assert a.u_trace.tobytes() == b.u_trace.tobytes()
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.accepted.tobytes() == b.accepted.tobytes()
+
+
+def _spy_blocks(monkeypatch):
+    """Record (assumed acceptance, block length, flags of its last iteration
+    decided, iterations decided) for every block the chains settle."""
+    real, blocks = mala._decide, []
+
+    def spy(labels, t, values, proposed, drift_norms, tests, accepts):
+        flags, decided = real(labels, t, values, proposed, drift_norms, tests, accepts)
+        if tests:
+            blocks.append((accepts, len(tests), flags, decided))
+        return flags, decided
+
+    monkeypatch.setattr(mala, "_decide", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("size, step_scale", [(1, 2.0), (3, 2.0), (1, 20.0)])
+@pytest.mark.parametrize("depth", [1, 2, 7, 400])
+def test_weight_chain_output_does_not_depend_on_how_far_it_runs_ahead(monkeypatch, size, step_scale, depth):
+    # A chain computes blocks of proposals ahead of their MH tests and drops
+    # what follows the first surprise, so blocks of at most 1, 2 or 7
+    # iterations, or as long as the chunk of 256, give the bytes of the
+    # default depth.  At step_scale 2 blocks that assume acceptance meet
+    # rejections, a stack's among them at a block's first iteration; at 20
+    # blocks that assume rejection meet acceptances.
+    ctxs = [polbooks_context(seed) for seed in range(3, 3 + size)]
+    cfgs = [WeightChainConfig(iterations=300, burn_in=0.2, thinning=3, step_scale=step_scale, seed=s)
+            for s in range(size)]
+    default = run_weight_chains(ctxs, cfgs)
+    monkeypatch.setattr(mala, "_DEPTH", depth)
+    blocks = _spy_blocks(monkeypatch)
+    for a, b in zip(default, run_weight_chains(ctxs, cfgs)):
+        assert 0.0 < a.accepted.mean() < 1.0
+        assert a.u_trace.tobytes() == b.u_trace.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.accepted.tobytes() == b.accepted.tobytes()
+    assert max(n for _, n, _, _ in blocks) <= depth
+    assert (depth == 1) == all(decided == n for _, n, _, decided in blocks)
+
+
+@pytest.mark.parametrize("step_scale, assumed", [(2.0, True), (20.0, False)])
+def test_a_stack_keeps_each_chain_s_outcome_where_its_chains_differ(monkeypatch, step_scale, assumed):
+    # A block assumes that every chain accepts every proposal (step_scale 2)
+    # or rejects every one (step_scale 20).  Where the chains differ, the
+    # block ends, with one chain rejecting while the others accept at the
+    # block's first iteration among the cases; the chains that moved keep
+    # their moves, the others their states, and every chain equals its
+    # reference loop.
+    ctxs = [polbooks_context(seed) for seed in (3, 4, 5)]
+    cfgs = [WeightChainConfig(iterations=300, burn_in=0.0, thinning=1, step_scale=step_scale, seed=s)
+            for s in range(3)]
+    blocks = _spy_blocks(monkeypatch)
+    results = run_weight_chains(ctxs, cfgs)
+    cuts = [(decided, sum(flags)) for accepts, n, flags, decided in blocks
+            if accepts == assumed and n > 1 and 0 < sum(flags) < 3]
+    assert cuts and (not assumed or (1, 2) in cuts)
+    for ctx, cfg, res in zip(ctxs, cfgs, results):
+        trace, samples, accepted = reference_weight_chain(ctx, cfg)
+        assert res.u_trace.tobytes() == trace.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(res.samples, samples))
+        assert res.accepted.tobytes() == accepted.tobytes()
+
+
+@pytest.mark.parametrize("slot, warns", [(2, False), (1, True)])
+def test_floating_point_errors_of_work_run_ahead_raise_no_warning(monkeypatch, slot, warns):
+    # The gradient half overflows on every run that reaches the given slot.
+    # Past slot 1 that is work run ahead of the MH tests: the chain runs the
+    # block again one iteration at a time, which gives the same bytes and no
+    # warning.  At slot 1 the chain meets the overflow one iteration at a
+    # time too, and the warning is raised.
+    ctx, cfg = polbooks_context(), WeightChainConfig(iterations=300, step_scale=0.5, seed=1)
+    plain = run_weight_chain(ctx, cfg)
+    real = mala.objective_halves
+
+    def halves(ctxs, states, grads):
+        gradient, values = real(ctxs, states, grads)
+
+        def overflowing(first, stop):
+            gradient(first, stop)
+            if stop > slot:
+                np.multiply(1e300, 1e300)
+
+        return overflowing, values
+
+    monkeypatch.setattr(mala, "objective_halves", halves)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if warns:
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                run_weight_chain(ctx, cfg)
+        else:
+            res = run_weight_chain(ctx, cfg)
+            assert res.u_trace.tobytes() == plain.u_trace.tobytes()
+            assert res.samples.tobytes() == plain.samples.tobytes()
 
 
 def test_one_config_runs_twice_to_the_same_bytes():
