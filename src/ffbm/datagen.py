@@ -16,7 +16,7 @@ import numpy as np
 from .graph import network_from_edges
 from .softmax import class_probabilities
 
-# The largest mean numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max).
+# The largest mean numpy's Poisson sampler takes: int64 max - 10 sqrt(int64 max).
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * float(np.iinfo(np.int64).max) ** 0.5
 
 

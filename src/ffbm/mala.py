@@ -18,15 +18,15 @@ run_weight_chains runs independent chains in lockstep: chains of one
 context shape and schedule form an S x B x D stack, and each numpy call
 serves the whole stack; once per chunk, one multiply scales the stack's
 noise and one matmul gives its forward densities.  A stack computes blocks
-of iterations ahead of their MH tests, as if every proposal were accepted
-(each made from the one before, with only its gradient) or every one
-rejected (all made from the states, in one call).  Once per block, the
-value half of softmax.objective_halves and _drift_norms give the block's
-objectives and reverse densities, and _decide settles the tests in
-iteration order up to the first surprise; the work past it is dropped.
-Every number comes from the ufuncs, per-slice matmuls and dots a
-one-iteration block uses, each slice alone, so how far a block runs ahead
-changes no bit, and every chain gives the bytes of a lone run.
+of iterations ahead of their MH tests, as if every chain accepted every
+proposal: each proposal is made from the one before, with only its
+gradient.  Once per block, the value half of softmax.objective_halves and
+_drift_norms give the block's objectives and reverse densities, and
+_decide settles the tests in iteration order up to the first rejection;
+the work past it is dropped.  Every number comes from the ufuncs,
+per-slice matmuls and dots a one-iteration block uses, each slice alone,
+so how far a block runs ahead changes no bit, and every chain gives the
+bytes of a lone run.
 run_weight_chain, proposal_log_density and objective_and_gradient are the
 one-chain calls of this code.
 """
@@ -52,7 +52,7 @@ from .softmax import (
 SCHEDULE_OFFSET = 1000.0
 SCHEDULE_DECAY = 0.8
 
-# The largest step-size scaling a chain accepts; see WeightChainConfig.
+# The largest step-size scaling a chain may use; see WeightChainConfig.
 MAX_STEP_SCALE = 1e6
 
 # Iterations of noise and uniforms a chain draws at a time, capped so that
@@ -223,25 +223,19 @@ def _chain_generators(seed) -> tuple:
     return (np.random.default_rng(seq),) + tuple(np.random.default_rng(child) for child in children)
 
 
-def _decide(labels, t, values, proposed, drift_norms, tests, accepts) -> tuple:
+def _decide(labels, t, values, proposed, drift_norms, tests) -> tuple:
     """Settle the MH tests of iterations t + 1, t + 2, ... of a stack, in order.
 
-    values holds the chains' objectives after iteration t; when t = 0 that
-    is the initial draw, and a non-finite value there raises.  Entries kS to
+    values holds the chains' objectives after iteration t.  Entries kS to
     (k + 1)S - 1 of proposed hold the objectives of the proposals of
     iteration t + k + 1, made as if every chain accepted every proposal
-    before it (accepts) or rejected every one (not accepts); the same
-    entries of drift_norms over -4 h give their reverse densities.  tests[k]
-    holds that iteration's -4 h, forward densities and uniforms; log alpha
-    is u - u' + log q(reverse) - log q(forward).  The scan stops at the
-    first iteration at which a chain decides otherwise, since the later
-    proposals assumed it did not.  Returns the flags of the last iteration
-    decided and the number decided.
+    before it; the same entries of drift_norms over -4 h give their reverse
+    densities.  tests[k] holds that iteration's -4 h, forward densities and
+    uniforms; log alpha is u - u' + log q(reverse) - log q(forward).  The
+    scan stops at the first iteration at which a chain rejects, since the
+    later proposals assumed it did not.  Returns the flags of the last
+    iteration decided and the number decided.
     """
-    if t == 0:
-        for label, u in zip(labels, values):
-            if not math.isfinite(u):
-                raise WeightChainError(f"weight-chain objective is {u} at the initial draw", label)
     flags, k, size = [], 0, len(labels)
     for k, (quarter, fwds, uniforms) in enumerate(tests, 1):
         first, end = (k - 1) * size, k * size
@@ -256,12 +250,9 @@ def _decide(labels, t, values, proposed, drift_norms, tests, accepts) -> tuple:
             if accept and not math.isfinite(u_prop):
                 raise WeightChainError(f"weight-chain objective is {u_prop} at iteration {t + k}", label)
             flags.append(accept)
-        if accepts:
-            if not all(flags):
-                break
-            values = prop_values
-        elif any(flags):
+        if not all(flags):
             break
+        values = prop_values
     return flags, k
 
 
@@ -286,10 +277,9 @@ def _run_stack(ctxs, cfgs, labels) -> list:
 
     def block_views(run, before):
         # The arguments of _drift_norms for the proposals in slots run, but
-        # the steps and the states they go to, then the norms as one flat
-        # view and the states before them.
-        return (states[run], grads[run], drift[before], scaled[before], dot_views(drift[before]),
-                norms[before], norms[before].reshape(-1), states[before])
+        # the steps, then the norms as one flat view.
+        return (states[run], states[before], grads[run], drift[before], scaled[before],
+                dot_views(drift[before]), norms[before], norms[before].reshape(-1))
 
     # One iteration's views are indexed, not sliced: numpy handles the
     # three-dimensional views faster.
@@ -298,9 +288,11 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     state, grad = state_slots[0], grad_slots[0]
     for (initial, _, _), c, weights in zip(generators, cfgs, state):
         weights[...] = initial.normal(0.0, c.sigma, shape[1:])
-    gradient(0, 1)
+    gradient(0)
     values = objective_values(0, 1)
-    _decide(labels, 0, values, (), (), (), True)
+    for label, u in zip(labels, values):
+        if not math.isfinite(u):
+            raise WeightChainError(f"weight-chain objective is {u} at the initial draw", label)
 
     keep = retained_indices(cfg.iterations, cfg.burn_in, cfg.thinning)
     kept = np.empty((size, len(keep)) + shape[1:])  # chain s's samples are kept[s]
@@ -317,32 +309,23 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     guard = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
     guard["call"] = lambda kind, flag: faults.append(kind)
 
-    def ahead(t, n, i, accepts):
+    def ahead(t, n, i):
         # The proposals of iterations t + 1 .. t + n, as if every chain
-        # accepted each one (each from the one before, with its gradient) or
-        # rejected each one (all from the states, as one run); then, once
-        # for the block, their objectives and reverse densities.
-        frm, grad_frm, drift_n, scaled_n, views, norms_n, flat_norms, to = blocks[n]
+        # accepted each one: each from the one before, with its gradient.
+        # Then, once for the block, their objectives and reverse densities.
+        for k in range(n):
+            proposal = state_slots[k + 1]
+            multiply(grad_slots[k], steps[t + k], proposal)
+            subtract(state_slots[k], proposal, proposal)
+            add(proposal, xi_slots[i + k], proposal)
+            gradient(k + 1)
+        frm, to, grad_frm, drift_n, scaled_n, views, norms_n, flat_norms = blocks[n]
         hs = steps[t] if n == 1 else step_cols[t:t + n]
-        if accepts or n == 1:
-            for k in range(n):
-                proposal = state_slots[k + 1]
-                multiply(grad_slots[k], steps[t + k], proposal)
-                subtract(state_slots[k], proposal, proposal)
-                add(proposal, xi_slots[i + k], proposal)
-                gradient(k + 1, k + 2)
-        else:
-            multiply(grad, hs, frm)
-            subtract(state, frm, frm)
-            add(frm, xis[i:i + n], frm)
-            gradient(1, n + 1)
-            to = state
         _drift_norms(frm, to, grad_frm, hs, drift_n, scaled_n, views, norms_n)
         return objective_values(1, n + 1), flat_norms.tolist()
 
     noise_buffer, uniform_buffer = np.empty((size, chunk) + shape[1:]), np.empty((size, chunk))
-    # moved and stayed count the iterations every chain accepted, and rejected.
-    depth, accepts, moved, stayed = 1, True, 0, 0
+    depth, moved = 1, 0  # moved counts the iterations every chain accepted
     for start in range(0, cfg.iterations, chunk):
         # Each chain's noise and uniforms for the chunk's iterations, one
         # call per stream, then the forward densities -|xi|^2 / 2 from one
@@ -356,41 +339,41 @@ def _run_stack(ctxs, cfgs, labels) -> list:
         fwd_chunk = (np.matmul(rows, cols).reshape(size, -1) / -2.0).T.tolist()
         tests = list(zip([-4.0 * h for h in hs], fwd_chunk, uniforms.T.tolist()))
         multiply(noise, np.sqrt(np.multiply(2.0, hs))[:, None, None], noise)
-        xis = noise.swapaxes(0, 1)
-        xi_slots = list(xis)
+        xi_slots = list(noise.swapaxes(0, 1))
         t, stop = start, start + len(hs)
         while t < stop:
-            # A block that assumes acceptance runs at most one iteration
-            # further than the mean run of iterations every chain accepted.
-            n, i = min(depth, stop - t, 1 + moved // (t - moved + 1) if accepts else depth), t - start
+            # A block runs at most one iteration further than the mean run
+            # of iterations every chain accepted.
+            n, i = min(depth, stop - t, 1 + moved // (t - moved + 1)), t - start
             if n == 1:
-                proposed, drift_norms = ahead(t, 1, i, accepts)
+                proposed, drift_norms = ahead(t, 1, i)
             else:
-                # Work past the first surprise is dropped and must raise no
+                # Work past the first rejection is dropped and must raise no
                 # warning: a block that meets a floating-point error is run
                 # again one iteration at a time, which raises what that raises.
                 with np.errstate(**guard):
-                    proposed, drift_norms = ahead(t, n, i, accepts)
+                    proposed, drift_norms = ahead(t, n, i)
                 if faults:
                     faults.clear()
                     depth = 1
                     continue
-            flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n], accepts)
+            flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n])
             if j > 1:
-                # Iterations t + 1 .. t + j - 1 went as assumed in every chain.
-                trace.extend(proposed[:(j - 1) * size] if accepts else values * (j - 1))
-                accepted.extend((b"\x01" if accepts else b"\x00") * (size * (j - 1)))
+                # Every chain accepted iterations t + 1 .. t + j - 1.
+                trace.extend(proposed[:(j - 1) * size])
+                accepted.extend(b"\x01" * (size * (j - 1)))
                 while keep_at[r] < t + j:
-                    kept[:, r] = state_slots[keep_at[r] - t] if accepts else state
+                    kept[:, r] = state_slots[keep_at[r] - t]
                     r += 1
-            # Iteration t + j moves the chains that accept to slot j.
+            # Iteration t + j moves the chains that accept to slot j and
+            # leaves the others at slot j - 1.
             last = proposed[(j - 1) * size:j * size]
             if all(flags):
                 copyto(state, state_slots[j])
                 copyto(grad, grad_slots[j])
                 values = last
             else:
-                if accepts and j > 1:
+                if j > 1:
                     copyto(state, state_slots[j - 1])
                     copyto(grad, grad_slots[j - 1])
                     values = proposed[(j - 2) * size:(j - 1) * size]
@@ -399,14 +382,10 @@ def _run_stack(ctxs, cfgs, labels) -> list:
                     copyto(state, state_slots[j], where=mask)
                     copyto(grad, grad_slots[j], where=mask)
                     values = [b if a else u for a, u, b in zip(flags, values, last)]
-            # The next block assumes the outcome that more iterations had in
-            # every chain so far, and runs twice as far ahead as this one if
-            # this went as assumed throughout, else one iteration.
-            surprised = not all(flags) if accepts else any(flags)
-            moved += (j - 1 if accepts else 0) + all(flags)
-            stayed += (0 if accepts else j - 1) + (not any(flags))
-            depth = 1 if surprised else min(2 * depth, depth_cap)
-            accepts = moved >= stayed
+            # The next block runs twice as far ahead as this one if every
+            # chain accepted throughout, else one iteration.
+            moved += j - 1 + all(flags)
+            depth = min(2 * depth, depth_cap) if all(flags) else 1
             t += j
             trace.extend(values)
             accepted.extend(flags)

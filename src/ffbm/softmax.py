@@ -59,8 +59,9 @@ class ObjectiveContext:
     weighted_rows: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False)
     target_moments: np.ndarray = field(init=False, repr=False)
-    # objective_kernel([self]), bound on the first objective_and_gradient
-    # call; its work arrays make that call unsafe from two threads at once.
+    # A one-slot buffer, its gradient and objective_halves([self], ...) bound
+    # to them on the first objective_and_gradient call; the shared buffers
+    # make that call unsafe from two threads at once.
     _kernel: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -83,7 +84,7 @@ class ObjectiveContext:
         object.__setattr__(self, "target_moments", targ.T @ feats)
 
     def __getstate__(self):
-        return {**self.__dict__, "_kernel": None}  # a closure, rebound on first use
+        return {**self.__dict__, "_kernel": None}  # closures, rebound on first use
 
     @property
     def size(self) -> int:
@@ -148,39 +149,33 @@ def dot_views(stack: np.ndarray):
     return stack.reshape(*lead, 1, k), stack.reshape(*lead, k, 1)
 
 
-def stack_views(weights: np.ndarray) -> tuple:
-    """A C-contiguous S x B x D weight stack with its slices transposed and
-    its dot_views, the views objective_kernel takes."""
-    return (weights, weights.swapaxes(-1, -2)) + dot_views(weights)
-
-
 def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
     """Bind the objective and gradient of a stack of S contexts of one shape
     (U, B, D) to a block of weight stacks, split into a gradient half and a
     value half.
 
     states and grads are C-contiguous n x S x B x D buffers, slot k of each
-    holding one weight stack and its gradient.  Returns gradient(first,
-    stop), which writes into grads[k], for the slots k of first .. stop - 1,
-    the gradient of each slice under its context, and keeps each distinct
-    row's peak logit and softmax normaliser in slot k; and values(first,
-    stop), which returns the objectives of those slots as one list, S floats
-    a slot, from the kept peaks and normalisers and three dots per slice.
-    A value is only as current as the last gradient call on its slot.
+    holding one weight stack and its gradient.  Returns gradient(k), which
+    writes into grads[k] the gradient of each slice of slot k under its
+    context and keeps each distinct row's peak logit and softmax normaliser
+    in slot k; and values(first, stop), which returns the objectives of the
+    slots first .. stop - 1 as one list, S floats a slot, from the kept
+    peaks and normalisers and three dots per slice.  A value is only as
+    current as the last gradient call on its slot.
 
     The weight chain (mala._run_stack) runs the gradient half once per
-    proposal it computes ahead of its MH tests, on one slot or, for
-    proposals made as if every one were rejected, on a run of them, and the
-    value half once per block.  The contexts' arrays are stacked and the
-    work arrays allocated once, here, and the views of a run of slots on its
-    first use; each numpy call then runs once on a whole run.  Every
-    reduction works slice by slice in the order a lone slice uses: matmul
-    (one BLAS call per slice), max and sum along the last axis, and dots
-    through dot_views; every other step is element by element.  So slice s
-    of slot k gets the bits that a one-slot block holding ctxs[s] alone
-    gets, whatever the other slices and slots hold and however the runs are
-    cut, and a block's objectives equal those of the two halves run one
-    slot at a time.
+    proposal it computes ahead of its MH tests, and the value half once per
+    block; objective_and_gradient runs each once on a one-slot buffer.  The
+    contexts' arrays are stacked and the work arrays allocated once, here,
+    with the views of every slot, and the views of a run of slots on its
+    first use; each numpy call of the value half then runs once on a whole
+    run.  Every reduction works slice by slice in the order a lone slice
+    uses: matmul (one BLAS call per slice), max and sum along the last
+    axis, and dots through dot_views; every other step is element by
+    element.  So slice s of slot k gets the bits that a one-slot block
+    holding ctxs[s] alone gets, whatever the other slices and slots hold
+    and however the runs are cut, and a block's objectives equal those of
+    the two halves run one slot at a time.
     """
     shapes = {(c.rows.shape[0], c.num_blocks, c.num_features) for c in ctxs}
     if len(shapes) != 1:
@@ -201,33 +196,28 @@ def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
     decay = np.empty(states.shape)
     dots = np.empty((3, slots, s, 1, 1))  # counts . logZ, <W, moments> and |W|^2 of every slice
     flat_rows, flat_cols = dot_views(states)
-    gradient_runs, value_runs = {}, {}  # first * slots + stop: the views of those slots
+    value_runs = {}  # first * slots + stop: the views of those slots
     maximum, add_up = np.maximum.reduce, np.add.reduce
     matmul, add, subtract, divide, exp, log = np.matmul, np.add, np.subtract, np.divide, np.exp, np.log
 
-    # The views of a run of slots; one slot is indexed, not sliced, as numpy
-    # handles the three-dimensional views faster.
-    def gradient_views(run):
-        # The peaks and normalisers also as row-constant views of the
-        # logits' shape, which numpy combines with them faster than it
-        # broadcasts.
-        shape = logits[run].shape
-        return (states[run], states[run].swapaxes(-1, -2), logits[run], logits[run].swapaxes(-1, -2),
-                peaks[run], totals[run], np.broadcast_to(peaks[run], shape),
-                np.broadcast_to(totals[run], shape), grads[run], decay[run])
+    # A slot's views, and a value run's of one slot, are indexed, not
+    # sliced, as numpy handles the three-dimensional views faster.  The
+    # peaks and normalisers are also viewed as row-constant arrays of the
+    # logits' shape, which numpy combines with them faster than it
+    # broadcasts.
+    slot_views = [(states[k], states[k].swapaxes(-1, -2), logits[k], logits[k].swapaxes(-1, -2),
+                   peaks[k], totals[k], np.broadcast_to(peaks[k], logits[k].shape),
+                   np.broadcast_to(totals[k], logits[k].shape), grads[k], decay[k]) for k in range(slots)]
 
     def value_views(run, first, stop):
         return (peaks[run], totals[run], log_z[run], log_z.reshape(slots, s, 1, u)[run], *dots[:, run],
                 flat_rows[run], flat_cols[run], dots.reshape(3, -1)[:, first * s:stop * s],
                 twice_variance * (stop - first))
 
-    def gradient(first, stop):
+    def gradient(k):
         # The softmax of each distinct row, through its peak and normaliser,
         # then softmax.T @ weighted rows - moments + W / sigma^2.
-        key = first * slots + stop
-        run = gradient_runs.get(key) or gradient_runs.setdefault(
-            key, gradient_views(first if stop == first + 1 else slice(first, stop)))
-        weights, transposed, logit, probs_t, peak, total, peak_rows, total_rows, grad, scaled = run
+        weights, transposed, logit, probs_t, peak, total, peak_rows, total_rows, grad, scaled = slot_views[k]
         matmul(rows, transposed, logit)
         maximum(logit, -1, None, peak, True)
         subtract(logit, peak_rows, logit)
@@ -258,29 +248,6 @@ def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
     return gradient, values
 
 
-def objective_kernel(ctxs):
-    """The objective and gradient of a stack of S contexts of one shape, in one call.
-
-    Returns evaluate(views, grad): for a tuple whose first entry is an
-    S x B x D weight stack, such as its stack_views, it writes the gradient
-    of slice s under ctxs[s] into grad[s] and returns the S objectives as
-    floats.  It runs the gradient half, then the value half, of
-    objective_halves on a one-slot copy of the stack: the depth-one use of
-    the two halves the weight chain runs.
-    """
-    state, state_grad = np.empty((2, 1, len(ctxs), ctxs[0].num_blocks, ctxs[0].num_features))
-    gradient, values = objective_halves(ctxs, state, state_grad)
-    weights, weights_grad, copyto = state[0], state_grad[0], np.copyto
-
-    def evaluate(views, grad):
-        copyto(weights, views[0])
-        gradient(0, 1)
-        copyto(grad, weights_grad)
-        return values(0, 1)
-
-    return evaluate
-
-
 def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
     """Objective and gradient sharing one softmax evaluation.
 
@@ -290,20 +257,25 @@ def objective_and_gradient(weights: np.ndarray, ctx: ObjectiveContext):
     sum_j y_ij log(1/a_ij) = logZ_i - sum_j y_ij logit_ij.
     Row k of the gradient is -sum_i x_i (y_ik - a_ik) + w_k / sigma^2;
     both sums run over the distinct rows, weighted by their counts.
-    This is the one-chain call of objective_kernel, the depth-one use of the
-    halves the weight chain runs.  The kernel is bound once per context and
-    reused, with its work arrays, so two threads must not call this on one
-    context at once.
+    It runs the gradient half, then the value half, of objective_halves on
+    a one-slot copy of weights: the depth-one use of the halves the weight
+    chain runs.  The halves are bound once per context and reused, with
+    their buffers, so two threads must not call this on one context at
+    once; the gradient returned is a copy, which later calls leave as it is.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (ctx.num_blocks, ctx.num_features):
         raise ValueError(f"weights of shape {weights.shape} for a context of {ctx.num_blocks} blocks "
                          f"and {ctx.num_features} features")
     if ctx._kernel is None:
-        object.__setattr__(ctx, "_kernel", objective_kernel([ctx]))
-    grad = np.empty((1,) + weights.shape)
-    (value,) = ctx._kernel((weights,), grad)
-    return value, grad[0]
+        state, state_grad = np.empty((2, 1, 1) + weights.shape)
+        halves = objective_halves([ctx], state, state_grad)
+        object.__setattr__(ctx, "_kernel", (state[0, 0], state_grad[0, 0]) + halves)
+    slot, slot_grad, gradient, values = ctx._kernel
+    np.copyto(slot, weights)
+    gradient(0)
+    (value,) = values(0, 1)
+    return value, slot_grad.copy()
 
 
 def objective(weights: np.ndarray, ctx: ObjectiveContext) -> float:

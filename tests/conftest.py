@@ -76,20 +76,32 @@ def objective_failing_at(monkeypatch, iteration, value, chain=0):
     """Make position `chain` of every stack read value as its objective at
     `iteration`: the initial draw at 0, else the proposal of that iteration.
 
-    The value is set where the chains' MH tests read it, mala._decide, so
-    it does not depend on how far ahead of its tests a chain computes.
-    Returns the sizes of the stacks whose initial draws were checked.
+    The initial draw's value is set where the stack reads it, the value
+    half of mala's objective_halves on slot 0.  A proposal's value is set
+    where the chains' MH tests read it, mala._decide, so it does not depend
+    on how far ahead of its tests a chain computes.  Returns the sizes of
+    the stacks whose initial draws were checked.
     """
-    real, stacks = ffbm.mala._decide, []
+    real_halves, real_decide, stacks = ffbm.mala.objective_halves, ffbm.mala._decide, []
+
+    def halves(ctxs, states, grads):
+        gradient, values = real_halves(ctxs, states, grads)
+
+        def initial(first, stop):
+            result = values(first, stop)
+            if first == 0:
+                stacks.append(len(ctxs))
+                if iteration == 0:
+                    result[chain] = value
+            return result
+
+        return gradient, initial
 
     def failing(labels, t, values, proposed, *tests):
-        if t == 0 and not proposed:
-            stacks.append(len(labels))
-        if iteration == 0 == t:
-            values[chain] = value
-        elif 0 <= iteration - t - 1 < len(proposed) // len(labels):
+        if 0 <= iteration - t - 1 < len(proposed) // len(labels):
             proposed[(iteration - t - 1) * len(labels) + chain] = value
-        return real(labels, t, values, proposed, *tests)
+        return real_decide(labels, t, values, proposed, *tests)
 
+    monkeypatch.setattr(ffbm.mala, "objective_halves", halves)
     monkeypatch.setattr(ffbm.mala, "_decide", failing)
     return stacks

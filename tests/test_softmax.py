@@ -188,8 +188,8 @@ def test_prior_width_keeps_its_square_normal_and_twice_its_square_finite():
 
 
 def test_context_pickled_after_use_gives_the_same_bits():
-    # The bound kernel is a closure, which pickle cannot take; it is dropped
-    # and rebound on the copy's first call.
+    # The bound halves are closures, which pickle cannot take; they are
+    # dropped and rebound on the copy's first call.
     rng = np.random.default_rng(4)
     ctx = random_context(rng, 3, 4, 20, sigma=0.8)
     weights = rng.normal(size=(3, 4))
@@ -262,6 +262,25 @@ def test_objective_and_gradient_consistent():
     value, grad = objective_and_gradient(w, ctx)
     assert math.isclose(value, objective(w, ctx), rel_tol=1e-12)
     assert np.allclose(grad, objective_gradient(w, ctx), atol=1e-12)
+
+
+def test_successive_gradients_of_one_context_do_not_alias():
+    # Every call on a context reuses one bound buffer, so each gradient
+    # returned must be a copy: the first survives the second call, and both
+    # equal the results on a fresh context.
+    def context():
+        return random_context(np.random.default_rng(10), 3, 4, 15)
+
+    ctx = context()
+    first, second = np.random.default_rng(11).normal(size=(2, 3, 4))
+    value, grad = objective_and_gradient(first, ctx)
+    kept = grad.copy()
+    second_value, second_grad = objective_and_gradient(second, ctx)
+    assert grad.tobytes() == kept.tobytes()
+    assert not np.shares_memory(grad, second_grad)
+    for weights, v, g in ((first, value, grad), (second, second_value, second_grad)):
+        fresh_value, fresh_grad = objective_and_gradient(weights, context())
+        assert fresh_value == v and fresh_grad.tobytes() == g.tobytes()
 
 
 # --------------------------------------------------------------- shift symmetry
