@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -51,7 +52,13 @@ class LabelledNetwork:
 
         merged = {}
         total = 0
-        for u, v, m in self.edges:
+        index = operator.index
+        for edge in self.edges:
+            try:
+                u, v, m = edge
+                u, v, m = index(u), index(v), index(m)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not (u, v, multiplicity) in integers") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) endpoint outside [0, {n})")
             if m <= 0:
@@ -133,13 +140,17 @@ class HalfEdgeTable:
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None,
                        input_sha256=None) -> LabelledNetwork:
-    """Build a LabelledNetwork; features default to an empty N x 0 matrix."""
+    """Build a LabelledNetwork; features default to an empty N x 0 matrix.
+
+    An edge is (u, v) or (u, v, multiplicity), in integers (numpy's
+    included); any other edge raises ValueError.
+    """
     if features is None:
         features = np.zeros((num_vertices, 0), dtype=np.int8)
         feature_names = ()
     elif feature_names is None:
         feature_names = tuple(f"f{d}" for d in range(np.asarray(features).shape[1]))
-    edges = tuple(e if len(e) == 3 else (e[0], e[1], 1) for e in edges)
+    edges = tuple((*e, 1) if len(e) == 2 else e for e in edges)
     return LabelledNetwork(num_vertices, edges, features, feature_names, dict(input_sha256 or {}))
 
 

@@ -23,10 +23,11 @@ proposal: each proposal is made from the one before, with only its
 gradient.  Once per block, the value half of softmax.objective_halves and
 _drift_norms give the block's objectives and reverse densities, and
 _decide settles the tests in iteration order up to the first rejection;
-the work past it is dropped.  Every number comes from the ufuncs,
-per-slice matmuls and dots a one-iteration block uses, each slice alone,
-so how far a block runs ahead changes no bit, and every chain gives the
-bytes of a lone run.
+the work past it is dropped.  A block runs one iteration past the mean
+run every chain accepted, within _DEPTH, a float budget and its chunk.
+Every number comes from the ufuncs, per-slice matmuls and dots a
+one-iteration block uses, each slice alone, so how far a block runs ahead
+changes no bit, and every chain gives the bytes of a lone run.
 run_weight_chain, proposal_log_density and objective_and_gradient are the
 one-chain calls of this code.
 """
@@ -103,7 +104,9 @@ class WeightChainResult:
 
 
 def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
-    """Annealed step size at iteration t for a context of num_points vertices."""
+    """Annealed step size at iteration t >= 0 for a context of num_points vertices."""
+    if t < 0:
+        raise ValueError(f"iteration must be nonnegative, got {t}")
     if num_points < 1:
         raise ValueError("context must contain at least one vertex")
     alpha = 250.0 * cfg.step_scale / num_points
@@ -325,7 +328,7 @@ def _run_stack(ctxs, cfgs, labels) -> list:
         return objective_values(1, n + 1), flat_norms.tolist()
 
     noise_buffer, uniform_buffer = np.empty((size, chunk) + shape[1:]), np.empty((size, chunk))
-    depth, moved = 1, 0  # moved counts the iterations every chain accepted
+    moved = 0  # the iterations every chain accepted
     for start in range(0, cfg.iterations, chunk):
         # Each chain's noise and uniforms for the chunk's iterations, one
         # call per stream, then the forward densities -|xi|^2 / 2 from one
@@ -342,21 +345,19 @@ def _run_stack(ctxs, cfgs, labels) -> list:
         xi_slots = list(noise.swapaxes(0, 1))
         t, stop = start, start + len(hs)
         while t < stop:
-            # A block runs at most one iteration further than the mean run
-            # of iterations every chain accepted.
-            n, i = min(depth, stop - t, 1 + moved // (t - moved + 1)), t - start
-            if n == 1:
-                proposed, drift_norms = ahead(t, 1, i)
-            else:
+            # One iteration past the mean run that every chain accepted.
+            n, i = min(depth_cap, stop - t, 1 + moved // (t - moved + 1)), t - start
+            if n > 1:
                 # Work past the first rejection is dropped and must raise no
                 # warning: a block that meets a floating-point error is run
-                # again one iteration at a time, which raises what that raises.
+                # again one iteration deep, which raises what that raises.
                 with np.errstate(**guard):
                     proposed, drift_norms = ahead(t, n, i)
                 if faults:
                     faults.clear()
-                    depth = 1
-                    continue
+                    n = 1
+            if n == 1:
+                proposed, drift_norms = ahead(t, 1, i)
             flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n])
             if j > 1:
                 # Every chain accepted iterations t + 1 .. t + j - 1.
@@ -382,10 +383,7 @@ def _run_stack(ctxs, cfgs, labels) -> list:
                     copyto(state, state_slots[j], where=mask)
                     copyto(grad, grad_slots[j], where=mask)
                     values = [b if a else u for a, u, b in zip(flags, values, last)]
-            # The next block runs twice as far ahead as this one if every
-            # chain accepted throughout, else one iteration.
             moved += j - 1 + all(flags)
-            depth = min(2 * depth, depth_cap) if all(flags) else 1
             t += j
             trace.extend(values)
             accepted.extend(flags)

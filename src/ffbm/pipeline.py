@@ -220,8 +220,11 @@ def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_art
     stage keeps its type, and its message gains the master seed and the
     repetition it names: the failing repetition for a partition chain, a
     weight chain or a metric, and the run's repetitions for anything else
-    raised in the lockstep weight and screen stages.
+    raised in the lockstep weight and screen stages.  jobs < 1 raises
+    ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_preconditions(net, cfg)
     count, parts = cfg.repetitions, min(jobs, cfg.repetitions)
     runs = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
@@ -251,8 +254,10 @@ def aggregate_reports(reports) -> dict:
     entry; a list that is null as a whole is undefined in each entry.  An
     entry undefined in every repetition aggregates to null.  A metric whose
     values differ in shape (a number and a list, or lists of two lengths)
-    raises ValueError naming it.
+    raises ValueError naming it, and so does an empty list of reports.
     """
+    if not reports:
+        raise ValueError("no repetition reports to aggregate")
     dicts = [r.to_dict() for r in reports]
     mean, std = {}, {}
     for key in dict.fromkeys(key for d in dicts for key in d):

@@ -267,6 +267,14 @@ def test_jobs_cut_the_repetitions_into_contiguous_runs():
     assert dump(more) == dump(serial[:2])
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_refuses_fewer_than_one_job(jobs):
+    # Too few workers would otherwise run no repetition and return no report.
+    cfg = RunConfig(repetitions=2, block_iters=20, init_restarts=1, theta_iters=150, seed=6)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        pipeline.run_experiment(load_polbooks(), cfg, jobs=jobs)
+
+
 def test_usage_errors_exit_one():
     assert main(["nosuchcommand"]) == 1
     assert main([]) == 1

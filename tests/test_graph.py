@@ -58,6 +58,13 @@ def test_edge_validation():
         network_from_edges(3, [(0, 1, 0)])
     with pytest.raises(ValueError):
         network_from_edges(2, [(0, 1)], features=np.array([[2]]), feature_names=("a",))
+    # An edge is (u, v) or (u, v, multiplicity) in integers: a fourth entry
+    # is not dropped, nor is a fractional multiplicity or endpoint kept.
+    for edge in [(0, 1, 2, 9), (0,), (0, 1, 2.5), (0.0, 1), (0, np.float64(1.0), 1), (0, "1")]:
+        with pytest.raises(ValueError, match="not \\(u, v, multiplicity\\) in integers"):
+            network_from_edges(3, [edge])
+    net = network_from_edges(3, [(np.int64(0), np.int32(2), np.uint8(2)), (1, np.int64(2))])
+    assert net.edges == ((0, 2, 2), (1, 2, 1)) and net.num_edges == 3
 
 
 @pytest.mark.parametrize("derived", [{"degrees": np.array([1, 1])}, {"num_edges": 99}])

@@ -130,6 +130,12 @@ def test_a_metric_of_two_shapes_is_refused_by_name(second):
         aggregate_reports([_report(extras={"ess": [1.0]}), _report(extras={"ess": second})])
 
 
+def test_no_reports_are_refused():
+    # An experiment without repetitions has no mean or std to report.
+    with pytest.raises(ValueError, match="no repetition reports"):
+        aggregate_reports([])
+
+
 def test_a_metric_of_any_repetition_is_aggregated():
     aggregate = aggregate_reports([_report(), _report(extras={"rhat": 1.5})])
     assert list(aggregate["mean"])[-1] == "rhat"
