@@ -21,15 +21,16 @@ noise and one matmul gives its forward densities.  A stack computes blocks
 of iterations ahead of their MH tests, as if every chain accepted every
 proposal: each proposal is made from the one before, with only its
 gradient.  Once per block, the value half of softmax.objective_halves and
-_drift_norms give the block's objectives and reverse densities, and
-_decide settles the tests in iteration order up to the first rejection;
-the work past it is dropped.  A block runs one iteration past the mean
-run every chain accepted, within _DEPTH, a float budget and its chunk.
-Every number comes from the ufuncs, per-slice matmuls and dots a
-one-iteration block uses, each slice alone, so how far a block runs ahead
-changes no bit, and every chain gives the bytes of a lone run.
-run_weight_chain, proposal_log_density and objective_and_gradient are the
-one-chain calls of this code.
+_drift_norms give the block's objectives and reverse densities, _decide
+settles the tests in iteration order up to the first rejection, and each
+chain takes its outcome there; the work past it is dropped.  A block runs
+one iteration past the mean run every chain accepted, within _DEPTH, a
+float budget and its chunk, and one deep where work run ahead met a
+floating-point error.  Every block takes one path, whatever its depth, and
+each number comes from ufuncs, per-slice matmuls and dots on each slice
+alone, so how far a block runs ahead changes no bit, and every chain gives
+the bytes of a lone run.  run_weight_chain, proposal_log_density and
+objective_and_gradient are the one-chain calls of this code.
 """
 
 from __future__ import annotations
@@ -105,12 +106,17 @@ class WeightChainResult:
 
 def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
     """Annealed step size at iteration t >= 0 for a context of num_points vertices."""
-    if t < 0:
-        raise ValueError(f"iteration must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"iteration must be nonnegative and finite, got {t}")
+    return _schedule(cfg, num_points)(t)
+
+
+def _schedule(cfg: WeightChainConfig, num_points: int):
+    """step_size's expression as a function of t, which it does not check."""
     if num_points < 1:
         raise ValueError("context must contain at least one vertex")
     alpha = 250.0 * cfg.step_scale / num_points
-    return alpha * (SCHEDULE_OFFSET + t) ** (-SCHEDULE_DECAY)
+    return lambda t: alpha * (SCHEDULE_OFFSET + t) ** (-SCHEDULE_DECAY)
 
 
 class WeightChainError(ArithmeticError):
@@ -125,21 +131,19 @@ class WeightChainError(ArithmeticError):
         return type(self), (*self.args, self.chain)
 
 
-def _drift_norms(frm, to, grad_frm, step, drift=None, scaled=None, views=None, norms=None):
-    """|to - frm + step grad_frm|^2 of every slice of ... x B x D stacks, as an
-    array of shape (..., 1, 1); log q(frm -> to) is this over -4 step, up to
-    the additive constant shared by both directions.
+def _drift_norms(frm, to, grad_frm, step):
+    """|to - frm + step grad_frm|^2 of every slice of ... x B x D stacks, as a
+    new array of shape (..., 1, 1); log q(frm -> to) is this over -4 step,
+    up to the additive constant shared by both directions.
 
     step is a float, or an array that broadcasts against the stacks with one
     step per leading index.  The norms are a matmul of the drift's
-    dot_views, so a slice gets the bits of np.vdot on that slice alone.  The
-    chain passes buffers bound once: drift and scaled (the stacks' shape),
-    the dot_views of drift, and the norms.  Without them each is allocated.
+    dot_views, so a slice gets the bits of np.vdot on that slice alone.
     """
-    drift = np.subtract(to, frm, drift)
-    np.add(drift, np.multiply(grad_frm, step, scaled), drift)
-    rows, cols = views or dot_views(drift)
-    return np.matmul(rows, cols, norms)
+    drift = np.subtract(to, frm)
+    drift += np.multiply(grad_frm, step)
+    rows, cols = dot_views(drift)
+    return np.matmul(rows, cols)
 
 
 def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, step: float):
@@ -147,10 +151,11 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
 
     A state of two or fewer dimensions (a B x D matrix, or a vector) gives a
     float; a stack of B x D states gives an array with one value per state.
-    It is the one-call use of the chain's _drift_norms.
+    It is the one-call use of the chain's _drift_norms.  A step that is not
+    positive and finite raises ValueError.
     """
-    if step <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {step}")
     frm, to, grad_frm = (np.asarray(a, dtype=np.float64) for a in (frm, to, grad_frm))
     lead, state = (frm.shape[:-2], frm.shape[-2:]) if frm.ndim >= 2 else ((), (1, frm.size))
     shape = (math.prod(lead),) + state
@@ -159,12 +164,22 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
 
 
 def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveContext, step: float) -> float:
-    """log of the Metropolis-Hastings acceptance probability of the proposal."""
+    """log of the Metropolis-Hastings acceptance probability of the proposal.
+
+    As in the chain, a non-finite current U or a NaN or -inf proposal U
+    raises WeightChainError (chain None), and a proposal U of +inf, or any
+    NaN log alpha, gives -inf, a certain rejection.  A step that is not
+    positive and finite raises ValueError.
+    """
     u_cur, grad_cur = objective_and_gradient(current, ctx)
     u_prop, grad_prop = objective_and_gradient(proposal, ctx)
+    if not (math.isfinite(u_cur) and u_prop > -math.inf):
+        raise WeightChainError(f"weight-chain objective is {u_cur} at the current state "
+                               f"and {u_prop} at the proposal", None)
     log_fwd = proposal_log_density(current, proposal, grad_cur, step)
     log_rev = proposal_log_density(proposal, current, grad_prop, step)
-    return min(0.0, u_cur - u_prop + log_rev - log_fwd)
+    log_alpha = u_cur - u_prop + log_rev - log_fwd
+    return -math.inf if math.isnan(log_alpha) else min(0.0, log_alpha)
 
 
 def run_weight_chain(ctx: ObjectiveContext, cfg: WeightChainConfig) -> WeightChainResult:
@@ -262,31 +277,19 @@ def _decide(labels, t, values, proposed, drift_norms, tests) -> tuple:
 def _run_stack(ctxs, cfgs, labels) -> list:
     """The lockstep loop over chains of one shape and schedule; labels name them in errors."""
     ctx, cfg = ctxs[0], cfgs[0]
-    steps = [step_size(t, cfg, ctx.size) for t in range(cfg.iterations)]
+    steps = list(map(_schedule(cfg, ctx.size), range(cfg.iterations)))
     step_cols = np.array(steps)[:, None, None, None]
     size, shape = len(ctxs), (len(ctxs), ctx.num_blocks, ctx.num_features)
     generators = [_chain_generators(c.seed) for c in cfgs]
     floats = shape[1] * shape[2]
     chunk = max(1, min(_CHUNK, _CHUNK_FLOATS // max(1, floats), cfg.iterations))
     # Slot 0 holds the states and slot k the proposal of k iterations ahead;
-    # per chain and slot the block buffers hold 5 B x D arrays, 3 of U and
-    # one U x B.
+    # per chain and slot a block holds 5 B x D arrays (two of them the
+    # drift's temporaries), 3 of U and one U x B.
     per_slot = 5 * floats + (3 + shape[1]) * ctx.rows.shape[0]
     depth_cap = max(1, min(_DEPTH, _CHUNK_FLOATS // per_slot, chunk))
     states, grads = np.empty((depth_cap + 1,) + shape), np.empty((depth_cap + 1,) + shape)
     gradient, objective_values = objective_halves(ctxs, states, grads)
-    drift, scaled = np.empty((depth_cap,) + shape), np.empty((depth_cap,) + shape)
-    norms = np.empty((depth_cap, size, 1, 1))
-
-    def block_views(run, before):
-        # The arguments of _drift_norms for the proposals in slots run, but
-        # the steps, then the norms as one flat view.
-        return (states[run], states[before], grads[run], drift[before], scaled[before],
-                dot_views(drift[before]), norms[before], norms[before].reshape(-1))
-
-    # One iteration's views are indexed, not sliced: numpy handles the
-    # three-dimensional views faster.
-    blocks = [None, block_views(1, 0)] + [block_views(slice(1, n + 1), slice(n)) for n in range(2, depth_cap + 1)]
     state_slots, grad_slots = list(states), list(grads)
     state, grad = state_slots[0], grad_slots[0]
     for (initial, _, _), c, weights in zip(generators, cfgs, state):
@@ -322,13 +325,11 @@ def _run_stack(ctxs, cfgs, labels) -> list:
             subtract(state_slots[k], proposal, proposal)
             add(proposal, xi_slots[i + k], proposal)
             gradient(k + 1)
-        frm, to, grad_frm, drift_n, scaled_n, views, norms_n, flat_norms = blocks[n]
-        hs = steps[t] if n == 1 else step_cols[t:t + n]
-        _drift_norms(frm, to, grad_frm, hs, drift_n, scaled_n, views, norms_n)
-        return objective_values(1, n + 1), flat_norms.tolist()
+        norms = _drift_norms(states[1:n + 1], states[:n], grads[1:n + 1], step_cols[t:t + n])
+        return objective_values(1, n + 1), norms.reshape(-1).tolist()
 
     noise_buffer, uniform_buffer = np.empty((size, chunk) + shape[1:]), np.empty((size, chunk))
-    moved = 0  # the iterations every chain accepted
+    moved = plain = 0  # the iterations every chain accepted; blocks before plain run one deep
     for start in range(0, cfg.iterations, chunk):
         # Each chain's noise and uniforms for the chunk's iterations, one
         # call per stream, then the forward densities -|xi|^2 / 2 from one
@@ -346,43 +347,34 @@ def _run_stack(ctxs, cfgs, labels) -> list:
         t, stop = start, start + len(hs)
         while t < stop:
             # One iteration past the mean run that every chain accepted.
-            n, i = min(depth_cap, stop - t, 1 + moved // (t - moved + 1)), t - start
+            n = 1 if t < plain else min(depth_cap, stop - t, 1 + moved // (t - moved + 1))
+            i = t - start
             if n > 1:
-                # Work past the first rejection is dropped and must raise no
-                # warning: a block that meets a floating-point error is run
-                # again one iteration deep, which raises what that raises.
+                # Work past the first rejection must raise no warning: after a
+                # floating-point error the block's iterations run again one
+                # deep, raising what they raise, so a fault costs one rerun.
                 with np.errstate(**guard):
                     proposed, drift_norms = ahead(t, n, i)
                 if faults:
                     faults.clear()
-                    n = 1
+                    n, plain = 1, t + n
             if n == 1:
                 proposed, drift_norms = ahead(t, 1, i)
             flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n])
-            if j > 1:
-                # Every chain accepted iterations t + 1 .. t + j - 1.
-                trace.extend(proposed[:(j - 1) * size])
-                accepted.extend(b"\x01" * (size * (j - 1)))
-                while keep_at[r] < t + j:
-                    kept[:, r] = state_slots[keep_at[r] - t]
-                    r += 1
-            # Iteration t + j moves the chains that accept to slot j and
-            # leaves the others at slot j - 1.
-            last = proposed[(j - 1) * size:j * size]
-            if all(flags):
-                copyto(state, state_slots[j])
-                copyto(grad, grad_slots[j])
-                values = last
-            else:
-                if j > 1:
-                    copyto(state, state_slots[j - 1])
-                    copyto(grad, grad_slots[j - 1])
-                    values = proposed[(j - 2) * size:(j - 1) * size]
-                if any(flags):
-                    mask = np.array(flags)[:, None, None]
-                    copyto(state, state_slots[j], where=mask)
-                    copyto(grad, grad_slots[j], where=mask)
-                    values = [b if a else u for a, u, b in zip(flags, values, last)]
+            # Every chain accepted iterations t + 1 .. t + j - 1; at t + j
+            # each moves to slot j - 1, then those that accept to slot j.
+            ladder = values + proposed  # the objectives of slots 0 .. n
+            trace.extend(ladder[size:j * size])
+            accepted.extend(b"\x01" * (size * (j - 1)))
+            while keep_at[r] < t + j:
+                kept[:, r] = state_slots[keep_at[r] - t]
+                r += 1
+            mask = np.array(flags)[:, None, None]
+            for slots, current in ((state_slots, state), (grad_slots, grad)):
+                copyto(current, slots[j - 1])
+                copyto(current, slots[j], where=mask)
+            values = [b if a else u for a, u, b in
+                      zip(flags, ladder[(j - 1) * size:j * size], ladder[j * size:(j + 1) * size])]
             moved += j - 1 + all(flags)
             t += j
             trace.extend(values)

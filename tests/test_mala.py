@@ -65,8 +65,9 @@ def test_step_size_validation():
         step_size(0, cfg, 0)
     # Before iteration 0 the schedule has no meaning, and below -1000 its
     # power of a negative base is complex.
-    for t in (-1, -1500):
-        with pytest.raises(ValueError, match="iteration must be nonnegative"):
+    # An infinite t would give step 0, a NaN one a NaN step.
+    for t in (-1, -1500, math.inf, math.nan):
+        with pytest.raises(ValueError, match="iteration must be nonnegative and finite"):
             step_size(t, cfg, 10)
     with pytest.raises(ValueError):
         WeightChainConfig(step_scale=-1.0)
@@ -76,6 +77,28 @@ def test_step_size_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be positive and finite"):
                 WeightChainConfig(**{field: value})
+
+
+def test_the_chain_s_schedule_is_step_size_bit_for_bit(monkeypatch):
+    # The chain builds its schedule without a step_size call per iteration;
+    # the steps its MH tests read (as -4 h, exact) must still be
+    # step_size's floats.
+    calls, steps, real = [], {}, mala._decide
+    monkeypatch.setattr(mala, "step_size", lambda *args: calls.append(args) or step_size(*args))
+
+    def spy(labels, t, values, proposed, drift_norms, tests):
+        # tests[k] belongs to iteration t + k + 1, which takes step h_{t+k}.
+        steps.update((t + k, quarter / -4.0) for k, (quarter, _, _) in enumerate(tests))
+        return real(labels, t, values, proposed, drift_norms, tests)
+
+    monkeypatch.setattr(mala, "_decide", spy)
+    for size in (2, 37, 100, 238):
+        for scale in (0.05, 0.5, 3.0):
+            cfg = WeightChainConfig(iterations=1200, burn_in=0.0, thinning=1, step_scale=scale)
+            steps.clear()
+            run_weight_chain(separated_context(size), cfg)
+            assert [steps[t].hex() for t in range(1200)] == [step_size(t, cfg, size).hex() for t in range(1200)]
+    assert len(calls) == 0
 
 
 # ------------------------------------------------------------- accept formula
@@ -100,8 +123,33 @@ def test_accept_flat_target_is_certain():
 
 
 def test_proposal_density_validation():
-    with pytest.raises(ValueError):
-        proposal_log_density(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), 0.0)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            proposal_log_density(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), step)
+
+
+def test_accept_log_prob_agrees_with_the_chain_on_non_finite_inputs():
+    # The chain raises WeightChainError on a NaN proposal U and rejects a
+    # +inf one; min(0, log alpha) alone would accept both for certain.
+    ctx = separated_context()
+    w = np.random.default_rng(5).normal(size=(2, 1))
+    with np.errstate(all="ignore"):  # the objective itself warns on these inputs
+        for proposal in (np.full((2, 1), math.nan), np.array([[math.inf], [-math.inf]])):
+            assert math.isnan(objective_and_gradient(proposal, ctx)[0])
+            with pytest.raises(mala.WeightChainError, match="nan at the proposal"):
+                accept_log_prob(w, proposal, ctx, 0.05)
+        with pytest.raises(mala.WeightChainError, match="nan at the current state"):
+            accept_log_prob(np.full((2, 1), math.nan), w, ctx, 0.05)
+        # U is +inf here, and the drift norms overflow.
+        huge = np.full((2, 1), 1e200)
+        assert objective_and_gradient(huge, ctx)[0] == math.inf
+        assert accept_log_prob(w, huge, ctx, 0.05) == -math.inf
+    # Finite objectives whose drift norms are both infinite over a subnormal
+    # step give a NaN log alpha, which the chain's test rejects.
+    assert accept_log_prob(w, w + 1.0, ctx, 1e-310) == -math.inf
+    for step in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            accept_log_prob(w, w + 0.1, ctx, step)
 
 
 def test_reverse_proposal_identity():
@@ -379,18 +427,21 @@ def test_a_stack_keeps_each_chain_s_outcome_where_its_chains_differ(monkeypatch)
 def test_floating_point_errors_of_work_run_ahead_raise_no_warning(monkeypatch, slot, warns):
     # The gradient half overflows on every slot from the given one on.
     # Past slot 1 that is work run ahead of the MH tests: the chain runs the
-    # block again one iteration at a time, which gives the same bytes and no
-    # warning.  At slot 1 the chain meets the overflow one iteration at a
-    # time too, and the warning is raised.
+    # iterations of the block again one at a time, which gives the same
+    # bytes and no warning, and a fault costs about one rerun of its block,
+    # so the chain computes at most 3 gradients per iteration.  At slot 1
+    # the chain meets the overflow one iteration at a time too, and the
+    # warning is raised.
     ctx, cfg = polbooks_context(), WeightChainConfig(iterations=300, step_scale=0.5, seed=1)
     plain = run_weight_chain(ctx, cfg)
-    real = mala.objective_halves
+    real, calls = mala.objective_halves, []
 
     def halves(ctxs, states, grads):
         gradient, values = real(ctxs, states, grads)
 
         def overflowing(k):
             gradient(k)
+            calls.append(k)
             if k >= slot:
                 np.multiply(1e300, 1e300)
 
@@ -406,6 +457,7 @@ def test_floating_point_errors_of_work_run_ahead_raise_no_warning(monkeypatch, s
             res = run_weight_chain(ctx, cfg)
             assert res.u_trace.tobytes() == plain.u_trace.tobytes()
             assert res.samples.tobytes() == plain.samples.tobytes()
+            assert len(calls) <= 3 * cfg.iterations
 
 
 def test_one_config_runs_twice_to_the_same_bytes():
