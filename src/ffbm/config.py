@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -122,6 +123,12 @@ def _coerce(key: str, value):
         return None
     if key in _STRING_FIELDS:
         return str(value)
+    if key in _INT_FIELDS and isinstance(value, str):
+        # Text is read as a number first, so it meets the rule JSON numbers meet.
+        for read in (int, float):
+            with contextlib.suppress(ValueError):
+                value = read(value)
+                break
     # JSON booleans are ints to Python; no numeric field takes one.
     if isinstance(value, bool) or (
             key in _INT_FIELDS and isinstance(value, float) and not value.is_integer()):

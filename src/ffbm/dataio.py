@@ -36,7 +36,8 @@ def read_bytes(path) -> bytes:
 
 
 def read_text(path, digests=None, key=None) -> str:
-    """The whole of an input file, decoded as UTF-8 with line endings kept.
+    """The whole of an input file, decoded as UTF-8 with line endings kept
+    and a leading byte-order mark dropped.
 
     With a dict ``digests``, the SHA-256 of the bytes read is stored there
     under ``key``, so a caller can name the file's contents without reading
@@ -46,7 +47,7 @@ def read_text(path, digests=None, key=None) -> str:
     if digests is not None:
         digests[key] = hashlib.sha256(data).hexdigest()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

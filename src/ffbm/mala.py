@@ -23,10 +23,12 @@ proposal: each proposal is made from the one before, with only its
 gradient.  Once per block, the value half of softmax.objective_halves and
 _drift_norms give the block's objectives and reverse densities, _decide
 settles the tests in iteration order up to the first rejection, and each
-chain takes its outcome there; the work past it is dropped.  A block runs
-one iteration past the mean run every chain accepted, within _DEPTH, a
-float budget and its chunk, and one deep where work run ahead met a
-floating-point error.  Every block takes one path, whatever its depth, and
+chain takes its outcome there; the work past it is dropped, and one step
+records the block.  A block runs one iteration past the mean run every
+chain accepted, within _DEPTH, a float budget and its chunk.  Every block
+runs once under an np.errstate that records floating-point errors; one
+that met an error runs again one deep and unguarded, and the blocks up to
+its end run one deep.  Every block takes one path, whatever its depth, and
 each number comes from ufuncs, per-slice matmuls and dots on each slice
 alone, so how far a block runs ahead changes no bit, and every chain gives
 the bytes of a lone run.  run_weight_chain, proposal_log_density and
@@ -252,9 +254,9 @@ def _decide(labels, t, values, proposed, drift_norms, tests) -> tuple:
     uniforms; log alpha is u - u' + log q(reverse) - log q(forward).  The
     scan stops at the first iteration at which a chain rejects, since the
     later proposals assumed it did not.  Returns the flags of the last
-    iteration decided and the number decided.
+    iteration decided, the number decided and the chains' objectives after it.
     """
-    flags, k, size = [], 0, len(labels)
+    size = len(labels)
     for k, (quarter, fwds, uniforms) in enumerate(tests, 1):
         first, end = (k - 1) * size, k * size
         prop_values, flags = proposed[first:end], []
@@ -271,7 +273,7 @@ def _decide(labels, t, values, proposed, drift_norms, tests) -> tuple:
         if not all(flags):
             break
         values = prop_values
-    return flags, k
+    return flags, k, [b if a else u for a, u, b in zip(flags, values, prop_values)]
 
 
 def _run_stack(ctxs, cfgs, labels) -> list:
@@ -309,9 +311,9 @@ def _run_stack(ctxs, cfgs, labels) -> list:
     trace, accepted = array("d", values), bytearray()
 
     add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
-    faults = []  # the floating-point errors met by a block that runs ahead
+    faults = []  # the floating-point errors met by a block's guarded attempt
     # Errors of the kinds the caller's error state does not ignore are
-    # recorded, not reported, while a block runs ahead.
+    # recorded, not reported, while a block makes its guarded attempt.
     guard = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
     guard["call"] = lambda kind, flag: faults.append(kind)
 
@@ -349,39 +351,31 @@ def _run_stack(ctxs, cfgs, labels) -> list:
             # One iteration past the mean run that every chain accepted.
             n = 1 if t < plain else min(depth_cap, stop - t, 1 + moved // (t - moved + 1))
             i = t - start
-            if n > 1:
-                # Work past the first rejection must raise no warning: after a
-                # floating-point error the block's iterations run again one
-                # deep, raising what they raise, so a fault costs one rerun.
-                with np.errstate(**guard):
-                    proposed, drift_norms = ahead(t, n, i)
-                if faults:
-                    faults.clear()
-                    n, plain = 1, t + n
-            if n == 1:
+            # Work past the first rejection must raise no warning: after a
+            # floating-point error the block runs again one deep, raising
+            # what it raises, so a fault costs one rerun.
+            with np.errstate(**guard):
+                proposed, drift_norms = ahead(t, n, i)
+            if faults:
+                faults.clear()
+                n, plain = 1, max(plain, t + n)
                 proposed, drift_norms = ahead(t, 1, i)
-            flags, j = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n])
+            flags, j, values = _decide(labels, t, values, proposed, drift_norms, tests[i:i + n])
             # Every chain accepted iterations t + 1 .. t + j - 1; at t + j
             # each moves to slot j - 1, then those that accept to slot j.
-            ladder = values + proposed  # the objectives of slots 0 .. n
-            trace.extend(ladder[size:j * size])
-            accepted.extend(b"\x01" * (size * (j - 1)))
-            while keep_at[r] < t + j:
-                kept[:, r] = state_slots[keep_at[r] - t]
-                r += 1
+            # The commit writes slot 0 alone, so the records read slots
+            # 1 .. j - 1 after it.
             mask = np.array(flags)[:, None, None]
             for slots, current in ((state_slots, state), (grad_slots, grad)):
                 copyto(current, slots[j - 1])
                 copyto(current, slots[j], where=mask)
-            values = [b if a else u for a, u, b in
-                      zip(flags, ladder[(j - 1) * size:j * size], ladder[j * size:(j + 1) * size])]
+            trace.extend(proposed[:(j - 1) * size] + values)
+            accepted.extend(b"\x01" * (size * (j - 1)) + bytes(flags))
+            while keep_at[r] <= t + j:
+                kept[:, r] = state if keep_at[r] == t + j else state_slots[keep_at[r] - t]
+                r += 1
             moved += j - 1 + all(flags)
             t += j
-            trace.extend(values)
-            accepted.extend(flags)
-            if keep_at[r] == t:
-                kept[:, r] = state
-                r += 1
 
     trace = np.frombuffer(trace, dtype=np.float64).reshape(-1, size)
     accepted = np.frombuffer(accepted, dtype=np.bool_).reshape(-1, size)

@@ -167,15 +167,15 @@ def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
     proposal it computes ahead of its MH tests, and the value half once per
     block; objective_and_gradient runs each once on a one-slot buffer.  The
     contexts' arrays are stacked and the work arrays allocated once, here,
-    with the views of every slot, and the views of a run of slots on its
-    first use; each numpy call of the value half then runs once on a whole
-    run.  Every reduction works slice by slice in the order a lone slice
-    uses: matmul (one BLAS call per slice), max and sum along the last
-    axis, and dots through dot_views; every other step is element by
-    element.  So slice s of slot k gets the bits that a one-slot block
-    holding ctxs[s] alone gets, whatever the other slices and slots hold
-    and however the runs are cut, and a block's objectives equal those of
-    the two halves run one slot at a time.
+    with the views of every slot, and the sliced views of a run of slots,
+    one slot or many, on its first use; each numpy call of the value half
+    then runs once on a whole run.  Every reduction works slice by slice
+    in the order a lone slice uses: matmul (one BLAS call per slice), max
+    and sum along the last axis, and dots through dot_views; every other
+    step is element by element.  So slice s of slot k gets the bits that
+    a one-slot block holding ctxs[s] alone gets, whatever the other slices
+    and slots hold and however the runs are cut, and a block's objectives
+    equal those of the two halves run one slot at a time.
     """
     shapes = {(c.rows.shape[0], c.num_blocks, c.num_features) for c in ctxs}
     if len(shapes) != 1:
@@ -200,11 +200,10 @@ def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
     maximum, add_up = np.maximum.reduce, np.add.reduce
     matmul, add, subtract, divide, exp, log = np.matmul, np.add, np.subtract, np.divide, np.exp, np.log
 
-    # A slot's views, and a value run's of one slot, are indexed, not
-    # sliced, as numpy handles the three-dimensional views faster.  The
-    # peaks and normalisers are also viewed as row-constant arrays of the
-    # logits' shape, which numpy combines with them faster than it
-    # broadcasts.
+    # A slot's views are indexed, not sliced, as numpy handles the
+    # three-dimensional views faster.  The peaks and normalisers are also
+    # viewed as row-constant arrays of the logits' shape, which numpy
+    # combines with them faster than it broadcasts.
     slot_views = [(states[k], states[k].swapaxes(-1, -2), logits[k], logits[k].swapaxes(-1, -2),
                    peaks[k], totals[k], np.broadcast_to(peaks[k], logits[k].shape),
                    np.broadcast_to(totals[k], logits[k].shape), grads[k], decay[k]) for k in range(slots)]
@@ -234,8 +233,7 @@ def objective_halves(ctxs, states: np.ndarray, grads: np.ndarray):
         # row, and the ridge: counts . logZ - <W, targets.T @ features> +
         # |W|^2 / (2 sigma^2).
         key = first * slots + stop
-        run = value_runs.get(key) or value_runs.setdefault(
-            key, value_views(first if stop == first + 1 else slice(first, stop), first, stop))
+        run = value_runs.get(key) or value_runs.setdefault(key, value_views(slice(first, stop), first, stop))
         peak, total, logs, log_rows, cross, moment, ridge, weight_rows, weight_cols, flat, variances = run
         log(total, logs)
         add(peak, logs, logs)

@@ -335,13 +335,28 @@ def test_sample_blocks_needs_no_features(synthetic_dir, tmp_path):
     assert main(["sample-theta", *common, "--out-dir", str(tmp_path / "theta")]) == 2
 
 
-@pytest.mark.parametrize("entry", [{"num_blocks": 2.9}, {"repetitions": True}])
-def test_json_config_rejects_lossy_integers(tmp_path, entry):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(entry))
-    assert main(["report", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("entry", [{"num_blocks": 2.9}, {"repetitions": True}, "num_blocks=2.9",
+                                   "repetitions=2.5e0"])
+def test_json_config_rejects_lossy_integers(tmp_path, capsys, entry):
+    # Integer keys follow one rule in every form: a JSON number, or text in
+    # a key = value file or a --set, is taken if it is integral and refused
+    # otherwise.  A text entry is given both ways.
+    cfg, lines = tmp_path / "cfg.json", tmp_path / "run.cfg"
+    if isinstance(entry, dict):
+        cfg.write_text(json.dumps(entry))
+        forms = [["--config", str(cfg)]]
+    else:
+        lines.write_text(entry.replace("=", " = ") + "\n")
+        forms = [["--config", str(lines)], ["--set", entry]]
+    for args in forms:
+        assert main(["report", *args, "--out-dir", str(tmp_path)]) == 2
+        assert "needs an integer" in capsys.readouterr().err
     cfg.write_text(json.dumps({"num_blocks": 3.0}))
     assert build_config(cfg).num_blocks == 3
+    lines.write_text("num_blocks = 3.0\nrepetitions = 1e1\n")
+    text_config = build_config(lines)
+    assert (text_config.num_blocks, text_config.repetitions) == (3, 10)
+    assert build_config(overrides=["num_blocks=3.0"]).num_blocks == 3
 
 
 @pytest.mark.parametrize("entry", [{"sigma": True}, {"train_fraction": False}])

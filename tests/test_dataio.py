@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from ffbm import (
     parse_edge_list,
     parse_features,
 )
-from ffbm.config import parse_config_file
+from ffbm.config import build_config, parse_config_file
 from ffbm.dataio import (
     SPARSE_VERTEX_LIMIT,
     read_weight_samples,
@@ -184,6 +186,22 @@ def test_invalid_utf8_names_the_file(tmp_path, reader, name, text):
     with pytest.raises(DataFormatError, match="not UTF-8") as info:
         reader(path)
     assert str(path) in str(info.value)
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # Some editors start UTF-8 files with a byte-order mark.  Every reader
+    # drops it, and input_sha256 still names the bytes read, mark included.
+    bom = b"\xef\xbb\xbf"
+    edges, features = tmp_path / "edges.txt", tmp_path / "features.csv"
+    edges.write_bytes(bom + b"0 1\n1 2\n")
+    features.write_bytes(bom + b"vertex,a\n0,1\n1,0\n2,1\n")
+    net = load_network(edges, features)
+    assert (net.num_edges, net.feature_names) == (2, ("a",))
+    assert net.input_sha256["edges"] == hashlib.sha256(edges.read_bytes()).hexdigest()
+    for name, text in (("run.cfg", b"block_iters = 5\n"), ("run.json", b'{"block_iters": 5}')):
+        path = tmp_path / name
+        path.write_bytes(bom + text)
+        assert build_config(path).block_iters == 5
 
 
 @pytest.mark.parametrize("row", ["20,0.1,abc", "20,0.1", "20,0.1,0.2,0.3", "2x,0.1,0.2", "20,0.1,nan"],

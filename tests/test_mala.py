@@ -367,17 +367,20 @@ def _spy_blocks(monkeypatch):
     real, blocks = mala._decide, []
 
     def spy(labels, t, values, proposed, drift_norms, tests):
-        flags, decided = real(labels, t, values, proposed, drift_norms, tests)
-        blocks.append((len(tests), flags, decided))
-        return flags, decided
+        outcome = real(labels, t, values, proposed, drift_norms, tests)
+        blocks.append((len(tests),) + outcome[:2])
+        return outcome
 
     monkeypatch.setattr(mala, "_decide", spy)
     return blocks
 
 
-@pytest.mark.parametrize("size, step_scale", [(1, 2.0), (3, 2.0), (1, 5.0)])
+@pytest.mark.parametrize("size, step_scale, burn_in, thinning",
+                         [(1, 2.0, 0.2, 3), (3, 2.0, 0.2, 3), (1, 5.0, 0.2, 3), (3, 2.0, 0.0, 1)],
+                         ids=["1-2.0", "3-2.0", "1-5.0", "3-2.0-every"])
 @pytest.mark.parametrize("depth", [1, 2, 7, 400])
-def test_weight_chain_output_does_not_depend_on_how_far_it_runs_ahead(monkeypatch, size, step_scale, depth):
+def test_weight_chain_output_does_not_depend_on_how_far_it_runs_ahead(monkeypatch, size, step_scale,
+                                                                      burn_in, thinning, depth):
     # A chain computes blocks of proposals ahead of their MH tests and drops
     # what follows the first rejection, so blocks of at most 1, 2 or 7
     # iterations, or as long as the chunk of 256, give the bytes of the
@@ -385,14 +388,17 @@ def test_weight_chain_output_does_not_depend_on_how_far_it_runs_ahead(monkeypatc
     # step_scale 2 and 0.67 at 5, a stack of three 0.86-0.92 at 2; in each
     # case rejections cut blocks at their first iteration, at later ones,
     # and (past a depth of 2) before their last, so work run ahead is dropped.
+    # With every iteration kept (burn_in 0, thinning 1), the samples hold
+    # iteration 0, iteration T and the end of every block.
     ctxs = [polbooks_context(seed) for seed in range(3, 3 + size)]
-    cfgs = [WeightChainConfig(iterations=300, burn_in=0.2, thinning=3, step_scale=step_scale, seed=s)
-            for s in range(size)]
+    cfgs = [WeightChainConfig(iterations=300, burn_in=burn_in, thinning=thinning, step_scale=step_scale,
+                              seed=s) for s in range(size)]
     default = run_weight_chains(ctxs, cfgs)
     monkeypatch.setattr(mala, "_DEPTH", depth)
     blocks = _spy_blocks(monkeypatch)
     for a, b in zip(default, run_weight_chains(ctxs, cfgs)):
         assert 0.0 < a.accepted.mean() < 1.0
+        assert len(b.samples) == (301 if thinning == 1 else 81)
         assert a.u_trace.tobytes() == b.u_trace.tobytes()
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.accepted.tobytes() == b.accepted.tobytes()
