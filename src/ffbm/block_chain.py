@@ -18,11 +18,12 @@ bound on the Hastings ratio, is rejected before its proposal probabilities
 are computed.  It is the only code that draws, scores and decides a
 partition-chain proposal.  Every proposal reads four doubles of the
 generator, used or not, so the chain's output does not depend on the
-chunk length.  The greedy initialiser, a multilevel agglomerative run,
-draws from ``random.Random``, scores block merges through
-``dcsbm.merge_kernel`` and scores a vertex against its neighbours' blocks
-through its own bound move kernel.  The bound references stay valid because moves update the state's
-b, e rows, e_row, n and eta in place and never rebind them.
+chunk length.  The greedy initialiser, a multilevel agglomerative run, draws
+from ``random.Random``, scores block merges through ``dcsbm.merge_kernel``
+and a vertex against its neighbours' blocks through its own bound move
+kernel.  The bound references stay valid because moves update the state's b,
+e rows, e_row, n and eta in place and never rebind them.  Alignment reads
+labels by BlockState's rule, ``graph.check_labels``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import accumulate, chain, islice
 import numpy as np
 
 from .dcsbm import BlockState, description_length, merge_kernel, move_kernel
-from .graph import LabelledNetwork
+from .graph import LabelledNetwork, check_labels
 from .sampling import check_retention, retained_indices
 
 
@@ -549,12 +550,6 @@ def _min_cost_assignment(cost) -> list:
     return col4row
 
 
-def _check_labels(labels: np.ndarray, num_blocks: int, which: str) -> None:
-    bad = labels[(labels < 0) | (labels >= num_blocks)]
-    if bad.size:
-        raise ValueError(f"{which} partition has label {bad.flat[0]} outside [0, {num_blocks})")
-
-
 def _align_samples(samples, reference, num_blocks: int) -> np.ndarray:
     """Each row of the S x N label array relabelled to best overlap the reference.
 
@@ -562,12 +557,10 @@ def _align_samples(samples, reference, num_blocks: int) -> np.ndarray:
     an assignment on the score overlap * (B + 1) + [label kept], so overlap
     ties go to keeping labels fixed, then to the solver's scan order.
     """
-    samples = np.asarray(samples)
-    reference = np.asarray(reference)
+    samples = check_labels(samples, num_blocks, "sample")
+    reference = check_labels(reference, num_blocks, "reference")
     if reference.ndim != 1 or samples.ndim != 2 or samples.shape[1] != reference.shape[0]:
         raise ValueError("sample and reference partitions differ in length")
-    _check_labels(samples, num_blocks, "sample")
-    _check_labels(reference, num_blocks, "reference")
     num_samples = samples.shape[0]
     sample_index = np.arange(num_samples)[:, None]
     cells = (sample_index * num_blocks + samples) * num_blocks + reference
@@ -587,10 +580,10 @@ def align_labels(sample: np.ndarray, reference: np.ndarray, num_blocks: int) -> 
     placed in increasing order, each by a shortest augmenting path whose
     scan over the reference labels starts from B-1 downwards and, among
     equally cheap labels, takes the first one scanned, preferring one that no
-    sample label holds yet (``_min_cost_assignment``).  A label outside
-    [0, B) in either partition raises ``ValueError``.
+    sample label holds yet (``_min_cost_assignment``).  Either partition's
+    labels must meet ``graph.check_labels``, or ``ValueError`` is raised.
     """
-    return _align_samples(np.asarray(sample)[None], reference, num_blocks)[0]
+    return _align_samples([sample], reference, num_blocks)[0]
 
 
 def estimate_responsibilities(samples, reference: np.ndarray, num_blocks: int) -> np.ndarray:
@@ -598,8 +591,8 @@ def estimate_responsibilities(samples, reference: np.ndarray, num_blocks: int) -
 
     Each sample is aligned to the reference partition before averaging the
     one-hot memberships, so label switching across samples cannot wash the
-    estimate out towards uniform.  A label outside [0, B) raises
-    ``ValueError``, as in ``align_labels``.
+    estimate out towards uniform.  Bad labels raise ``ValueError``, as in
+    ``align_labels``.
     """
     if len(samples) == 0:
         raise ValueError("need at least one retained sample")

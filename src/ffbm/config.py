@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,8 +59,8 @@ class RunConfig:
             raise ValueError("need at least one repetition")
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be at least 1, got {self.num_blocks}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
         for name in _FLOAT_FIELDS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import network_from_edges
+from .graph import check_labels, network_from_edges
 from .softmax import class_probabilities
 
 # The largest mean numpy's Poisson sampler takes: int64 max - 10 sqrt(int64 max).
@@ -111,12 +111,12 @@ def sample_poisson_graph(memberships, affinity, propensities, rng: np.random.Gen
     The mean multiplicity between distinct i < j is
     propensity_i * propensity_j * affinity[b_i, b_j]; self-loops use half
     that mean.  Returns (u, v, multiplicity) triples for nonzero draws.
-    A mean above POISSON_MEAN_MAX (or one that overflows) raises ValueError
-    before any draw.
+    A mean above POISSON_MEAN_MAX (or one that overflows), or a label that
+    breaks ``graph.check_labels``, raises ValueError before any draw.
     """
-    memberships = np.asarray(memberships)
     affinity = np.asarray(affinity, dtype=np.float64)
     _check_affinity(affinity)
+    memberships = check_labels(memberships, len(affinity), "membership")
     n = len(memberships)
     propensities = _degree_propensities(propensities, n)
 
@@ -141,16 +141,16 @@ def sample_microcanonical_graph(memberships, edge_counts, degrees, rng: np.rando
     unordered block pair the reserved stubs are matched uniformly at random.
     The returned multigraph reproduces the edge-count matrix exactly.
     """
-    memberships = np.asarray(memberships)
     degrees = np.asarray(degrees)
     e = np.asarray(edge_counts)
     num_blocks = e.shape[0]
     if e.shape != (num_blocks, num_blocks) or not np.array_equal(e, e.T):
         raise ValueError("edge-count matrix must be square and symmetric")
+    if e.dtype.kind not in "iu" or (e < 0).any():
+        raise ValueError("edge counts must be nonnegative integers")
     if (np.diag(e) % 2).any():
         raise ValueError("diagonal edge counts must be even (they count half-edges twice)")
-    if memberships.max(initial=-1) >= num_blocks or memberships.min(initial=0) < 0:
-        raise ValueError("membership label outside the edge-count matrix")
+    memberships = check_labels(memberships, num_blocks, "membership")
 
     for r in range(num_blocks):
         stub_total = int(degrees[memberships == r].sum())

@@ -17,7 +17,7 @@ b, the rows of e, e_row, n, eta and the neighbour-block cache in place and
 never rebinds them.  The greedy initialiser, the partition chain,
 ``delta_description_length`` and ``apply_move`` all go through it.  The
 initialiser's block merges have one implementation too, ``merge_kernel``,
-which scores them on per-round block statistics kept in dict rows.
+on the dict rows of ``block_counts``, the pass that builds a BlockState.
 
 Conventions: the edge-count matrix e is symmetric with e[r][r] twice the
 number of intra-block edges, so the half-edge count of block r is
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .graph import LabelledNetwork
+from .graph import LabelledNetwork, check_labels
 from .softmax import log_partition_given_features
 from .tables import (
     LOG2,
@@ -74,40 +74,16 @@ class BlockState:
     __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta", "block_weights")
 
     def __init__(self, net: LabelledNetwork, b, B: int):
-        labels = [int(x) for x in b]
-        if len(labels) != net.num_vertices:
+        labels = check_labels(b, B, "block")
+        if labels.shape != (net.num_vertices,):
             raise ValueError("partition length must equal the number of vertices")
-        if any(x < 0 or x >= B for x in labels):
-            bad = next(x for x in labels if x < 0 or x >= B)
-            raise ValueError(f"block label {bad} outside [0, {B})")
-        # The move kernel reads the log-factorial and log tables unchecked:
-        # no count it reads exceeds the 2E half-edges, and no block size or
-        # degree-histogram count it takes the log of exceeds N.
-        log_factorial(2 * net.num_edges)
-        log_integer(net.num_vertices)
-        self.net = net
-        self.b = labels
-        self.B = B
-        e = [[0] * B for _ in range(B)]
-        n = [0] * B
-        eta = [{} for _ in range(B)]
-        deg = net.degrees
-        for i, r in enumerate(labels):
-            n[r] += 1
-            k = int(deg[i])
-            eta[r][k] = eta[r].get(k, 0) + 1
-        for u, v, m in net.edges:
-            r, s = labels[u], labels[v]
-            if r == s:  # includes every loop
-                e[r][r] += 2 * m
-            else:
-                e[r][s] += m
-                e[s][r] += m
-        self.e = e
-        self.e_row = [sum(row) for row in e]
-        self.n = n
-        self.eta = eta
-        self.block_weights = [None] * len(labels)
+        self.net, self.b, self.B = net, labels.tolist(), B
+        rows, self.e_row, self.n, self.eta = block_counts(net, self.b, B)
+        self.e = [[0] * B for _ in range(B)]
+        for e_r, row in zip(self.e, rows):
+            for s, x in row.items():
+                e_r[s] = x
+        self.block_weights = [None] * net.num_vertices
 
     def partition(self) -> np.ndarray:
         return np.array(self.b, dtype=np.int64)
@@ -209,8 +185,8 @@ def move_kernel(state: BlockState):
     block weights through references taken here.  That is valid because
     move updates them in place and never rebinds them (see BlockState), and
     every move of the state must go through a kernel bound to it.  The
-    log-factorial and log tables are read unchecked: BlockState sizes them
-    to 2E and N.  Partition-count reads index the table's rows in place, as
+    log-factorial and log tables are read unchecked: block_counts sizes
+    them.  Partition-count reads index the table's rows in place, as
     log_count_partitions does, and fall back to it (which grows the table)
     on a miss.
     """
@@ -331,28 +307,13 @@ def move_kernel(state: BlockState):
     return visit, move
 
 
-def merge_kernel(net: LabelledNetwork, labels, num_blocks: int):
-    """Bind the block statistics of a partition once; return (rows, delta), its merge kernel.
+def block_counts(net: LabelledNetwork, labels, num_blocks: int):
+    """(rows, e_row, n, eta) of labels in [0, num_blocks), counted in one O(N + E) pass.
 
-    The statistics are built in one O(N + E) pass over the labels and
-    edges, with no B x B list: rows[r] maps each block s that shares a
-    half-edge with r to e_rs (rows[r][r] = e_rr, doubled), beside e_r, n_r,
-    the degree histogram of each block and log q(e_r, n_r).  There must be
-    at least two blocks, every label must lie in [0, num_blocks) and no
-    block may be empty.
-
-    delta(r, s, cutoff) is S(b with blocks r and s merged, B - 1 blocks) -
-    S(b) for r != s, exactly: the pairing terms of r, s and their shared
-    neighbour blocks, the degree prior of the two blocks, and the terms
-    that depend on B alone (the edge-matrix prior and N log B), in that
-    order.  The merged block's log q(e_r + e_s, n_r + n_s) is read only if
-    the lower bound L = delta' - min(log q(e_r, n_r), log q(e_s, n_s)),
-    where delta' is everything else, lies below cutoff; otherwise delta
-    returns L, which is then at least cutoff.  L is a bound because q(m, n)
-    does not decrease in either argument for n >= 1, so the merged count is
-    at least the larger of the two; the exact value is summed as delta' +
-    ((log q_merged - the larger) - the smaller), so in floats too it is
-    never below L and a cutoff never changes which merge is least.
+    rows[r] maps each block s sharing a half-edge with r to e_rs (rows[r][r]
+    = e_rr, doubled), keyed in the order of each key's first edge in
+    net.edges; eta[r] maps each degree to the count of r's vertices with it.
+    The pass also sizes the tables the kernels read unchecked, to 2E and N.
     """
     rows = [{} for _ in range(num_blocks)]
     for u, v, m in net.edges:
@@ -372,6 +333,30 @@ def merge_kernel(net: LabelledNetwork, labels, num_blocks: int):
         hist = eta[r]
         hist[degree[i]] = hist.get(degree[i], 0) + 1
     log_factorial(max(2 * net.num_edges, net.num_vertices))
+    log_integer(net.num_vertices)
+    return rows, e_row, n, eta
+
+
+def merge_kernel(net: LabelledNetwork, labels, num_blocks: int):
+    """Bind the block statistics of a partition once; return (rows, delta), its merge kernel.
+
+    The statistics are ``block_counts``', with no B x B list, beside log
+    q(e_r, n_r) per block.  There must be at least two blocks, none empty.
+
+    delta(r, s, cutoff) is S(b with blocks r and s merged, B - 1 blocks) -
+    S(b) for r != s, exactly: the pairing terms of r, s and their shared
+    neighbour blocks, the degree prior of the two blocks, and the terms
+    that depend on B alone (the edge-matrix prior and N log B), in that
+    order.  The merged block's log q(e_r + e_s, n_r + n_s) is read only if
+    the lower bound L = delta' - min(log q(e_r, n_r), log q(e_s, n_s)),
+    where delta' is everything else, lies below cutoff; otherwise delta
+    returns L, which is then at least cutoff.  L is a bound because q(m, n)
+    does not decrease in either argument for n >= 1, so the merged count is
+    at least the larger of the two; the exact value is summed as delta' +
+    ((log q_merged - the larger) - the smaller), so in floats too it is
+    never below L and a cutoff never changes which merge is least.
+    """
+    rows, e_row, n, eta = block_counts(net, labels, num_blocks)
     log_q = [log_count_partitions(e_row[r], n[r]) for r in range(num_blocks)]
     lf, lcp = _LOG_FACT, log_count_partitions
     # The edge-matrix prior's change, log C(a + E, E) - log C(a + B + E, E)

@@ -154,6 +154,25 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None,
     return LabelledNetwork(num_vertices, edges, features, feature_names, dict(input_sha256 or {}))
 
 
+def check_labels(labels, num_blocks: int, which: str) -> np.ndarray:
+    """The labels, any shape, as int64 if each is an integer in [0, num_blocks).
+
+    An integer is what ``operator.index`` takes (not 1.0 or "1"); the first
+    bad label raises ValueError naming it and the ``which`` partition."""
+    array = np.asarray(labels)
+    if array.dtype.kind not in "iu":
+        array = np.asarray(labels, dtype=object)
+        for x in array.flat:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(f"{which} partition has non-integer label {x!r}") from None
+    outside = (array < 0) | (array >= num_blocks)
+    if outside.any():
+        raise ValueError(f"{which} partition has label {array[outside][0]} outside [0, {num_blocks})")
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class VertexSplit:
     """Random train/test partition of the vertex set; compares by identity."""

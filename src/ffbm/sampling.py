@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Fixed stream ids so every consumer of the master seed draws from an
@@ -42,12 +44,12 @@ def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
 
 
 def stream_seed_sequence(master_seed: int, stream: str, repetition: int = 0) -> np.random.SeedSequence:
-    """Independent SeedSequence for a named substream of one repetition."""
+    """Independent SeedSequence for a named substream of one repetition (both integers)."""
     try:
         stream_id = _STREAMS[stream]
     except KeyError:
         raise ValueError(f"unknown stream {stream!r}; known: {sorted(_STREAMS)}") from None
-    return np.random.SeedSequence([int(master_seed), stream_id, int(repetition)])
+    return np.random.SeedSequence([operator.index(master_seed), stream_id, operator.index(repetition)])
 
 
 def stream_seed_int(master_seed: int, stream: str, repetition: int = 0) -> int:

@@ -1095,20 +1095,6 @@ def test_responsibilities_match_a_scipy_oracle(case):
     assert y.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("which", ["sample", "reference"])
-@pytest.mark.parametrize("label", [-1, 3])
-def test_alignment_rejects_out_of_range_labels(which, label):
-    good = np.array([0, 1, 2, 1])
-    bad = good.copy()
-    bad[2] = label
-    sample, reference = (bad, good) if which == "sample" else (good, bad)
-    message = f"{which} partition has label {label} outside"
-    with pytest.raises(ValueError, match=message):
-        align_labels(sample, reference, 3)
-    with pytest.raises(ValueError, match=message):
-        estimate_responsibilities([good, sample], reference, 3)
-
-
 def test_responsibilities_empty_error():
     with pytest.raises(ValueError):
         estimate_responsibilities([], np.array([0, 1]), 2)

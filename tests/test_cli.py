@@ -450,6 +450,20 @@ def test_seed_and_block_count_are_checked_when_the_config_is_built(override, key
         build_config(overrides=[override])
 
 
+def test_non_integer_seeds_are_refused():
+    # A seed or repetition is never truncated: 1.5 would run as 1 and be
+    # recorded as 1.5.  Integer types other than int read as their value.
+    for seed in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            RunConfig(seed=seed)
+    assert RunConfig(seed=np.int64(3)).seed == 3
+    for stream in (ffbm.stream_seed_sequence, ffbm.stream_seed_int):
+        for master, repetition in ((1.5, 0), (1, 0.9), (1, 1.0)):
+            with pytest.raises(TypeError):
+                stream(master, "split", repetition)
+    assert ffbm.stream_seed_int(np.int64(1), "split", np.uint8(2)) == ffbm.stream_seed_int(1, "split", 2)
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_run_config_rejects_non_finite_floats(name, value):

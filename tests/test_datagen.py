@@ -207,6 +207,16 @@ def test_microcanonical_rejects_inconsistent_constraints():
         sample_microcanonical_graph([0, 0], np.array([[4]]), [1, 1], rng)  # degree mismatch
 
 
+@pytest.mark.parametrize("edge_counts", [[[4, -1], [-1, 4]], [[2.5, 0.5], [0.5, 2.5]], [[2.0, 1.0], [1.0, 2.0]]],
+                         ids=["negative", "fractional", "float"])
+def test_microcanonical_rejects_edge_counts_that_are_not_nonnegative_integers(edge_counts):
+    # Each block's half-edges add up (3 = 4 - 1 = 2.5 + 0.5), so only the
+    # rule on the counts themselves can refuse these.
+    with pytest.raises(ValueError, match="edge counts must be nonnegative integers"):
+        sample_microcanonical_graph([0, 0, 0, 1, 1, 1], np.array(edge_counts), [1] * 6,
+                                    np.random.default_rng(0))
+
+
 # ------------------------------------------------------------------ generation
 
 def test_generate_deterministic():

@@ -47,11 +47,6 @@ def test_build_state_empty_graph():
     assert state.e == [[0, 0], [0, 0]]
 
 
-def test_build_state_rejects_bad_labels(path3):
-    with pytest.raises(ValueError):
-        BlockState(path3, [0, 0, 2], 2)
-
-
 def test_state_invariants_random():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -303,6 +298,51 @@ def test_merge_deltas_match_fresh_description_lengths(case):
             assert bound <= exact
             assert delta(r, s, bound) == bound
             assert delta(r, s, math.nextafter(bound, math.inf)) == exact
+
+
+@given(st.integers(2, 4).flatmap(lambda num_blocks: st.tuples(
+    st.just(num_blocks),
+    # Vertex 9 never gets an edge; (u, u) entries are loops, repeated pairs
+    # are parallel edges, and multiplicities reach 3.
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)), max_size=25),
+    # The labels skip one block, which stays empty.
+    st.integers(0, num_blocks - 1),
+    st.lists(st.integers(0, num_blocks - 2), min_size=10, max_size=10))))
+@settings(max_examples=80, deadline=None)
+def test_block_statistics_match_a_numpy_count(case):
+    # BlockState's e, e_row, n and eta, and merge_kernel's rows with their
+    # keys in the order of each key's first edge in net.edges, against
+    # counts made with numpy alone.
+    num_blocks, edges, empty, drawn = case
+    labels = [x + (x >= empty) for x in drawn]
+    net = network_from_edges(10, edges)
+    b = np.array(labels)
+    u, v, m = (np.array([edge[k] for edge in net.edges], dtype=np.int64) for k in range(3))
+    e = np.zeros((num_blocks, num_blocks), dtype=np.int64)
+    np.add.at(e, (b[u], b[v]), m)
+    np.add.at(e, (b[v], b[u]), m)
+    degree = np.bincount(np.concatenate([u, v]), weights=np.concatenate([m, m]), minlength=10).astype(np.int64)
+
+    state = BlockState(net, labels, num_blocks)
+    assert state.e == e.tolist()
+    assert state.e_row == e.sum(axis=1).tolist()
+    assert state.n == np.bincount(b, minlength=num_blocks).tolist()
+    for r in range(num_blocks):
+        degrees, counts = np.unique(degree[b == r], return_counts=True)
+        assert state.eta[r] == dict(zip(degrees.tolist(), counts.tolist()))
+    assert state.n[empty] == 0 and state.e_row[empty] == 0
+
+    # Edge k reaches row b[u] at column b[v] at time 2k, then row b[v] at
+    # column b[u] at time 2k + 1.
+    time = np.argsort(np.concatenate([2 * np.arange(len(u)), 2 * np.arange(len(u)) + 1]), kind="stable")
+    row_of, col_of = np.concatenate([b[u], b[v]])[time], np.concatenate([b[v], b[u]])[time]
+    rows, _ = merge_kernel(net, labels, num_blocks)
+    for r in range(num_blocks):
+        cols, first = np.unique(col_of[row_of == r], return_index=True)
+        keys = cols[np.argsort(first)].tolist()
+        assert list(rows[r]) == keys
+        assert rows[r] == {s: int(e[r, s]) for s in keys}
+        assert sorted(keys) == np.flatnonzero(e[r]).tolist()
 
 
 def test_merge_kernel_of_singletons_and_of_an_isolated_vertex():

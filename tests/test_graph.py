@@ -1,22 +1,30 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffbm import (
     BlockChainConfig,
+    BlockState,
     GeneratorSpec,
     LabelledNetwork,
     ObjectiveContext,
     RunConfig,
     WeightChainConfig,
+    align_labels,
+    estimate_responsibilities,
     load_polbooks,
     network_from_edges,
     reduce_dimension,
     run_block_chain,
     run_weight_chain,
+    sample_microcanonical_graph,
+    sample_poisson_graph,
     split_vertices,
     summarize_weights,
 )
+from ffbm.graph import check_labels
 from ffbm.pipeline import partition_stage
 
 from conftest import random_multigraph
@@ -65,6 +73,56 @@ def test_edge_validation():
             network_from_edges(3, [edge])
     net = network_from_edges(3, [(np.int64(0), np.int32(2), np.uint8(2)), (1, np.int64(2))])
     assert net.edges == ((0, 2, 2), (1, 2, 1)) and net.num_edges == 3
+
+
+# Each partition entry point, as (which, call): call(labels) hands the
+# labels of a 4-vertex, 3-block partition to the entry point in the role
+# that ``which`` names in the message.
+_GOOD = [0, 1, 2, 1]
+_ENTRY_POINTS = {
+    "BlockState": ("block", lambda labels: BlockState(network_from_edges(4, [(0, 1), (2, 2)]), labels, 3)),
+    "align_labels-sample": ("sample", lambda labels: align_labels(labels, _GOOD, 3)),
+    "align_labels-reference": ("reference", lambda labels: align_labels(_GOOD, labels, 3)),
+    "responsibilities-sample": (
+        "sample", lambda labels: estimate_responsibilities([_GOOD, labels], _GOOD, 3)),
+    "responsibilities-reference": (
+        "reference", lambda labels: estimate_responsibilities([_GOOD, _GOOD], labels, 3)),
+    "poisson": ("membership", lambda labels: sample_poisson_graph(
+        labels, np.ones((3, 3)), None, np.random.default_rng(0))),
+    "microcanonical": ("membership", lambda labels: sample_microcanonical_graph(
+        labels, np.zeros((3, 3), dtype=np.int64), [0] * 4, np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("label, problem", [
+    (-1, "label -1 outside [0, 3)"),
+    (3, "label 3 outside [0, 3)"),
+    (1.7, "non-integer label 1.7"),
+    ("1", "non-integer label '1'"),
+], ids=["negative", "B", "float", "string"])
+def test_every_partition_entry_point_applies_the_label_rule(entry, label, problem):
+    # One rule, one message: a label is an integer in [0, B).
+    which, call = _ENTRY_POINTS[entry]
+    labels = list(_GOOD)
+    labels[2] = label
+    forms = [labels, np.array(labels)] if isinstance(label, int) else [labels]
+    for form in forms:
+        with pytest.raises(ValueError, match=re.escape(f"{which} partition has {problem}")):
+            call(form)
+    call(_GOOD)
+    call(np.array(_GOOD))
+
+
+def test_label_rule_takes_integer_arrays_of_any_shape():
+    for labels in ([], [[0, 2], [1, 1]], np.array([2, 0], dtype=np.uint8), np.array([1], dtype=np.int32)):
+        checked = check_labels(labels, 3, "sample")
+        assert checked.dtype == np.int64 and checked.tolist() == np.asarray(labels).tolist()
+    for labels in (np.array([0.0]), [0, None]):
+        with pytest.raises(ValueError, match="sample partition has non-integer label"):
+            check_labels(labels, 3, "sample")
+    with pytest.raises(ValueError, match=r"label 5 outside \[0, 3\)"):
+        check_labels([[0, 5], [7, 1]], 3, "sample")
 
 
 @pytest.mark.parametrize("derived", [{"degrees": np.array([1, 1])}, {"num_edges": 99}])
