@@ -39,7 +39,7 @@ import numpy as np
 
 from .dcsbm import BlockState, description_length, merge_kernel, move_kernel
 from .graph import LabelledNetwork, check_labels
-from .sampling import check_retention, retained_indices
+from .sampling import check_integer, check_retention, retained_indices
 
 
 @dataclass
@@ -54,12 +54,10 @@ class BlockChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        self.seed = check_integer("seed", self.seed, 0)
         if not (0 < self.smoothing < math.inf):
             raise ValueError(f"proposal smoothing must be positive and finite, got {self.smoothing}")
-        if self.init_restarts < 1:
-            raise ValueError("need at least one greedy restart")
+        self.init_restarts = check_integer("init_restarts", self.init_restarts, 1)
         # Raises if the retained set would be empty or parameters are bad.
         check_retention(self.iterations, self.burn_in, self.thinning)
 
@@ -273,12 +271,10 @@ def mdl_partition(net: LabelledNetwork, num_blocks: int, rng: random.Random,
     S is returned (the first among equals).
     """
     n_vert = net.num_vertices
-    if num_blocks < 1:
-        raise ValueError("need at least one block")
+    num_blocks = check_integer("num_blocks", num_blocks, 1)
     if num_blocks > n_vert:
         raise ValueError(f"cannot fill {num_blocks} blocks with {n_vert} vertices")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    restarts = check_integer("restarts", restarts, 1)
     if num_blocks == 1:
         return BlockState(net, [0] * n_vert, 1)
 

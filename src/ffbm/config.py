@@ -1,4 +1,10 @@
-"""Experiment configuration: defaults, config files, command-line overrides."""
+"""Experiment configuration: defaults, config files, command-line overrides.
+
+``RunConfig`` reads each key by its declared kind: integer keys by
+``sampling.check_integer``, float keys as finite real numbers.  A config
+file or an override only turns text into numbers (``_coerce``) and leaves
+the rules to ``RunConfig``.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from .block_chain import BlockChainConfig
 from .dataio import DataFormatError, content_lines, read_text
 from .graph import check_train_fraction
 from .mala import WeightChainConfig
+from .sampling import check_integer
 
 
 @dataclass
@@ -22,7 +29,9 @@ class RunConfig:
     """Full experiment description.
 
     Defaults reproduce the bundled political-books experiment; dataset paths
-    left as None select the bundled data.
+    left as None select the bundled data.  Construction stores every integer
+    key as an int and every float key as a float, or raises ValueError
+    naming the key.
     """
 
     edges: str = None
@@ -55,17 +64,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
-        if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be at least 1, got {self.num_blocks}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # Each key is read by its declared kind and stored as a plain int or
+        # float, so to_dict is JSON whatever number types were passed.
+        for name in _INT_FIELDS:
+            if name != "reduce_dim" or self.reduce_dim is not None:
+                setattr(self, name, check_integer(name, getattr(self, name), 0 if name == "seed" else 1))
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            setattr(self, name, float(value))
         # Every stage's own validators, so that a bad value fails before any
         # stage runs; a chain's message names the keys of that chain.
         check_train_fraction(self.train_fraction)
@@ -111,12 +121,13 @@ def chain_config(cfg: RunConfig, chain: ChainKeys, seed=0):
 # Annotations are strings here (postponed evaluation, see the __future__ import).
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _STRING_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "str"}
-_INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
-_FLOAT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "float"}
+_INT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind == "int"]
+_FLOAT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind == "float"]
 _NULLABLE_FIELDS = {f.name for f in dataclasses.fields(RunConfig) if f.default is None}
 
 
 def _coerce(key: str, value):
+    """A config-file or override value with its text read as a number."""
     if key not in _FIELD_TYPES:
         raise DataFormatError(f"unknown configuration key {key!r}")
     if key in _NULLABLE_FIELDS and (
@@ -124,23 +135,16 @@ def _coerce(key: str, value):
         return None
     if key in _STRING_FIELDS:
         return str(value)
-    if key in _INT_FIELDS and isinstance(value, str):
-        # Text is read as a number first, so it meets the rule JSON numbers meet.
+    if isinstance(value, str):
+        # Numeric text is read as a number, so it meets the rule JSON numbers
+        # meet; RunConfig refuses any other value for the key's kind.
         for read in (int, float):
             with contextlib.suppress(ValueError):
                 value = read(value)
                 break
-    # JSON booleans are ints to Python; no numeric field takes one.
-    if isinstance(value, bool) or (
-            key in _INT_FIELDS and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if key in _INT_FIELDS else "a number"
-        raise DataFormatError(f"configuration key {key!r} needs {kind}, got {value!r}")
-    try:
-        if key in _INT_FIELDS:
-            return int(value)
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataFormatError(f"configuration key {key!r} has non-numeric value {value!r}") from None
+    if key in _INT_FIELDS and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def parse_config_file(path) -> dict:

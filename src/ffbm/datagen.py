@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import check_labels, network_from_edges
+from .sampling import check_integer
 from .softmax import class_probabilities
 
 # The largest mean numpy's Poisson sampler takes: int64 max - 10 sqrt(int64 max).
@@ -30,10 +31,12 @@ class GeneratorSpec:
     features: explicit binary feature matrix, overrides feature_probs.
     propensities: per-vertex positive degree multipliers, default all 1.
 
-    Construction checks every value: N >= 0, at least one block, finite
-    weights, a finite, nonnegative, symmetric affinity, an N x D features
-    matrix or one rate in [0, 1] per feature column, N finite positive
-    propensities and seed >= 0.  A spec is frozen, so the checks hold.
+    Construction checks every value: N an integer >= 0, at least one block,
+    finite weights, a finite, nonnegative, symmetric affinity, an N x D
+    features matrix or one rate in [0, 1] per feature column, N finite
+    positive propensities and an integer seed >= 0 (both integers as
+    ``sampling.check_integer`` reads them, stored as int).  A spec is
+    frozen, so the checks hold.
     """
 
     num_vertices: int
@@ -47,10 +50,8 @@ class GeneratorSpec:
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "affinity", np.asarray(self.affinity, dtype=np.float64))
-        if self.num_vertices < 0:
-            raise ValueError(f"num_vertices must be nonnegative, got {self.num_vertices}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "num_vertices", check_integer("num_vertices", self.num_vertices, 0))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         if self.weights.ndim != 2 or self.weights.shape[0] < 1:
             raise ValueError("weights must be a B x D matrix with at least one block")
         if not np.isfinite(self.weights).all():
@@ -97,6 +98,17 @@ def _degree_propensities(propensities, num_vertices: int) -> np.ndarray:
     return propensities
 
 
+def _check_degrees(degrees, shape) -> np.ndarray:
+    """The degrees as int64 if they have the labels' shape and each is an integer >= 0."""
+    array = np.asarray(degrees)
+    if array.shape != shape:
+        raise ValueError(f"degrees must hold one value per label (shape {shape}), got shape {array.shape}")
+    if array.dtype.kind not in "iu" or (array < 0).any():
+        for vertex, degree in enumerate(np.asarray(degrees, dtype=object).flat):
+            check_integer(f"degree of vertex {vertex}", degree, 0)
+    return array.astype(np.int64, copy=False)
+
+
 def sample_memberships(features: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw block labels independently per vertex from the softmax generator."""
     probs = class_probabilities(weights, features)
@@ -139,9 +151,10 @@ def sample_microcanonical_graph(memberships, edge_counts, degrees, rng: np.rando
 
     Each vertex contributes its degree in stubs to its block; within every
     unordered block pair the reserved stubs are matched uniformly at random.
-    The returned multigraph reproduces the edge-count matrix exactly.
+    The returned multigraph reproduces the edge-count matrix exactly.  There
+    must be one degree per membership label, each an integer >= 0 as
+    ``sampling.check_integer`` reads it; the first bad one raises ValueError.
     """
-    degrees = np.asarray(degrees)
     e = np.asarray(edge_counts)
     num_blocks = e.shape[0]
     if e.shape != (num_blocks, num_blocks) or not np.array_equal(e, e.T):
@@ -151,6 +164,7 @@ def sample_microcanonical_graph(memberships, edge_counts, degrees, rng: np.rando
     if (np.diag(e) % 2).any():
         raise ValueError("diagonal edge counts must be even (they count half-edges twice)")
     memberships = check_labels(memberships, num_blocks, "membership")
+    degrees = _check_degrees(degrees, memberships.shape)
 
     for r in range(num_blocks):
         stub_total = int(degrees[memberships == r].sum())

@@ -9,6 +9,7 @@ from itertools import chain
 
 import numpy as np
 
+from .sampling import check_integer
 from .tables import log_double_factorial_even, log_factorial
 
 
@@ -198,8 +199,7 @@ def split_vertices(num_vertices: int, fraction: float, seed) -> VertexSplit:
     Deterministic given the seed; train and test indices are returned sorted.
     """
     check_train_fraction(fraction)
-    if num_vertices < 2:
-        raise ValueError("need at least 2 vertices to split")
+    num_vertices = check_integer("num_vertices", num_vertices, 2)
     n_train = int(np.floor(fraction * num_vertices + 0.5))
     n_train = min(max(n_train, 1), num_vertices - 1)
     rng = np.random.default_rng(seed)

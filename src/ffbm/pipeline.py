@@ -34,7 +34,7 @@ from .config import PARTITION_CHAIN, REDUCED_WEIGHT_CHAIN, WEIGHT_CHAIN, RunConf
 from .dataio import DataFormatError, load_network, load_polbooks
 from .graph import LabelledNetwork, split_vertices
 from .mala import WeightChainError, run_weight_chains
-from .sampling import stream_seed_int, stream_seed_sequence
+from .sampling import check_integer, stream_seed_int, stream_seed_sequence
 from .softmax import ObjectiveContext
 
 
@@ -220,11 +220,10 @@ def run_experiment(net: LabelledNetwork, cfg: RunConfig, jobs: int = 1, keep_art
     stage keeps its type, and its message gains the master seed and the
     repetition it names: the failing repetition for a partition chain, a
     weight chain or a metric, and the run's repetitions for anything else
-    raised in the lockstep weight and screen stages.  jobs < 1 raises
-    ValueError.
+    raised in the lockstep weight and screen stages.  A jobs that is not an
+    integer of at least 1 raises ValueError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = check_integer("jobs", jobs, 1)
     check_preconditions(net, cfg)
     count, parts = cfg.repetitions, min(jobs, cfg.repetitions)
     runs = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]

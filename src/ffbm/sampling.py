@@ -1,4 +1,5 @@
-"""Retained-sample bookkeeping and named seed substreams."""
+"""Retained-sample bookkeeping, named seed substreams, and the rule for
+integer settings (``check_integer``) that every count and seed meets."""
 
 from __future__ import annotations
 
@@ -17,17 +18,31 @@ _STREAMS = {
 }
 
 
+def check_integer(name: str, value, minimum: int) -> int:
+    """The setting as a plain int if it is an integer of at least minimum.
+
+    An integer is what ``operator.index`` takes, bool aside (so 3 and
+    np.int64(3), not 3.0, "3" or True); anything else raises ValueError
+    naming the setting."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum:
+        bound = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return number
+
+
 def check_retention(iterations: int, burn_in: float, thinning: int) -> None:
     """Raise ValueError unless the settings give a nonempty retained set.
 
     Constant time, so a config can be checked without building the list.
     """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
+    check_integer("iterations", iterations, 1)
     if not 0.0 <= burn_in < 1.0:
         raise ValueError(f"burn-in fraction must be in [0, 1), got {burn_in}")
-    if thinning < 1:
-        raise ValueError(f"thinning stride must be >= 1, got {thinning}")
+    check_integer("thinning", thinning, 1)
 
 
 def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:

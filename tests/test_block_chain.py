@@ -70,7 +70,7 @@ def test_config_validation():
         BlockChainConfig(burn_in=1.2)
     # The seed also seeds the sweeps' numpy generator, which takes no
     # negative seed.
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         BlockChainConfig(seed=-1)
 
 

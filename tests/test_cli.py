@@ -271,7 +271,7 @@ def test_jobs_cut_the_repetitions_into_contiguous_runs():
 def test_run_experiment_refuses_fewer_than_one_job(jobs):
     # Too few workers would otherwise run no repetition and return no report.
     cfg = RunConfig(repetitions=2, block_iters=20, init_restarts=1, theta_iters=150, seed=6)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
+    with pytest.raises(ValueError, match="jobs must be an integer of at least 1"):
         pipeline.run_experiment(load_polbooks(), cfg, jobs=jobs)
 
 
@@ -350,7 +350,7 @@ def test_json_config_rejects_lossy_integers(tmp_path, capsys, entry):
         forms = [["--config", str(lines)], ["--set", entry]]
     for args in forms:
         assert main(["report", *args, "--out-dir", str(tmp_path)]) == 2
-        assert "needs an integer" in capsys.readouterr().err
+        assert "must be an integer" in capsys.readouterr().err
     cfg.write_text(json.dumps({"num_blocks": 3.0}))
     assert build_config(cfg).num_blocks == 3
     lines.write_text("num_blocks = 3.0\nrepetitions = 1e1\n")
@@ -469,6 +469,54 @@ def test_non_integer_seeds_are_refused():
 def test_run_config_rejects_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=name):
         RunConfig(**{name: value})
+
+
+def _integer_settings():
+    """(entry point, setting, minimum) params: each call sets one integer setting."""
+    net = ffbm.network_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    spec = dict(weights=[[0.0]], affinity=[[0.1]], feature_probs=[0.5])
+    least = {"seed": 0}
+    cases = [(f"RunConfig.{key}", lambda v, k=key: RunConfig(**{k: v}), key, least.get(key, 1))
+             for key in config._INT_FIELDS]
+    cases += [(f"BlockChainConfig.{key}", lambda v, k=key: ffbm.BlockChainConfig(**{k: v}), key,
+               least.get(key, 1)) for key in ("iterations", "thinning", "init_restarts", "seed")]
+    cases += [(f"WeightChainConfig.{key}", lambda v, k=key: ffbm.WeightChainConfig(**{k: v}), key, 1)
+              for key in ("iterations", "thinning")]
+    cases += [
+        ("GeneratorSpec.num_vertices", lambda v: ffbm.GeneratorSpec(num_vertices=v, **spec),
+         "num_vertices", 0),
+        ("GeneratorSpec.seed", lambda v: ffbm.GeneratorSpec(num_vertices=3, seed=v, **spec), "seed", 0),
+        ("mdl_partition.num_blocks", lambda v: mdl_partition(net, v, None), "num_blocks", 1),
+        ("mdl_partition.restarts", lambda v: mdl_partition(net, 2, None, restarts=v), "restarts", 1),
+        ("run_experiment.jobs", lambda v: pipeline.run_experiment(net, RunConfig(), jobs=v), "jobs", 1),
+        ("split_vertices.num_vertices", lambda v: ffbm.split_vertices(v, 0.5, 0), "num_vertices", 2),
+    ]
+    return [pytest.param(call, name, minimum, id=case) for case, call, name, minimum in cases]
+
+
+@pytest.mark.parametrize("call, name, minimum", _integer_settings())
+@pytest.mark.parametrize("bad", [10.5, 2.0, "3", True, "below"])
+def test_every_integer_setting_meets_one_rule(call, name, minimum, bad):
+    # An integer setting is what operator.index takes, bool aside; a float,
+    # however integral, text and a bool are refused at construction or at
+    # entry, as is a value below the setting's minimum.
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call(minimum - 1 if bad == "below" else bad)
+
+
+def test_run_config_stores_plain_numbers(tmp_path):
+    # Other number types are read by the key's kind, so the config and the
+    # report that records it are plain JSON.
+    from ffbm.dataio import write_json
+
+    small = dict(repetitions=1, block_iters=20, theta_iters=150)
+    for cfg, key, kind in ((RunConfig(seed=np.int64(3), **small), "seed", int),
+                           (RunConfig(step_scale=np.float32(0.05), **small), "step_scale", float)):
+        assert type(getattr(cfg, key)) is kind
+        net = load_polbooks()
+        reports, _ = pipeline.run_experiment(net, cfg)
+        write_json(tmp_path / "report.json", pipeline.experiment_payload(net, cfg, reports))
+        assert json.loads((tmp_path / "report.json").read_text())["config"][key] == getattr(cfg, key)
 
 
 def test_chain_keys_default_to_their_chain_fields():

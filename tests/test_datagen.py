@@ -217,6 +217,21 @@ def test_microcanonical_rejects_edge_counts_that_are_not_nonnegative_integers(ed
                                     np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("degrees, message", [
+    ([1.5, 0.5, 1, 1], "degree of vertex 0 must be a nonnegative integer, got 1.5"),
+    ([1, 1, 2.0, 0], "degree of vertex 2 must be a nonnegative integer, got 2.0"),
+    ([-1, 3, 1, 1], "degree of vertex 0 must be a nonnegative integer, got -1"),
+    ([True, True, True, True], "degree of vertex 0 must be a nonnegative integer, got True"),
+    ([1, 1, 2], r"one value per label \(shape \(4,\)\), got shape \(3,\)"),
+], ids=["fractional", "float", "negative", "bool", "short"])
+def test_microcanonical_reads_its_degrees_at_entry(degrees, message):
+    # Each block's half-edges add up to its edge counts, so only the rule
+    # on the degrees themselves can refuse these.
+    with pytest.raises(ValueError, match=message):
+        sample_microcanonical_graph([0, 0, 1, 1], np.array([[2, 0], [0, 2]]), degrees,
+                                    np.random.default_rng(0))
+
+
 # ------------------------------------------------------------------ generation
 
 def test_generate_deterministic():
