@@ -49,7 +49,6 @@ from .dcsbm import (
     apply_move,
     delta_description_length,
     description_length,
-    log_graph_multiplicity,
     log_likelihood,
     log_prior_degrees,
     log_prior_edge_matrix,

@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .softmax import ObjectiveContext, _cross_entropy, _log_normaliser, _row_logits
+from .sampling import check_real
+from .softmax import (ObjectiveContext, _cross_entropy, _log_normaliser, _row_logits,
+                      log_partition_given_features)
 
 # Logit entries held at once while scoring retained samples: each temporary
 # stays near 128 KB, so scoring adds little to peak memory, also where rows
@@ -57,7 +59,7 @@ def feature_scores(summary: WeightSummary, multiplier: float) -> np.ndarray:
     over blocks of the interval's distance bound min(|low|, |high|).  A
     feature survives a cutoff c exactly when its score is >= c.
     """
-    check_multiplier(multiplier)
+    multiplier = check_multiplier(multiplier)
     low = summary.mean - multiplier * summary.std
     high = summary.mean + multiplier * summary.std
     straddles = (low <= 0.0) & (high >= 0.0)
@@ -66,10 +68,9 @@ def feature_scores(summary: WeightSummary, multiplier: float) -> np.ndarray:
     return np.minimum(np.abs(low), np.abs(high)).max(axis=0)
 
 
-def check_multiplier(multiplier: float) -> None:
-    """The screen's interval rule: the multiplier k is finite and positive."""
-    if not 0 < multiplier < math.inf:
-        raise ValueError(f"interval multiplier must be finite and positive, got {multiplier}")
+def check_multiplier(multiplier: float) -> float:
+    """The screen's interval rule: the multiplier k, as a float, is a real number in (0, inf)."""
+    return check_real("multiplier", multiplier, 0.0)
 
 
 def check_target_dim(target_dim: int, num_features: int) -> None:
@@ -103,7 +104,7 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     s_values = np.asarray(s_values, dtype=np.float64)
     if s_values.size == 0:
         raise ValueError("empty description-length trace")
-    total = float(s_values.mean()) - num_vertices * np.log(num_blocks)
+    total = float(s_values.mean()) + log_partition_given_features(num_vertices, num_blocks)
     return total / (num_vertices + num_edges)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dcsbm import BlockState, description_length, merge_kernel, move_kernel
 from .graph import LabelledNetwork, check_labels
-from .sampling import check_integer, check_retention, retained_indices
+from .sampling import check_integer, check_real, check_retention, retained_indices
 
 
 @dataclass
@@ -55,11 +55,11 @@ class BlockChainConfig:
 
     def __post_init__(self):
         self.seed = check_integer("seed", self.seed, 0)
-        if not (0 < self.smoothing < math.inf):
-            raise ValueError(f"proposal smoothing must be positive and finite, got {self.smoothing}")
+        self.smoothing = check_real("smoothing", self.smoothing, 0.0)
         self.init_restarts = check_integer("init_restarts", self.init_restarts, 1)
         # Raises if the retained set would be empty or parameters are bad.
-        check_retention(self.iterations, self.burn_in, self.thinning)
+        self.iterations, self.burn_in, self.thinning = check_retention(self.iterations, self.burn_in,
+                                                                       self.thinning)
 
 
 @dataclass(eq=False)

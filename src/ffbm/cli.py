@@ -45,6 +45,7 @@ from .pipeline import (
     run_experiment,
     weight_stage,
 )
+from .sampling import check_integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,13 +121,10 @@ def _write_theta_outputs(out: Path, artifacts, net):
 
 
 def _cmd_generate(args) -> int:
-    num_blocks = args.num_blocks
-    num_features = args.num_features if args.num_features is not None else num_blocks
     # Both size arrays, so they are checked before any is built.
-    if num_blocks < 1:
-        raise ValueError(f"--num-blocks must be at least 1, got {num_blocks}")
-    if num_features < 0:
-        raise ValueError(f"--num-features must be nonnegative, got {num_features}")
+    num_blocks = check_integer("--num-blocks", args.num_blocks, 1)
+    num_features = num_blocks if args.num_features is None else check_integer(
+        "--num-features", args.num_features, 0)
     weights = np.zeros((num_blocks, num_features))
     for j in range(min(num_blocks, num_features)):
         weights[j, j] = args.weight_scale

@@ -1,9 +1,9 @@
 """Experiment configuration: defaults, config files, command-line overrides.
 
 ``RunConfig`` reads each key by its declared kind: integer keys by
-``sampling.check_integer``, float keys as finite real numbers.  A config
-file or an override only turns text into numbers (``_coerce``) and leaves
-the rules to ``RunConfig``.
+``sampling.check_integer``, float keys by ``sampling.check_real`` as finite
+real numbers.  A config file or an override only turns text into numbers
+(``_coerce``) and leaves the rules to ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,7 +19,7 @@ from .block_chain import BlockChainConfig
 from .dataio import DataFormatError, content_lines, read_text
 from .graph import check_train_fraction
 from .mala import WeightChainConfig
-from .sampling import check_integer
+from .sampling import check_integer, check_real
 
 
 @dataclass
@@ -72,10 +70,7 @@ class RunConfig:
         if self.reduced_step_scale is None:
             self.reduced_step_scale = self.step_scale
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            setattr(self, name, float(value))
+            setattr(self, name, check_real(name, getattr(self, name)))
         # Every stage's own validators, so that a bad value fails before any
         # stage runs; a chain's message names the keys of that chain.
         check_train_fraction(self.train_fraction)

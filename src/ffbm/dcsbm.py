@@ -104,18 +104,9 @@ def log_stub_pairings(state: BlockState) -> float:
     return total
 
 
-def log_graph_multiplicity(net: LabelledNetwork) -> float:
-    """Log count of half-edge pairings that produce exactly this multigraph.
-
-    It depends on the network alone, so ``LabelledNetwork.log_multiplicity``
-    computes it once per network.
-    """
-    return net.log_multiplicity
-
-
 def log_likelihood(net: LabelledNetwork, state: BlockState) -> float:
     """log p(A | k, e, b); the state's statistics guarantee the constraints hold."""
-    return log_graph_multiplicity(net) - log_stub_pairings(state)
+    return net.log_multiplicity - log_stub_pairings(state)
 
 
 def log_prior_edge_matrix(num_blocks: int, num_edges: int) -> float:

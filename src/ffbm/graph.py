@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 
-from .sampling import check_integer
+from .sampling import check_integer, check_real
 from .tables import log_double_factorial_even, log_factorial
 
 
@@ -40,9 +40,7 @@ class LabelledNetwork:
     num_edges: int = field(init=False)
 
     def __post_init__(self):
-        n = self.num_vertices
-        if n < 0:
-            raise ValueError("num_vertices must be nonnegative")
+        n = check_integer("num_vertices", self.num_vertices, 0)
         feats = np.asarray(self.features)
         if feats.ndim != 2 or feats.shape[0] != n:
             raise ValueError(f"feature matrix must have {n} rows, got shape {feats.shape}")
@@ -74,6 +72,7 @@ class LabelledNetwork:
             deg[u] += m
             deg[v] += m
 
+        object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "features", feats.astype(np.int8))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -143,9 +142,10 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None,
                        input_sha256=None) -> LabelledNetwork:
     """Build a LabelledNetwork; features default to an empty N x 0 matrix.
 
-    An edge is (u, v) or (u, v, multiplicity), in integers (numpy's
-    included); any other edge raises ValueError.
+    N and each edge's (u, v) or (u, v, multiplicity) are integers (numpy's
+    included), N nonnegative; any other N or edge raises ValueError.
     """
+    num_vertices = check_integer("num_vertices", num_vertices, 0)
     if features is None:
         features = np.zeros((num_vertices, 0), dtype=np.int8)
         feature_names = ()
@@ -187,10 +187,9 @@ class VertexSplit:
             raise ValueError(f"train/test sets overlap: {sorted(overlap)[:5]}")
 
 
-def check_train_fraction(fraction: float) -> None:
-    """The split's range rule: the train fraction lies strictly inside (0, 1)."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
+def check_train_fraction(fraction: float) -> float:
+    """The split's range rule: the train fraction, as a float, is a real number in (0, 1)."""
+    return check_real("train_fraction", fraction, 0.0, 1.0)
 
 
 def split_vertices(num_vertices: int, fraction: float, seed) -> VertexSplit:
@@ -198,7 +197,7 @@ def split_vertices(num_vertices: int, fraction: float, seed) -> VertexSplit:
 
     Deterministic given the seed; train and test indices are returned sorted.
     """
-    check_train_fraction(fraction)
+    fraction = check_train_fraction(fraction)
     num_vertices = check_integer("num_vertices", num_vertices, 2)
     n_train = int(np.floor(fraction * num_vertices + 0.5))
     n_train = min(max(n_train, 1), num_vertices - 1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import check_retention, retained_indices
+from .sampling import check_integer, check_real, check_retention, retained_indices
 from .softmax import (
     ObjectiveContext,
     check_sigma,
@@ -89,11 +89,10 @@ class WeightChainConfig:
     seed: object = 0  # a SeedSequence, or an entropy value it takes (an int, a list of ints)
 
     def __post_init__(self):
-        check_sigma(self.sigma)
-        if not (0 < self.step_scale <= MAX_STEP_SCALE):
-            raise ValueError(f"step-size scaling must be positive and finite, and at most "
-                             f"{MAX_STEP_SCALE:g}, got {self.step_scale}")
-        check_retention(self.iterations, self.burn_in, self.thinning)
+        self.sigma = check_sigma(self.sigma)
+        self.step_scale = check_real("step_scale", self.step_scale, 0.0, MAX_STEP_SCALE, "(]")
+        self.iterations, self.burn_in, self.thinning = check_retention(self.iterations, self.burn_in,
+                                                                       self.thinning)
 
 
 @dataclass(eq=False)
@@ -107,10 +106,8 @@ class WeightChainResult:
 
 
 def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
-    """Annealed step size at iteration t >= 0 for a context of num_points vertices."""
-    if not 0 <= t < math.inf:
-        raise ValueError(f"iteration must be nonnegative and finite, got {t}")
-    return _schedule(cfg, num_points)(t)
+    """Annealed step size at iteration t, a nonnegative integer, for a context of num_points vertices."""
+    return _schedule(cfg, num_points)(check_integer("iteration", t, 0))
 
 
 def _schedule(cfg: WeightChainConfig, num_points: int):
@@ -154,10 +151,9 @@ def proposal_log_density(frm: np.ndarray, to: np.ndarray, grad_frm: np.ndarray, 
     A state of two or fewer dimensions (a B x D matrix, or a vector) gives a
     float; a stack of B x D states gives an array with one value per state.
     It is the one-call use of the chain's _drift_norms.  A step that is not
-    positive and finite raises ValueError.
+    a real number in (0, inf) raises ValueError.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step size must be positive and finite, got {step}")
+    step = check_real("step", step, 0.0)
     frm, to, grad_frm = (np.asarray(a, dtype=np.float64) for a in (frm, to, grad_frm))
     lead, state = (frm.shape[:-2], frm.shape[-2:]) if frm.ndim >= 2 else ((), (1, frm.size))
     shape = (math.prod(lead),) + state
@@ -170,8 +166,8 @@ def accept_log_prob(current: np.ndarray, proposal: np.ndarray, ctx: ObjectiveCon
 
     As in the chain, a non-finite current U or a NaN or -inf proposal U
     raises WeightChainError (chain None), and a proposal U of +inf, or any
-    NaN log alpha, gives -inf, a certain rejection.  A step that is not
-    positive and finite raises ValueError.
+    NaN log alpha, gives -inf, a certain rejection.  A step outside (0, inf)
+    raises ValueError, as in proposal_log_density.
     """
     u_cur, grad_cur = objective_and_gradient(current, ctx)
     u_prop, grad_prop = objective_and_gradient(proposal, ctx)

@@ -1,8 +1,11 @@
-"""Retained-sample bookkeeping, named seed substreams, and the rule for
-integer settings (``check_integer``) that every count and seed meets."""
+"""Retained-sample bookkeeping, named seed substreams, and the rules every
+setting meets: ``check_integer`` for counts and seeds, ``check_real`` for reals."""
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -34,15 +37,32 @@ def check_integer(name: str, value, minimum: int) -> int:
     return number
 
 
-def check_retention(iterations: int, burn_in: float, thinning: int) -> None:
-    """Raise ValueError unless the settings give a nonempty retained set.
+def check_real(name: str, value, low=-math.inf, high=math.inf, brackets="()") -> float:
+    """The setting as a plain float if it is a real number in the interval
+    from low to high, whose ends brackets opens or closes ("()", "[)", "(]").
+
+    A real number is a ``numbers.Real``, bool aside (so 0.5, 1 and
+    np.float32(0.5), not "0.5" or True); anything else, and NaN or a value
+    outside the interval, raises ValueError naming the setting and interval."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            number = float(value)
+    above = number >= low if brackets[0] == "[" else number > low
+    below = number <= high if brackets[1] == "]" else number < high
+    if not (above and below):
+        interval = f"{brackets[0]}{low:g}, {high:g}{brackets[1]}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return number
+
+
+def check_retention(iterations: int, burn_in: float, thinning: int) -> tuple:
+    """The settings as (int, float, int) if they give a nonempty retained set.
 
     Constant time, so a config can be checked without building the list.
     """
-    check_integer("iterations", iterations, 1)
-    if not 0.0 <= burn_in < 1.0:
-        raise ValueError(f"burn-in fraction must be in [0, 1), got {burn_in}")
-    check_integer("thinning", thinning, 1)
+    return (check_integer("iterations", iterations, 1), check_real("burn_in", burn_in, 0.0, 1.0, "[)"),
+            check_integer("thinning", thinning, 1))
 
 
 def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
@@ -52,19 +72,20 @@ def retained_indices(iterations: int, burn_in: float, thinning: int) -> list:
     a nonempty list ending at or before index T (states are indexed 0..T,
     index 0 being the initial state).
     """
-    check_retention(iterations, burn_in, thinning)
+    iterations, burn_in, thinning = check_retention(iterations, burn_in, thinning)
     start = int(np.floor(iterations * burn_in + 0.5))
     count = (iterations - start) // thinning
     return [start + i * thinning for i in range(count + 1)]
 
 
 def stream_seed_sequence(master_seed: int, stream: str, repetition: int = 0) -> np.random.SeedSequence:
-    """Independent SeedSequence for a named substream of one repetition (both integers)."""
+    """Independent SeedSequence for a named substream of one repetition (nonnegative integers)."""
     try:
         stream_id = _STREAMS[stream]
     except KeyError:
         raise ValueError(f"unknown stream {stream!r}; known: {sorted(_STREAMS)}") from None
-    return np.random.SeedSequence([operator.index(master_seed), stream_id, operator.index(repetition)])
+    return np.random.SeedSequence([check_integer("master_seed", master_seed, 0), stream_id,
+                                   check_integer("repetition", repetition, 0)])
 
 
 def stream_seed_int(master_seed: int, stream: str, repetition: int = 0) -> int:

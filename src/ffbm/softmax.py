@@ -15,19 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sampling import check_real
 
-def check_sigma(sigma: float) -> None:
-    """The prior width rule of the objective and of the weight chain.
 
-    The objective divides by sigma^2 and by 2 sigma^2, so sigma^2 must be a
-    normal float and 2 sigma^2 finite: about 1.5e-154 <= sigma <= 9.5e153.
-    The sign is checked on its own, since -sigma squares to a valid width.
-    """
-    width = float(sigma)
+def check_sigma(sigma: float) -> float:
+    """The prior width rule of the objective and of the weight chain: sigma,
+    returned as a float, is a real number in (0, inf) (sampling.check_real),
+    and since the objective divides by sigma^2 and 2 sigma^2, sigma^2 is a
+    normal float and 2 sigma^2 finite: about 1.5e-154 <= sigma <= 9.5e153."""
+    width = check_real("sigma", sigma, 0.0)
     square = width * width  # a Python float product overflows to inf, where ** raises
-    if not (width > 0 and square >= sys.float_info.min and math.isfinite(2.0 * square)):
-        raise ValueError("prior standard deviation must be positive and finite, with sigma^2 "
-                         f"a normal float and 2 sigma^2 finite, got {sigma}")
+    if not (square >= sys.float_info.min and math.isfinite(2.0 * square)):
+        raise ValueError(f"sigma must have sigma^2 a normal float and 2 sigma^2 finite, got {sigma!r}")
+    return width
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ class ObjectiveContext:
         row_sums = targ.sum(axis=1)
         if targ.size and not np.allclose(row_sums, 1.0, atol=1e-9):
             raise ValueError("every target row must sum to 1")
-        check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targ)
         rows, inverse, counts = np.unique(feats, axis=0, return_inverse=True, return_counts=True)

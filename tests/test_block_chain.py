@@ -64,7 +64,7 @@ def test_config_validation():
     # A non-finite smoothing makes every scored move's log alpha NaN, so
     # the chain would never move.
     for smoothing in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+        with pytest.raises(ValueError, match=r"smoothing must be a real number in \(0, inf\)"):
             BlockChainConfig(smoothing=smoothing)
     with pytest.raises(ValueError):
         BlockChainConfig(burn_in=1.2)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import ffbm
-from ffbm import RunConfig, build_config, config, load_network, load_polbooks, mdl_partition, pipeline
+from ffbm import (RunConfig, analysis, build_config, cli, config, graph, load_network, load_polbooks, mala,
+                  mdl_partition, pipeline)
 from ffbm.cli import main
 from ffbm.dataio import DataFormatError
 
@@ -459,7 +460,7 @@ def test_non_integer_seeds_are_refused():
     assert RunConfig(seed=np.int64(3)).seed == 3
     for stream in (ffbm.stream_seed_sequence, ffbm.stream_seed_int):
         for master, repetition in ((1.5, 0), (1, 0.9), (1, 1.0)):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError):
                 stream(master, "split", repetition)
     assert ffbm.stream_seed_int(np.int64(1), "split", np.uint8(2)) == ffbm.stream_seed_int(1, "split", 2)
 
@@ -490,8 +491,25 @@ def _integer_settings():
         ("mdl_partition.restarts", lambda v: mdl_partition(net, 2, None, restarts=v), "restarts", 1),
         ("run_experiment.jobs", lambda v: pipeline.run_experiment(net, RunConfig(), jobs=v), "jobs", 1),
         ("split_vertices.num_vertices", lambda v: ffbm.split_vertices(v, 0.5, 0), "num_vertices", 2),
+        ("LabelledNetwork.num_vertices", lambda v: ffbm.LabelledNetwork(v, (), np.zeros((2, 0)), ()),
+         "num_vertices", 0),
+        ("network_from_edges.num_vertices", lambda v: ffbm.network_from_edges(v, []), "num_vertices", 0),
+        ("stream_seed_sequence.master_seed", lambda v: ffbm.stream_seed_sequence(v, "split"),
+         "master_seed", 0),
+        ("stream_seed_sequence.repetition", lambda v: ffbm.stream_seed_sequence(0, "split", v),
+         "repetition", 0),
+        ("step_size.iteration", lambda v: ffbm.step_size(v, ffbm.WeightChainConfig(), 10), "iteration", 0),
+        ("generate.num_blocks", lambda v: _generate(num_blocks=v), "--num-blocks", 1),
+        ("generate.num_features", lambda v: _generate(num_features=v), "--num-features", 0),
     ]
     return [pytest.param(call, name, minimum, id=case) for case, call, name, minimum in cases]
+
+
+def _generate(**flags):
+    """ffbm generate's command with the given flags set past its parser."""
+    args = cli._build_parser().parse_args(["generate", "--num-vertices", "5"])
+    vars(args).update(flags)
+    return cli._cmd_generate(args)
 
 
 @pytest.mark.parametrize("call, name, minimum", _integer_settings())
@@ -502,6 +520,57 @@ def test_every_integer_setting_meets_one_rule(call, name, minimum, bad):
     # entry, as is a value below the setting's minimum.
     with pytest.raises(ValueError, match=f"{name} must be"):
         call(minimum - 1 if bad == "below" else bad)
+
+
+def _real_settings():
+    """(entry point, setting, value just outside its interval) params: each
+    call sets one real-valued setting.  A RunConfig key's own interval holds
+    every finite float, so its values just outside are the infinities; the
+    chain, split and screen intervals it passes its keys on to have cases of
+    their own."""
+    rows, targets, state = np.zeros((2, 1)), np.full((2, 2), 0.5), np.zeros((1, 1))
+    summary = ffbm.summarize_weights(np.zeros((2, 2, 3)))
+    cases = [(f"RunConfig.{key}", lambda v, k=key: RunConfig(**{k: v}), key, math.inf)
+             for key in config._FLOAT_FIELDS]
+    cases += [(f"{make.__name__}.burn_in", lambda v, m=make: m(burn_in=v), "burn_in", 1.0)
+              for make in (ffbm.BlockChainConfig, ffbm.WeightChainConfig)]
+    cases += [
+        ("BlockChainConfig.smoothing", lambda v: ffbm.BlockChainConfig(smoothing=v), "smoothing", 0.0),
+        ("WeightChainConfig.step_scale", lambda v: ffbm.WeightChainConfig(step_scale=v), "step_scale",
+         math.nextafter(mala.MAX_STEP_SCALE, math.inf)),
+        ("WeightChainConfig.sigma", lambda v: ffbm.WeightChainConfig(sigma=v), "sigma", 0.0),
+        ("ObjectiveContext.sigma", lambda v: ffbm.ObjectiveContext(rows, targets, v), "sigma", 0.0),
+        ("reduce_dimension.multiplier", lambda v: ffbm.reduce_dimension(summary, v, 1), "multiplier", 0.0),
+        ("split_vertices.train_fraction", lambda v: ffbm.split_vertices(10, v, 0), "train_fraction", 1.0),
+        ("proposal_log_density.step", lambda v: ffbm.proposal_log_density(state, state, state, v),
+         "step", 0.0),
+    ]
+    bad = {"True": True, "text": "0.5", "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    return [pytest.param(call, name, value, id=f"{case}-{label}")
+            for case, call, name, outside in cases
+            for label, value in {**bad, "outside": outside}.items()
+            # A None reduced_step_scale is its default: the step_scale value.
+            if not (case == "RunConfig.reduced_step_scale" and value is None)]
+
+
+@pytest.mark.parametrize("call, name, bad", _real_settings())
+def test_every_real_setting_meets_one_rule(call, name, bad):
+    # A real setting is a numbers.Real, bool aside, inside its interval;
+    # text, None, NaN and a value outside the interval are refused at
+    # construction or at entry, naming the setting.
+    with pytest.raises(ValueError, match=f"{name} must be a real number in"):
+        call(bad)
+
+
+def test_real_settings_are_stored_as_plain_floats():
+    half = np.float32(0.5)
+    stored = [getattr(ffbm.BlockChainConfig(**{key: half}), key) for key in ("smoothing", "burn_in")]
+    stored += [getattr(ffbm.WeightChainConfig(**{key: half}), key)
+               for key in ("sigma", "step_scale", "burn_in")]
+    stored += [ffbm.ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), half).sigma,
+               analysis.check_multiplier(half), graph.check_train_fraction(half)]
+    assert all(type(value) is float and value == 0.5 for value in stored)
+    assert type(ffbm.BlockChainConfig(iterations=np.int64(10)).iterations) is int
 
 
 def test_run_config_stores_plain_numbers(tmp_path):

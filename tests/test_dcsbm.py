@@ -12,7 +12,6 @@ from ffbm import (
     apply_move,
     delta_description_length,
     description_length,
-    log_graph_multiplicity,
     log_likelihood,
     log_prior_degrees,
     log_prior_edge_matrix,
@@ -77,11 +76,11 @@ def test_stub_pairings_examples():
 
 
 def test_graph_multiplicity_examples(path3):
-    assert math.isclose(log_graph_multiplicity(path3), math.log(2), rel_tol=1e-12)
+    assert math.isclose(path3.log_multiplicity, math.log(2), rel_tol=1e-12)
     single = network_from_edges(2, [(0, 1)])
-    assert math.isclose(log_graph_multiplicity(single), 0.0, abs_tol=1e-12)
+    assert math.isclose(single.log_multiplicity, 0.0, abs_tol=1e-12)
     double = network_from_edges(2, [(0, 1, 2)])
-    assert math.isclose(log_graph_multiplicity(double), math.log(2), rel_tol=1e-12)
+    assert math.isclose(double.log_multiplicity, math.log(2), rel_tol=1e-12)
 
 
 def test_likelihood_examples():

@@ -67,7 +67,7 @@ def test_step_size_validation():
     # power of a negative base is complex.
     # An infinite t would give step 0, a NaN one a NaN step.
     for t in (-1, -1500, math.inf, math.nan):
-        with pytest.raises(ValueError, match="iteration must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="iteration must be a nonnegative integer"):
             step_size(t, cfg, 10)
     with pytest.raises(ValueError):
         WeightChainConfig(step_scale=-1.0)
@@ -75,7 +75,7 @@ def test_step_size_validation():
     # WeightChainError at the first proposal.
     for field in ("sigma", "step_scale"):
         for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="must be positive and finite"):
+            with pytest.raises(ValueError, match=f"{field} must be a real number in"):
                 WeightChainConfig(**{field: value})
 
 
@@ -124,7 +124,7 @@ def test_accept_flat_target_is_certain():
 
 def test_proposal_density_validation():
     for step in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="step size must be positive and finite"):
+        with pytest.raises(ValueError, match=r"step must be a real number in \(0, inf\)"):
             proposal_log_density(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), step)
 
 
@@ -148,7 +148,7 @@ def test_accept_log_prob_agrees_with_the_chain_on_non_finite_inputs():
     # step give a NaN log alpha, which the chain's test rejects.
     assert accept_log_prob(w, w + 1.0, ctx, 1e-310) == -math.inf
     for step in (math.nan, math.inf, 0.0):
-        with pytest.raises(ValueError, match="step size must be positive and finite"):
+        with pytest.raises(ValueError, match=r"step must be a real number in \(0, inf\)"):
             accept_log_prob(w, w + 0.1, ctx, step)
 
 

@@ -169,7 +169,7 @@ def test_context_validates_rows():
         ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), 0.0)
     # A NaN prior width would give a NaN objective and gradient without an error.
     for sigma in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(ValueError, match="sigma must"):
             ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), sigma)
 
 
@@ -181,9 +181,9 @@ def test_prior_width_keeps_its_square_normal_and_twice_its_square_finite():
         check_sigma(sigma)
         WeightChainConfig(sigma=sigma)
     for sigma in (0.99 * lowest, 1.01 * highest, 1e-170, 1e200, -1.0, 0.0):
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(ValueError, match="sigma must"):
             ObjectiveContext(np.zeros((2, 1)), np.full((2, 2), 0.5), sigma)
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        with pytest.raises(ValueError, match="sigma must"):
             WeightChainConfig(sigma=sigma)
 
 
