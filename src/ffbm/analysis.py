@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import check_real
+from .sampling import check_integer, check_real
 from .softmax import (ObjectiveContext, _cross_entropy, _log_normaliser, _row_logits,
                       log_partition_given_features)
 
@@ -73,10 +73,12 @@ def check_multiplier(multiplier: float) -> float:
     return check_real("multiplier", multiplier, 0.0)
 
 
-def check_target_dim(target_dim: int, num_features: int) -> None:
-    """The screen's range rule: it keeps between 1 and num_features features."""
-    if not 0 < target_dim <= num_features:
+def check_target_dim(target_dim: int, num_features: int) -> int:
+    """The screen's range rule: it keeps an integer count of features in [1, num_features]."""
+    target_dim = check_integer("target_dim", target_dim, 1)
+    if target_dim > num_features:
         raise ValueError(f"target dimension {target_dim} outside [1, {num_features}]")
+    return target_dim
 
 
 def reduce_dimension(summary: WeightSummary, multiplier: float, target_dim: int) -> ReducedFeatureSet:
@@ -86,7 +88,7 @@ def reduce_dimension(summary: WeightSummary, multiplier: float, target_dim: int)
     the score of the last feature kept.
     """
     scores = feature_scores(summary, multiplier)
-    check_target_dim(target_dim, scores.shape[0])
+    target_dim = check_target_dim(target_dim, scores.shape[0])
     ranked = np.argsort(-scores, kind="stable")[:target_dim]
     cutoff = float(scores[ranked[-1]])
     return ReducedFeatureSet(kept=np.sort(ranked), cutoff=cutoff, scores=scores)
@@ -101,11 +103,12 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     partition and cancels everywhere in sampling, is subtracted from the
     mean; published per-entity figures follow that convention.
     """
+    num_vertices = check_integer("num_vertices", num_vertices, 1)
     s_values = np.asarray(s_values, dtype=np.float64)
     if s_values.size == 0:
         raise ValueError("empty description-length trace")
     total = float(s_values.mean()) + log_partition_given_features(num_vertices, num_blocks)
-    return total / (num_vertices + num_edges)
+    return total / (num_vertices + check_integer("num_edges", num_edges, 0))
 
 
 def _sample_logits(weight_samples, ctx: ObjectiveContext):

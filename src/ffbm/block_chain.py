@@ -553,6 +553,7 @@ def _align_samples(samples, reference, num_blocks: int) -> np.ndarray:
     an assignment on the score overlap * (B + 1) + [label kept], so overlap
     ties go to keeping labels fixed, then to the solver's scan order.
     """
+    num_blocks = check_integer("num_blocks", num_blocks, 1)
     samples = check_labels(samples, num_blocks, "sample")
     reference = check_labels(reference, num_blocks, "reference")
     if reference.ndim != 1 or samples.ndim != 2 or samples.shape[1] != reference.shape[0]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import check_labels, network_from_edges
-from .sampling import check_integer
+from .sampling import check_integer, check_integers
 from .softmax import class_probabilities
 
 # The largest mean numpy's Poisson sampler takes: int64 max - 10 sqrt(int64 max).
@@ -98,17 +98,6 @@ def _degree_propensities(propensities, num_vertices: int) -> np.ndarray:
     return propensities
 
 
-def _check_degrees(degrees, shape) -> np.ndarray:
-    """The degrees as int64 if they have the labels' shape and each is an integer >= 0."""
-    array = np.asarray(degrees)
-    if array.shape != shape:
-        raise ValueError(f"degrees must hold one value per label (shape {shape}), got shape {array.shape}")
-    if array.dtype.kind not in "iu" or (array < 0).any():
-        for vertex, degree in enumerate(np.asarray(degrees, dtype=object).flat):
-            check_integer(f"degree of vertex {vertex}", degree, 0)
-    return array.astype(np.int64, copy=False)
-
-
 def sample_memberships(features: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw block labels independently per vertex from the softmax generator."""
     probs = class_probabilities(weights, features)
@@ -151,20 +140,21 @@ def sample_microcanonical_graph(memberships, edge_counts, degrees, rng: np.rando
 
     Each vertex contributes its degree in stubs to its block; within every
     unordered block pair the reserved stubs are matched uniformly at random.
-    The returned multigraph reproduces the edge-count matrix exactly.  There
-    must be one degree per membership label, each an integer >= 0 as
-    ``sampling.check_integer`` reads it; the first bad one raises ValueError.
+    The returned multigraph reproduces the edge-count matrix exactly.  Edge
+    counts and degrees (one per label) are integers >= 0 by
+    ``sampling.check_integers``; the first bad one raises ValueError naming it.
     """
-    e = np.asarray(edge_counts)
-    num_blocks = e.shape[0]
-    if e.shape != (num_blocks, num_blocks) or not np.array_equal(e, e.T):
+    e = check_integers("edge counts", edge_counts, 0)
+    if e.ndim != 2 or not np.array_equal(e, e.T):
         raise ValueError("edge-count matrix must be square and symmetric")
-    if e.dtype.kind not in "iu" or (e < 0).any():
-        raise ValueError("edge counts must be nonnegative integers")
     if (np.diag(e) % 2).any():
         raise ValueError("diagonal edge counts must be even (they count half-edges twice)")
+    num_blocks = len(e)
     memberships = check_labels(memberships, num_blocks, "membership")
-    degrees = _check_degrees(degrees, memberships.shape)
+    degrees = check_integers("degrees", degrees, 0)
+    if degrees.shape != memberships.shape:
+        raise ValueError(f"degrees must hold one value per label (shape {memberships.shape}), "
+                         f"got shape {degrees.shape}")
 
     for r in range(num_blocks):
         stub_total = int(degrees[memberships == r].sum())

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from .graph import LabelledNetwork, check_labels
+from .sampling import check_integer
 from .softmax import log_partition_given_features
 from .tables import (
     LOG2,
@@ -74,6 +75,7 @@ class BlockState:
     __slots__ = ("net", "b", "B", "e", "e_row", "n", "eta", "block_weights")
 
     def __init__(self, net: LabelledNetwork, b, B: int):
+        B = check_integer("B", B, 1)
         labels = check_labels(b, B, "block")
         if labels.shape != (net.num_vertices,):
             raise ValueError("partition length must equal the number of vertices")
@@ -111,8 +113,8 @@ def log_likelihood(net: LabelledNetwork, state: BlockState) -> float:
 
 def log_prior_edge_matrix(num_blocks: int, num_edges: int) -> float:
     """log p(e | b): uniform over histograms of E edges in B(B+1)/2 block-pair bins."""
-    bins = num_blocks * (num_blocks + 1) // 2
-    return -log_multiset(bins, num_edges)
+    num_blocks = check_integer("num_blocks", num_blocks, 1)
+    return -log_multiset(num_blocks * (num_blocks + 1) // 2, check_integer("num_edges", num_edges, 0))
 
 
 def log_prior_degrees(state: BlockState) -> float:
@@ -389,11 +391,13 @@ def merge_kernel(net: LabelledNetwork, labels, num_blocks: int):
     return rows, delta
 
 
-def _check_move(state: BlockState, i: int, target: int) -> None:
-    if not 0 <= i < len(state.b):
+def _check_move(state: BlockState, i: int, target: int) -> tuple:
+    i, target = check_integer("i", i, 0), check_integer("target", target, 0)
+    if i >= len(state.b):
         raise ValueError(f"vertex {i} outside [0, {len(state.b)})")
-    if not 0 <= target < state.B:
+    if target >= state.B:
         raise ValueError(f"target block {target} outside [0, {state.B})")
+    return i, target
 
 
 def delta_description_length(state: BlockState, i: int, target: int) -> float:
@@ -404,7 +408,7 @@ def delta_description_length(state: BlockState, i: int, target: int) -> float:
     keeps B fixed).  A vertex outside [0, N) or a target outside [0, B)
     raises ValueError.
     """
-    _check_move(state, i, target)
+    i, target = _check_move(state, i, target)
     r = state.b[i]
     if target == r:
         return 0.0
@@ -422,7 +426,7 @@ def apply_move(state: BlockState, i: int, target: int) -> None:
     A vertex outside [0, N) or a target outside [0, B) raises ValueError
     before anything is changed.
     """
-    _check_move(state, i, target)
+    i, target = _check_move(state, i, target)
     r = state.b[i]
     if target == r:
         return

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .sampling import check_integer, check_real
+from .sampling import check_integer, check_integers, check_real
 from .tables import log_double_factorial_even, log_factorial
 
 
@@ -49,34 +48,24 @@ class LabelledNetwork:
         if len(self.feature_names) != feats.shape[1]:
             raise ValueError("feature_names length must match feature columns")
 
+        fields = np.asarray(self.edges, dtype=object) if len(self.edges) else np.empty((0, 3), dtype=object)
+        if fields.shape[1:] != (3,):
+            edge = next(edge for edge in self.edges if np.asarray(edge, dtype=object).shape != (3,))
+            raise ValueError(f"edge {edge!r} is not (u, v, multiplicity) in integers")
+        ends = np.sort(check_integers("edge endpoints", fields[:, :2], 0, n), axis=1)
+        mults = check_integers("edge multiplicities", fields[:, 2], 1)
         merged = {}
-        total = 0
-        index = operator.index
-        for edge in self.edges:
-            try:
-                u, v, m = edge
-                u, v, m = index(u), index(v), index(m)
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} is not (u, v, multiplicity) in integers") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) endpoint outside [0, {n})")
-            if m <= 0:
-                raise ValueError(f"edge multiplicity must be positive, got {m}")
-            key = (u, v) if u <= v else (v, u)
-            merged[key] = merged.get(key, 0) + m
-            total += m
-
+        for u, v, m in zip(*ends.T.tolist(), mults.tolist()):
+            merged[u, v] = merged.get((u, v), 0) + m
         edges = tuple((u, v, m) for (u, v), m in sorted(merged.items()))
         deg = np.zeros(n, dtype=np.int64)
-        for u, v, m in edges:
-            deg[u] += m
-            deg[v] += m
+        np.add.at(deg, ends, mults[:, None])
 
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "features", feats.astype(np.int8))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "num_edges", total)
+        object.__setattr__(self, "num_edges", int(mults.sum()))
         object.__setattr__(self, "degrees", deg)
 
     @property
@@ -142,8 +131,8 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None,
                        input_sha256=None) -> LabelledNetwork:
     """Build a LabelledNetwork; features default to an empty N x 0 matrix.
 
-    N and each edge's (u, v) or (u, v, multiplicity) are integers (numpy's
-    included), N nonnegative; any other N or edge raises ValueError.
+    N >= 0, the endpoints in [0, N) and the multiplicities >= 1 are integers as
+    ``sampling.check_integer`` reads them; anything else raises ValueError naming it.
     """
     num_vertices = check_integer("num_vertices", num_vertices, 0)
     if features is None:
@@ -156,22 +145,8 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None,
 
 
 def check_labels(labels, num_blocks: int, which: str) -> np.ndarray:
-    """The labels, any shape, as int64 if each is an integer in [0, num_blocks).
-
-    An integer is what ``operator.index`` takes (not 1.0 or "1"); the first
-    bad label raises ValueError naming it and the ``which`` partition."""
-    array = np.asarray(labels)
-    if array.dtype.kind not in "iu":
-        array = np.asarray(labels, dtype=object)
-        for x in array.flat:
-            try:
-                operator.index(x)
-            except TypeError:
-                raise ValueError(f"{which} partition has non-integer label {x!r}") from None
-    outside = (array < 0) | (array >= num_blocks)
-    if outside.any():
-        raise ValueError(f"{which} partition has label {array[outside][0]} outside [0, {num_blocks})")
-    return array.astype(np.int64, copy=False)
+    """``sampling.check_integers`` of the labels in [0, num_blocks), named as ``which`` labels."""
+    return check_integers(f"{which} labels", labels, 0, num_blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,9 +112,7 @@ def step_size(t: int, cfg: WeightChainConfig, num_points: int) -> float:
 
 def _schedule(cfg: WeightChainConfig, num_points: int):
     """step_size's expression as a function of t, which it does not check."""
-    if num_points < 1:
-        raise ValueError("context must contain at least one vertex")
-    alpha = 250.0 * cfg.step_scale / num_points
+    alpha = 250.0 * cfg.step_scale / check_integer("num_points", num_points, 1)
     return lambda t: alpha * (SCHEDULE_OFFSET + t) ** (-SCHEDULE_DECAY)
 
 

@@ -1,5 +1,5 @@
-"""Retained-sample bookkeeping, named seed substreams, and the rules every
-setting meets: ``check_integer`` for counts and seeds, ``check_real`` for reals."""
+"""Retained-sample bookkeeping, named seed substreams, and the rules every input
+meets: ``check_integer`` and its array form for integers, ``check_real`` for reals."""
 
 from __future__ import annotations
 
@@ -21,20 +21,47 @@ _STREAMS = {
 }
 
 
-def check_integer(name: str, value, minimum: int) -> int:
-    """The setting as a plain int if it is an integer of at least minimum.
-
-    An integer is what ``operator.index`` takes, bool aside (so 3 and
-    np.int64(3), not 3.0, "3" or True); anything else raises ValueError
-    naming the setting."""
+def _as_integer(value, default: int) -> int:
+    """The value as a plain int if ``check_integer`` takes it as an integer, else default."""
     try:
-        number = None if isinstance(value, bool) else operator.index(value)
+        return default if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        number = None
-    if number is None or number < minimum:
+        return default
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """The setting as a plain int if it is an integer of at least minimum: what
+    ``operator.index`` takes, bool aside (so 3 and np.int64(3), not 3.0, "3",
+    True or np.True_).  Anything else raises ValueError naming the setting."""
+    number = _as_integer(value, minimum - 1)
+    if number < minimum:
         bound = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return number
+
+
+def check_integers(name: str, values, minimum: int, bound=None) -> np.ndarray:
+    """check_integer's array form: the values, any shape, as int64 if each is an
+    integer in [minimum, bound) (bound None: no upper end).  An integer ndarray
+    that fits int64, or a list of them, is read in one pass, anything else entry
+    by entry: numpy reads [1, True] as integers.  The first bad entry raises
+    ValueError naming its index, as in ``degrees[2] must be ..., got 1.5``."""
+    array = entries = np.asarray(values)
+    parts = values if isinstance(values, (list, tuple)) else [values]
+    if not (all(isinstance(part, np.ndarray) and part.dtype.kind in "iu" for part in parts)
+            and np.can_cast(array.dtype, np.int64)):
+        entries = np.asarray(values, dtype=object)
+        array = np.array([x if type(x) is int else _as_integer(x, minimum - 1) for x in entries.flat],
+                         dtype=np.int64).reshape(entries.shape)
+    outside = array < minimum if bound is None else (array < minimum) | (array >= bound)
+    if outside.any():
+        first = int(outside.argmax())
+        entry = f"{name}[{', '.join(map(str, np.unravel_index(first, array.shape)))}]"
+        value = entries.ravel().tolist()[first]
+        if bound is None:
+            check_integer(entry, value, minimum)  # raises: the entry is no integer >= minimum
+        raise ValueError(f"{entry} must be an integer in [{minimum}, {bound}), got {value!r}")
+    return array.astype(np.int64, copy=False)
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, brackets="()") -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import check_real
+from .sampling import check_integer, check_real
 
 
 def check_sigma(sigma: float) -> float:
@@ -291,4 +291,5 @@ def log_partition_given_features(num_vertices: int, num_blocks: int) -> float:
     weight prior leaves each vertex's block uniform, but not the joint law of
     b, since vertices share the weights: two with one nonzero feature row
     share a block with probability above 1/B (0.637 at B = 2, sigma = 1)."""
-    return -num_vertices * math.log(num_blocks)
+    num_blocks = check_integer("num_blocks", num_blocks, 1)
+    return -check_integer("num_vertices", num_vertices, 0) * math.log(num_blocks)

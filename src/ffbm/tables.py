@@ -9,6 +9,8 @@ logs.
 import math
 from array import array
 
+from .sampling import check_integer
+
 # Log-factorial and log lookups, extended geometrically on demand.  The hot
 # path (the move kernel of the block sampler) reads them by plain list
 # indexing.
@@ -76,9 +78,8 @@ def _extend_row(tail, below, n: int) -> list:
     return seq
 
 
-def _check_arguments(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise ValueError(f"q({m}, {n}) undefined for negative arguments")
+def _check_arguments(m: int, n: int) -> tuple:
+    return check_integer("m", m, 0), check_integer("n", n, 0)
 
 
 def count_partitions(m: int, n: int) -> int:
@@ -87,7 +88,7 @@ def count_partitions(m: int, n: int) -> int:
     Computed on demand, in O(m min(m, n)) big-integer additions, by the
     recurrence that fills PartitionCountTable.
     """
-    _check_arguments(m, n)
+    m, n = _check_arguments(m, n)
     if m == 0:
         return 1
     row = [1] + [0] * m  # q(., 0)
@@ -139,7 +140,7 @@ class PartitionCountTable:
 
     def log_count(self, m: int, n: int) -> float:
         """log q(m, n); requires q(m, n) > 0 (i.e. not m > 0 with n = 0)."""
-        _check_arguments(m, n)
+        m, n = _check_arguments(m, n)
         n = min(n, m)
         if n == 0 and m > 0:
             raise ValueError(f"log q({m}, {n}) of zero count")
@@ -161,7 +162,7 @@ def log_count_partitions(m: int, n: int) -> float:
     """log q(m, n): two list indexings once the table covers (m, n).
 
     The move kernel indexes the table's rows itself and calls this only on
-    a miss, which grows the table.
+    a miss, which grows the table and checks m and n: a hit reads True as 1.
     """
     if m >= 0 and n >= 0:
         try:

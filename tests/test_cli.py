@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -502,6 +503,33 @@ def _integer_settings():
         ("generate.num_blocks", lambda v: _generate(num_blocks=v), "--num-blocks", 1),
         ("generate.num_features", lambda v: _generate(num_features=v), "--num-features", 0),
     ]
+    # Block and vertex counts, vertex and block indices, and partition-count arguments.
+    state, labels = ffbm.BlockState(net, [0, 0, 1, 1], 2), [0, 1, 1, 0]
+    summary = ffbm.summarize_weights(np.zeros((2, 2, 3)))
+    cases += [
+        ("reduce_dimension.target_dim", lambda v: ffbm.reduce_dimension(summary, 1.0, v), "target_dim", 1),
+        ("step_size.num_points", lambda v: ffbm.step_size(0, ffbm.WeightChainConfig(), v), "num_points", 1),
+        ("mean_description_length.num_vertices", lambda v: ffbm.mean_description_length([1.0], v, 2, 2),
+         "num_vertices", 1),
+        ("mean_description_length.num_edges", lambda v: ffbm.mean_description_length([1.0], 3, v, 2),
+         "num_edges", 0),
+        ("mean_description_length.num_blocks", lambda v: ffbm.mean_description_length([1.0], 3, 2, v),
+         "num_blocks", 1),
+        ("log_partition_given_features.num_vertices", lambda v: ffbm.log_partition_given_features(v, 2),
+         "num_vertices", 0),
+        ("log_partition_given_features.num_blocks", lambda v: ffbm.log_partition_given_features(3, v),
+         "num_blocks", 1),
+        ("log_prior_edge_matrix.num_blocks", lambda v: ffbm.log_prior_edge_matrix(v, 3), "num_blocks", 1),
+        ("log_prior_edge_matrix.num_edges", lambda v: ffbm.log_prior_edge_matrix(2, v), "num_edges", 0),
+        ("BlockState.B", lambda v: ffbm.BlockState(net, [0] * 4, v), "B", 1),
+        ("align_labels.num_blocks", lambda v: ffbm.align_labels(labels, labels, v), "num_blocks", 1),
+        ("estimate_responsibilities.num_blocks",
+         lambda v: ffbm.estimate_responsibilities([labels], labels, v), "num_blocks", 1),
+        ("count_partitions.m", lambda v: ffbm.count_partitions(v, 2), "m", 0),
+        ("count_partitions.n", lambda v: ffbm.count_partitions(3, v), "n", 0),
+    ]
+    cases += [(f"{move.__name__}.{name}", lambda v, m=move, k=name: m(state, **{"i": 0, "target": 0, k: v}),
+               name, 0) for move in (ffbm.delta_description_length, ffbm.apply_move) for name in ("i", "target")]
     return [pytest.param(call, name, minimum, id=case) for case, call, name, minimum in cases]
 
 
@@ -520,6 +548,36 @@ def test_every_integer_setting_meets_one_rule(call, name, minimum, bad):
     # entry, as is a value below the setting's minimum.
     with pytest.raises(ValueError, match=f"{name} must be"):
         call(minimum - 1 if bad == "below" else bad)
+
+
+def _integer_arrays():
+    """(entry point, bad value) params: call(value) hands the entry point one
+    integer array, a list whose entry named in the message (entry) is value;
+    the array's rule takes minimum and bound."""
+    rng = np.random.default_rng
+    cases = [
+        ("sample_microcanonical_graph.degrees", lambda v: ffbm.sample_microcanonical_graph(
+            [0, 0, 1, 1], [[2, 0], [0, 2]], [1, 1, v, 1], rng(0)), "degrees[2]", 0, None),
+        ("sample_microcanonical_graph.edge_counts", lambda v: ffbm.sample_microcanonical_graph(
+            [0, 0, 1, 1], [[2, 0], [v, 2]], [1, 1, 1, 1], rng(0)), "edge counts[1, 0]", 0, None),
+        ("network_from_edges.endpoints", lambda v: ffbm.network_from_edges(3, [(0, 1), (1, v)]),
+         "edge endpoints[1, 1]", 0, 3),
+        ("network_from_edges.multiplicities", lambda v: ffbm.network_from_edges(3, [(0, 1, 1), (1, 2, v)]),
+         "edge multiplicities[1]", 1, None),
+    ]
+    return [pytest.param(call, entry, value, id=f"{case}-{label}")
+            for case, call, entry, minimum, bound in cases
+            for label, value in {"fractional": 1.5, "float": 2.0, "text": "1", "bool": True, "numpy-bool": np.True_,
+                                 "None": None, "below": minimum - 1, "bound": bound}.items()
+            if not (label == "bound" and bound is None)]
+
+
+@pytest.mark.parametrize("call, entry, value", _integer_arrays())
+def test_every_integer_array_meets_one_rule(call, entry, value):
+    # An integer array holds integers as check_integer reads them, inside
+    # its bounds; the first bad entry is named by its index and value.
+    with pytest.raises(ValueError, match=re.escape(entry) + " must be .*, got " + re.escape(repr(value))):
+        call(value)
 
 
 def _real_settings():

@@ -212,16 +212,16 @@ def test_microcanonical_rejects_inconsistent_constraints():
 def test_microcanonical_rejects_edge_counts_that_are_not_nonnegative_integers(edge_counts):
     # Each block's half-edges add up (3 = 4 - 1 = 2.5 + 0.5), so only the
     # rule on the counts themselves can refuse these.
-    with pytest.raises(ValueError, match="edge counts must be nonnegative integers"):
+    with pytest.raises(ValueError, match=r"edge counts\[0, [01]\] must be a nonnegative integer"):
         sample_microcanonical_graph([0, 0, 0, 1, 1, 1], np.array(edge_counts), [1] * 6,
                                     np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("degrees, message", [
-    ([1.5, 0.5, 1, 1], "degree of vertex 0 must be a nonnegative integer, got 1.5"),
-    ([1, 1, 2.0, 0], "degree of vertex 2 must be a nonnegative integer, got 2.0"),
-    ([-1, 3, 1, 1], "degree of vertex 0 must be a nonnegative integer, got -1"),
-    ([True, True, True, True], "degree of vertex 0 must be a nonnegative integer, got True"),
+    ([1.5, 0.5, 1, 1], r"degrees\[0\] must be a nonnegative integer, got 1.5"),
+    ([1, 1, 2.0, 0], r"degrees\[2\] must be a nonnegative integer, got 2.0"),
+    ([-1, 3, 1, 1], r"degrees\[0\] must be a nonnegative integer, got -1"),
+    ([True, True, True, True], r"degrees\[0\] must be a nonnegative integer, got True"),
     ([1, 1, 2], r"one value per label \(shape \(4,\)\), got shape \(3,\)"),
 ], ids=["fractional", "float", "negative", "bool", "short"])
 def test_microcanonical_reads_its_degrees_at_entry(degrees, message):

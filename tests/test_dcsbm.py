@@ -469,9 +469,9 @@ def test_log_table_is_exact_and_sized_by_the_state():
 def test_apply_move_rejects_a_vertex_or_target_out_of_range(i, target):
     state = BlockState(load_polbooks(), [k % 3 for k in range(105)], 3)
     before = BlockState(state.net, state.b, state.B)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"outside|(i|target) must be a nonnegative integer, got -1"):
         apply_move(state, i, target)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"outside|(i|target) must be a nonnegative integer, got -1"):
         delta_description_length(state, i, target)
     assert (state.b, state.e, state.e_row, state.n, state.eta) == \
         (before.b, before.e, before.e_row, before.n, before.eta)

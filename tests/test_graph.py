@@ -69,7 +69,8 @@ def test_edge_validation():
     # An edge is (u, v) or (u, v, multiplicity) in integers: a fourth entry
     # is not dropped, nor is a fractional multiplicity or endpoint kept.
     for edge in [(0, 1, 2, 9), (0,), (0, 1, 2.5), (0.0, 1), (0, np.float64(1.0), 1), (0, "1")]:
-        with pytest.raises(ValueError, match="not \\(u, v, multiplicity\\) in integers"):
+        with pytest.raises(ValueError, match=r"not \(u, v, multiplicity\) in integers|"
+                                             r"edge (endpoints|multiplicities)\[0(, [01])?\] must be an integer"):
             network_from_edges(3, [edge])
     net = network_from_edges(3, [(np.int64(0), np.int32(2), np.uint8(2)), (1, np.int64(2))])
     assert net.edges == ((0, 2, 2), (1, 2, 1)) and net.num_edges == 3
@@ -96,19 +97,26 @@ _ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
 @pytest.mark.parametrize("label, problem", [
-    (-1, "label -1 outside [0, 3)"),
-    (3, "label 3 outside [0, 3)"),
-    (1.7, "non-integer label 1.7"),
-    ("1", "non-integer label '1'"),
-], ids=["negative", "B", "float", "string"])
+    (-1, "-1"),
+    (3, "3"),
+    (1.7, "1.7"),
+    ("1", "'1'"),
+    (True, "True"),
+    (np.True_, "True"),
+], ids=["negative", "B", "float", "string", "bool", "numpy-bool"])
 def test_every_partition_entry_point_applies_the_label_rule(entry, label, problem):
-    # One rule, one message: a label is an integer in [0, B).
+    # One rule, one message: a label is an integer in [0, B), and a bool,
+    # though numpy would read it as one, is not an integer.
     which, call = _ENTRY_POINTS[entry]
     labels = list(_GOOD)
     labels[2] = label
-    forms = [labels, np.array(labels)] if isinstance(label, int) else [labels]
+    forms = [labels, np.array(labels)] if type(label) is int else [labels]
+    if isinstance(label, np.bool_):  # a boolean mask passed as labels
+        forms = [np.full(len(labels), label)]
     for form in forms:
-        with pytest.raises(ValueError, match=re.escape(f"{which} partition has {problem}")):
+        message = re.escape(f"{which} labels[") + "[0-9, ]+" + re.escape(
+            f"] must be an integer in [0, 3), got {problem}")
+        with pytest.raises(ValueError, match=message):
             call(form)
     call(_GOOD)
     call(np.array(_GOOD))
@@ -119,9 +127,9 @@ def test_label_rule_takes_integer_arrays_of_any_shape():
         checked = check_labels(labels, 3, "sample")
         assert checked.dtype == np.int64 and checked.tolist() == np.asarray(labels).tolist()
     for labels in (np.array([0.0]), [0, None]):
-        with pytest.raises(ValueError, match="sample partition has non-integer label"):
+        with pytest.raises(ValueError, match=r"sample labels\[[01]\] must be an integer in \[0, 3\), got"):
             check_labels(labels, 3, "sample")
-    with pytest.raises(ValueError, match=r"label 5 outside \[0, 3\)"):
+    with pytest.raises(ValueError, match=r"sample labels\[0, 1\] must be an integer in \[0, 3\), got 5"):
         check_labels([[0, 5], [7, 1]], 3, "sample")
 
 
