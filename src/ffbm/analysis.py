@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import check_integer, check_real
+from .sampling import check_integer, check_real, check_reals
 from .softmax import (ObjectiveContext, _cross_entropy, _log_normaliser, _row_logits,
                       log_partition_given_features)
 
@@ -104,7 +104,7 @@ def mean_description_length(s_values, num_vertices: int, num_edges: int,
     mean; published per-entity figures follow that convention.
     """
     num_vertices = check_integer("num_vertices", num_vertices, 1)
-    s_values = np.asarray(s_values, dtype=np.float64)
+    s_values = check_reals("s_values", s_values)
     if s_values.size == 0:
         raise ValueError("empty description-length trace")
     total = float(s_values.mean()) + log_partition_given_features(num_vertices, num_blocks)

@@ -126,8 +126,7 @@ def _cmd_generate(args) -> int:
     num_features = num_blocks if args.num_features is None else check_integer(
         "--num-features", args.num_features, 0)
     weights = np.zeros((num_blocks, num_features))
-    for j in range(min(num_blocks, num_features)):
-        weights[j, j] = args.weight_scale
+    np.fill_diagonal(weights, args.weight_scale)
     affinity = np.full((num_blocks, num_blocks), args.affinity_off)
     np.fill_diagonal(affinity, args.affinity_diag)
     spec = GeneratorSpec(

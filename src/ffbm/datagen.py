@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import check_labels, network_from_edges
-from .sampling import check_integer, check_integers
+from .graph import check_binary_features, check_labels, network_from_edges
+from .sampling import check_integer, check_integers, check_reals
 from .softmax import class_probabilities
 
 # The largest mean numpy's Poisson sampler takes: int64 max - 10 sqrt(int64 max).
@@ -32,11 +32,12 @@ class GeneratorSpec:
     propensities: per-vertex positive degree multipliers, default all 1.
 
     Construction checks every value: N an integer >= 0, at least one block,
-    finite weights, a finite, nonnegative, symmetric affinity, an N x D
-    features matrix or one rate in [0, 1] per feature column, N finite
-    positive propensities and an integer seed >= 0 (both integers as
-    ``sampling.check_integer`` reads them, stored as int).  A spec is
-    frozen, so the checks hold.
+    finite weights, a symmetric affinity in [0, inf), an N x D binary
+    features matrix or one rate in [0, 1] per feature column, N
+    propensities in (0, inf) and an integer seed >= 0.  Integers are read
+    by ``sampling.check_integer`` and stored as int, real arrays by
+    ``sampling.check_reals`` and stored as float64.  A spec is frozen, so
+    the checks hold.
     """
 
     num_vertices: int
@@ -48,53 +49,45 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "affinity", np.asarray(self.affinity, dtype=np.float64))
+        object.__setattr__(self, "weights", check_reals("weights", self.weights))
+        object.__setattr__(self, "affinity", _check_affinity(self.affinity))
         object.__setattr__(self, "num_vertices", check_integer("num_vertices", self.num_vertices, 0))
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         if self.weights.ndim != 2 or self.weights.shape[0] < 1:
             raise ValueError("weights must be a B x D matrix with at least one block")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
         b, d = self.weights.shape
         if self.affinity.shape != (b, b):
             raise ValueError("affinity must be square with one row per block")
-        _check_affinity(self.affinity)
         if self.features is None and self.feature_probs is None:
             raise ValueError("provide either features or feature_probs")
-        if self.features is not None and np.shape(self.features) != (self.num_vertices, d):
+        if self.features is not None and check_binary_features(self.features).shape != (self.num_vertices, d):
             raise ValueError(f"features must be a {self.num_vertices} x {d} matrix (one row per "
                              f"vertex, one column per weight column), got shape {np.shape(self.features)}")
         if self.feature_probs is not None:
-            probs = np.asarray(self.feature_probs, dtype=np.float64)
+            probs = check_reals("feature_probs", self.feature_probs, 0.0, 1.0, "[]")
             if probs.shape != (d,):
                 raise ValueError(f"feature_probs must hold one rate per feature column ({d}), "
                                  f"got shape {probs.shape}")
-            if not ((probs >= 0) & (probs <= 1)).all():
-                raise ValueError("feature_probs entries must lie in [0, 1]")
-        _degree_propensities(self.propensities, self.num_vertices)
+            object.__setattr__(self, "feature_probs", probs)
+        object.__setattr__(self, "propensities", _degree_propensities(self.propensities, self.num_vertices))
 
 
-def _check_affinity(affinity: np.ndarray) -> None:
-    """The block model's rule for an affinity matrix: finite, nonnegative and symmetric."""
-    if not np.isfinite(affinity).all():
-        raise ValueError("affinity entries must be finite")
-    if not np.allclose(affinity, affinity.T):
-        raise ValueError("affinity matrix must be symmetric")
-    if (affinity < 0).any():
-        raise ValueError("affinity entries must be nonnegative")
+def _check_affinity(affinity) -> np.ndarray:
+    """The block model's rule for an affinity matrix: a symmetric matrix of reals in [0, inf)."""
+    affinity = check_reals("affinity", affinity, 0.0, np.inf, "[)")
+    if affinity.ndim != 2 or not np.allclose(affinity, affinity.T):
+        raise ValueError("affinity matrix must be square and symmetric")
+    return affinity
 
 
 def _degree_propensities(propensities, num_vertices: int) -> np.ndarray:
-    """Per-vertex degree multipliers as floats: all 1 for None, else N finite positive values."""
+    """Per-vertex degree multipliers as floats: all 1 for None, else N reals in (0, inf)."""
     if propensities is None:
         return np.ones(num_vertices)
-    propensities = np.asarray(propensities, dtype=np.float64)
+    propensities = check_reals("propensities", propensities, 0.0)
     if propensities.shape != (num_vertices,):
         raise ValueError(f"propensities must hold one value per vertex ({num_vertices}), "
                          f"got shape {propensities.shape}")
-    if not (np.isfinite(propensities) & (propensities > 0)).all():
-        raise ValueError("degree propensities must be finite and positive")
     return propensities
 
 
@@ -115,8 +108,7 @@ def sample_poisson_graph(memberships, affinity, propensities, rng: np.random.Gen
     A mean above POISSON_MEAN_MAX (or one that overflows), or a label that
     breaks ``graph.check_labels``, raises ValueError before any draw.
     """
-    affinity = np.asarray(affinity, dtype=np.float64)
-    _check_affinity(affinity)
+    affinity = _check_affinity(affinity)
     memberships = check_labels(memberships, len(affinity), "membership")
     n = len(memberships)
     propensities = _degree_propensities(propensities, n)
@@ -198,15 +190,13 @@ def generate(spec: GeneratorSpec):
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.num_vertices
-    if spec.features is not None:
-        feats = np.asarray(spec.features)
-    else:
+    feats = spec.features
+    if feats is None:
         feats = (rng.random((n, spec.weights.shape[1])) < spec.feature_probs).astype(np.int8)
 
     memberships = sample_memberships(feats, spec.weights, rng)
     edges = sample_poisson_graph(memberships, spec.affinity, spec.propensities, rng)
-    names = tuple(f"f{d}" for d in range(feats.shape[1]))
-    net = network_from_edges(n, edges, feats, names)
+    net = network_from_edges(n, edges, feats)
     truth = {
         "memberships": memberships,
         "weights": spec.weights,

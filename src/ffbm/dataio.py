@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import LabelledNetwork, network_from_edges
+from .sampling import check_reals
 
 
 # A vertex count taken from edge ids alone may exceed this only when at least
@@ -313,19 +314,17 @@ def read_weight_samples(path):
     names = [col.partition(".")[2] for col, blk in zip(cols, blocks) if blk == "0"]
     if not cols or cols != weight_column_names(num_blocks, names):
         raise DataFormatError(f"{path}: columns are not 'block.feature' for blocks 0, 1, ...")
-    samples, retained = [], []
+    samples = []
     for lineno, t, cells in rows:
         try:
-            flat = np.array([float(x) for x in cells])
+            flat = check_reals("weights", np.array([float(x) for x in cells]))
         except ValueError:
-            flat = None
-        if flat is None or not np.isfinite(flat).all():
-            raise DataFormatError(f"{path}:{lineno}: row t={t} has a weight that is not a finite number")
+            raise DataFormatError(f"{path}:{lineno}: row t={t} has a weight that is not a finite number") \
+                from None
         samples.append(flat.reshape(num_blocks, len(names)))
-        retained.append(t)
     if not samples:
         raise DataFormatError(f"{path}: no weight samples")
-    return samples, retained, tuple(names)
+    return samples, [t for _, t, _ in rows], tuple(names)
 
 
 def write_reduction(path, reduction, feature_names):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import length_hint
 
 import numpy as np
 
@@ -40,11 +41,9 @@ class LabelledNetwork:
 
     def __post_init__(self):
         n = check_integer("num_vertices", self.num_vertices, 0)
-        feats = np.asarray(self.features)
+        feats = check_binary_features(self.features)
         if feats.ndim != 2 or feats.shape[0] != n:
             raise ValueError(f"feature matrix must have {n} rows, got shape {feats.shape}")
-        if feats.size and not np.isin(feats, (0, 1)).all():
-            raise ValueError("feature matrix entries must be 0 or 1")
         if len(self.feature_names) != feats.shape[1]:
             raise ValueError("feature_names length must match feature columns")
 
@@ -63,7 +62,7 @@ class LabelledNetwork:
 
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "features", feats.astype(np.int8))
+        object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "num_edges", int(mults.sum()))
         object.__setattr__(self, "degrees", deg)
@@ -129,7 +128,7 @@ class HalfEdgeTable:
 
 def network_from_edges(num_vertices, edges, features=None, feature_names=None,
                        input_sha256=None) -> LabelledNetwork:
-    """Build a LabelledNetwork; features default to an empty N x 0 matrix.
+    """Build a LabelledNetwork; features default to an empty N x 0 matrix, names to f0, f1, ...
 
     N >= 0, the endpoints in [0, N) and the multiplicities >= 1 are integers as
     ``sampling.check_integer`` reads them; anything else raises ValueError naming it.
@@ -137,11 +136,17 @@ def network_from_edges(num_vertices, edges, features=None, feature_names=None,
     num_vertices = check_integer("num_vertices", num_vertices, 0)
     if features is None:
         features = np.zeros((num_vertices, 0), dtype=np.int8)
-        feature_names = ()
-    elif feature_names is None:
+    if feature_names is None:
         feature_names = tuple(f"f{d}" for d in range(np.asarray(features).shape[1]))
-    edges = tuple((*e, 1) if len(e) == 2 else e for e in edges)
+    edges = tuple((*e, 1) if length_hint(e) == 2 else e for e in edges)
     return LabelledNetwork(num_vertices, edges, features, feature_names, dict(input_sha256 or {}))
+
+
+def check_binary_features(features) -> np.ndarray:
+    """A copy of the feature matrix as int8 if every entry is 0 or 1, else ValueError."""
+    if not np.isin(features, (0, 1)).all():
+        raise ValueError("features must hold only 0 and 1")
+    return np.array(features, dtype=np.int8)
 
 
 def check_labels(labels, num_blocks: int, which: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Retained-sample bookkeeping, named seed substreams, and the rules every input
-meets: ``check_integer`` and its array form for integers, ``check_real`` for reals."""
+meets: ``check_integer`` and ``check_real``, and their array forms ``check_integers``
+and ``check_reals``, which share one entry reader and one interval test."""
 
 from __future__ import annotations
 
@@ -29,58 +30,95 @@ def _as_integer(value, default: int) -> int:
         return default
 
 
-def check_integer(name: str, value, minimum: int) -> int:
-    """The setting as a plain int if it is an integer of at least minimum: what
-    ``operator.index`` takes, bool aside (so 3 and np.int64(3), not 3.0, "3",
-    True or np.True_).  Anything else raises ValueError naming the setting."""
+def _as_real(value, default: float) -> float:
+    """The value as a plain float if ``check_real`` takes it as a real number, else default."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            return float(value)
+    return default
+
+
+def _inside(number, low, high, brackets: str):
+    """Whether the number, or each entry of an array, lies in the interval from
+    low to high whose ends brackets opens or closes ("()", "[)", "(]", "[]")."""
+    above = number >= low if brackets[0] == "[" else number > low
+    below = number <= high if brackets[1] == "]" else number < high
+    return above & below
+
+
+def _read_entries(name: str, values, dtype, read, default, interval: tuple, check):
+    """The values, any shape, as a dtype array if each lies in the interval
+    (low, high, brackets); else check(entry, value), the scalar rule, raises
+    for the first that does not, given its name with index, as in
+    ``degrees[2]``, and its value as given.
+
+    An ndarray of a non-bool dtype that casts safely to dtype, or a list of
+    them, is cast in one pass.  Anything else is read entry by entry, since
+    numpy reads [1, True] and ["0.5"] as numbers: an entry of default's type
+    (int or float) is taken as is, any other as read(x, default), and an int
+    past int64 as default, which lies outside the interval.
+    """
+    if all(isinstance(part, np.ndarray) and part.dtype.kind != "b" and np.can_cast(part.dtype, dtype)
+           for part in (values if isinstance(values, (list, tuple)) else [values])):
+        entries = array = np.asarray(values)
+    else:
+        entries = np.asarray(values, dtype=object)
+        found = [x if type(x) is type(default) else read(x, default) for x in entries.flat]
+        try:
+            array = np.array(found, dtype).reshape(entries.shape)
+        except OverflowError:
+            array = np.array([x if abs(x) < 2 ** 63 else default for x in found], dtype).reshape(entries.shape)
+    inside = _inside(array, *interval)
+    if not inside.all():
+        first = int(inside.argmin())
+        entry = f"{name}[{', '.join(map(str, np.unravel_index(first, array.shape)))}]"
+        value = entries.ravel().tolist()[first]
+        check(entry, value)
+        raise ValueError(f"{entry} must fit {np.dtype(dtype)}, got {value!r}")  # an int past int64
+    return array.astype(dtype, copy=False)
+
+
+def check_integer(name: str, value, minimum: int, bound=math.inf) -> int:
+    """The setting as a plain int if it is an integer in [minimum, bound) (by
+    default no upper end): what ``operator.index`` takes, bool aside (so 3 and
+    np.int64(3), not 3.0, "3", True or np.True_).  Anything else raises
+    ValueError naming the setting."""
     number = _as_integer(value, minimum - 1)
-    if number < minimum:
-        bound = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    if not _inside(number, minimum, bound, "[)"):
+        kind = (f"an integer in [{minimum}, {bound})" if bound < math.inf else
+                "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return number
 
 
-def check_integers(name: str, values, minimum: int, bound=None) -> np.ndarray:
-    """check_integer's array form: the values, any shape, as int64 if each is an
-    integer in [minimum, bound) (bound None: no upper end).  An integer ndarray
-    that fits int64, or a list of them, is read in one pass, anything else entry
-    by entry: numpy reads [1, True] as integers.  The first bad entry raises
-    ValueError naming its index, as in ``degrees[2] must be ..., got 1.5``."""
-    array = entries = np.asarray(values)
-    parts = values if isinstance(values, (list, tuple)) else [values]
-    if not (all(isinstance(part, np.ndarray) and part.dtype.kind in "iu" for part in parts)
-            and np.can_cast(array.dtype, np.int64)):
-        entries = np.asarray(values, dtype=object)
-        array = np.array([x if type(x) is int else _as_integer(x, minimum - 1) for x in entries.flat],
-                         dtype=np.int64).reshape(entries.shape)
-    outside = array < minimum if bound is None else (array < minimum) | (array >= bound)
-    if outside.any():
-        first = int(outside.argmax())
-        entry = f"{name}[{', '.join(map(str, np.unravel_index(first, array.shape)))}]"
-        value = entries.ravel().tolist()[first]
-        if bound is None:
-            check_integer(entry, value, minimum)  # raises: the entry is no integer >= minimum
-        raise ValueError(f"{entry} must be an integer in [{minimum}, {bound}), got {value!r}")
-    return array.astype(np.int64, copy=False)
+def check_integers(name: str, values, minimum: int, bound=math.inf) -> np.ndarray:
+    """check_integer's array form: the values, any shape, as int64.  The first
+    bad entry raises check_integer's ValueError naming its index, as in
+    ``degrees[2] must be a nonnegative integer, got 1.5``."""
+    return _read_entries(name, values, np.int64, _as_integer, minimum - 1, (minimum, bound, "[)"),
+                         lambda entry, value: check_integer(entry, value, minimum, bound))
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, brackets="()") -> float:
     """The setting as a plain float if it is a real number in the interval
-    from low to high, whose ends brackets opens or closes ("()", "[)", "(]").
+    from low to high, whose ends brackets opens or closes ("()", "[)", "(]", "[]").
 
     A real number is a ``numbers.Real``, bool aside (so 0.5, 1 and
     np.float32(0.5), not "0.5" or True); anything else, and NaN or a value
     outside the interval, raises ValueError naming the setting and interval."""
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int past the float range
-            number = float(value)
-    above = number >= low if brackets[0] == "[" else number > low
-    below = number <= high if brackets[1] == "]" else number < high
-    if not (above and below):
+    number = _as_real(value, math.nan)
+    if not _inside(number, low, high, brackets):
         interval = f"{brackets[0]}{low:g}, {high:g}{brackets[1]}"
         raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
     return number
+
+
+def check_reals(name: str, values, low=-math.inf, high=math.inf, brackets="()") -> np.ndarray:
+    """check_real's array form: the values, any shape, as float64 (by default
+    any finite numbers).  The first bad entry raises check_real's ValueError
+    naming its index, as in ``feature_probs[1] must be a real number in [0, 1], got 1.5``."""
+    return _read_entries(name, values, np.float64, _as_real, math.nan, (low, high, brackets),
+                         lambda entry, value: check_real(entry, value, low, high, brackets))
 
 
 def check_retention(iterations: int, burn_in: float, thinning: int) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import check_integer, check_real
+from .sampling import check_integer, check_real, check_reals
 
 
 def check_sigma(sigma: float) -> float:
@@ -40,8 +40,9 @@ class ObjectiveContext:
         the gradient identity relies on.
     sigma: prior standard deviation of each weight entry.
 
-    The objective depends on the data only through the distinct feature
-    rows, their counts and targets.T @ features, so these are derived once:
+    Features and targets are finite reals by ``sampling.check_reals``.  The
+    objective depends on the data only through the distinct feature rows,
+    their counts and targets.T @ features, so these are derived once:
     rows (U x D, the distinct rows), counts (U), weighted_rows
     (counts[:, None] * rows), inverse (the index into rows of each vertex)
     and target_moments (B x D).  Binary flags repeat, so U is usually far
@@ -65,16 +66,14 @@ class ObjectiveContext:
     _kernel: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        targ = np.asarray(self.targets, dtype=np.float64)
+        object.__setattr__(self, "features", check_reals("features", self.features))
+        object.__setattr__(self, "targets", check_reals("targets", self.targets))
+        feats, targ = self.features, self.targets
         if feats.ndim != 2 or targ.ndim != 2 or feats.shape[0] != targ.shape[0]:
             raise ValueError("features and targets must be 2-D with equal row counts")
-        row_sums = targ.sum(axis=1)
-        if targ.size and not np.allclose(row_sums, 1.0, atol=1e-9):
+        if not np.allclose(targ.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("every target row must sum to 1")
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targ)
         rows, inverse, counts = np.unique(feats, axis=0, return_inverse=True, return_counts=True)
         counts = counts.astype(np.float64)
         object.__setattr__(self, "rows", rows)

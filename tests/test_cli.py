@@ -580,6 +580,59 @@ def test_every_integer_array_meets_one_rule(call, entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ffbm.network_from_edges(2, [(0, 2 ** 70)]), id="edge-endpoint"),
+    pytest.param(lambda: ffbm.network_from_edges(2, [(0, 1, 2 ** 70)]), id="edge-multiplicity"),
+    pytest.param(lambda: ffbm.BlockState(ffbm.network_from_edges(2, [(0, 1)]), [0, 2 ** 70], 2),
+                 id="block-label"),
+])
+def test_an_integer_array_entry_past_int64_is_named(call):
+    # An entry no int64 holds is refused like any other bad entry, by a
+    # ValueError naming it, not numpy's OverflowError (an ArithmeticError,
+    # which the CLI reports as a numeric failure).
+    with pytest.raises(ValueError, match=r"\[[01](, 1)?\] must .*, got 1180591620717411303424"):
+        call()
+
+
+def test_an_edge_that_is_no_sequence_is_named():
+    with pytest.raises(ValueError, match=r"edge 5 is not \(u, v, multiplicity\) in integers"):
+        ffbm.network_from_edges(2, [5])
+
+
+def _real_arrays():
+    """(entry point, bad value) params: call(value) hands the entry point one
+    real array whose entry named in the message (entry) is value, read in the
+    interval the message gives.  GeneratorSpec's arrays have their cases in
+    test_datagen's test_generator_spec_rejects_bad_values."""
+    rng = np.random.default_rng
+    flat = np.full((2, 2), 0.5)
+    cases = [
+        ("sample_poisson_graph.affinity", lambda v: ffbm.sample_poisson_graph(
+            [0, 1], [[0.1, v], [v, 0.1]], None, rng(0)), "affinity[0, 1]", "[0, inf)", -0.5),
+        ("sample_poisson_graph.propensities", lambda v: ffbm.sample_poisson_graph(
+            [0, 1], flat, [1.0, v], rng(0)), "propensities[1]", "(0, inf)", 0.0),
+        ("ObjectiveContext.features", lambda v: ffbm.ObjectiveContext([[0.0], [v]], flat, 1.0),
+         "features[1, 0]", "(-inf, inf)", math.inf),
+        ("ObjectiveContext.targets", lambda v: ffbm.ObjectiveContext([[0.0], [1.0]], [[0.5, 0.5], [v, 0.5]], 1.0),
+         "targets[1, 0]", "(-inf, inf)", -math.inf),
+        ("mean_description_length.s_values", lambda v: ffbm.mean_description_length([1.0, v], 3, 2, 2),
+         "s_values[1]", "(-inf, inf)", math.inf),
+    ]
+    return [pytest.param(call, entry, interval, value, id=f"{case}-{label}")
+            for case, call, entry, interval, outside in cases
+            for label, value in {"nan": math.nan, "bool": True, "text": "0.5", "outside": outside}.items()]
+
+
+@pytest.mark.parametrize("call, entry, interval, value", _real_arrays())
+def test_every_real_array_meets_one_rule(call, entry, interval, value):
+    # A real array holds real numbers as check_real reads them (a bool or
+    # text is none), inside its owner's interval; the first bad entry is
+    # named by its index and value, with ValueError, never a NaN result.
+    message = f"{entry} must be a real number in {interval}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
 def _real_settings():
     """(entry point, setting, value just outside its interval) params: each
     call sets one real-valued setting.  A RunConfig key's own interval holds

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -261,26 +262,40 @@ def test_generator_spec_is_frozen_so_its_checks_hold():
         spec.features = np.zeros((1, 3))
 
 
-@pytest.mark.parametrize("field, value", [
-    pytest.param("num_vertices", -1, id="negative-num-vertices"),
-    pytest.param("seed", -1, id="negative-seed"),
-    pytest.param("weights", np.zeros((0, 2)), id="no-blocks"),
-    pytest.param("weights", np.array([[np.nan, 0.0], [0.0, 1.0]]), id="nan-weight"),
-    pytest.param("affinity", np.array([[0.1, np.inf], [np.inf, 0.1]]), id="infinite-affinity"),
-    pytest.param("affinity", np.array([[0.1, 0.2], [0.3, 0.1]]), id="asymmetric-affinity"),
-    pytest.param("affinity", -np.eye(2), id="negative-affinity"),
-    pytest.param("feature_probs", np.array([0.5]), id="too-few-rates"),
-    pytest.param("feature_probs", np.array([0.5, 1.5]), id="rate-above-one"),
-    pytest.param("features", np.zeros((4, 2)), id="too-few-feature-rows"),
-    pytest.param("features", np.zeros((5, 3)), id="too-many-feature-columns"),
-    pytest.param("features", np.zeros(5), id="feature-vector"),
-    pytest.param("propensities", np.ones(4), id="too-few-propensities"),
-    pytest.param("propensities", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), id="infinite-propensity"),
-    pytest.param("propensities", np.array([1.0, 0.0, 1.0, 1.0, 1.0]), id="zero-propensity"),
+@pytest.mark.parametrize("field, value, name", [
+    pytest.param("num_vertices", -1, "num_vertices", id="negative-num-vertices"),
+    pytest.param("seed", -1, "seed", id="negative-seed"),
+    pytest.param("weights", np.zeros((0, 2)), "weights", id="no-blocks"),
+    pytest.param("weights", np.array([[np.nan, 0.0], [0.0, 1.0]]), "weights[0, 0]", id="nan-weight"),
+    pytest.param("weights", [[1.0, np.inf], [0.0, 1.0]], "weights[0, 1]", id="infinite-weight"),
+    pytest.param("weights", [[1.0, 0.0], [True, 1.0]], "weights[1, 0]", id="bool-weight"),
+    pytest.param("weights", [["5", "0"], ["0", "5"]], "weights[0, 0]", id="text-weight"),
+    pytest.param("affinity", np.array([[0.1, np.inf], [np.inf, 0.1]]), "affinity[0, 1]", id="infinite-affinity"),
+    pytest.param("affinity", np.array([[0.1, 0.2], [0.3, 0.1]]), "affinity", id="asymmetric-affinity"),
+    pytest.param("affinity", -np.eye(2), "affinity[0, 0]", id="negative-affinity"),
+    pytest.param("affinity", [[0.1, True], [True, 0.1]], "affinity[0, 1]", id="bool-affinity"),
+    pytest.param("affinity", [[0.1, "0.5"], ["0.5", 0.1]], "affinity[0, 1]", id="text-affinity"),
+    pytest.param("feature_probs", np.array([0.5]), "feature_probs", id="too-few-rates"),
+    pytest.param("feature_probs", np.array([0.5, 1.5]), "feature_probs[1]", id="rate-above-one"),
+    pytest.param("feature_probs", [0.5, np.nan], "feature_probs[1]", id="nan-rate"),
+    pytest.param("feature_probs", [True, False], "feature_probs[0]", id="bool-rates"),
+    pytest.param("feature_probs", ["0.5", "0.5"], "feature_probs[0]", id="text-rates"),
+    pytest.param("features", np.zeros((4, 2)), "features", id="too-few-feature-rows"),
+    pytest.param("features", np.zeros((5, 3)), "features", id="too-many-feature-columns"),
+    pytest.param("features", np.zeros(5), "features", id="feature-vector"),
+    pytest.param("features", np.full((5, 2), 0.5), "features", id="non-binary-features"),
+    pytest.param("propensities", np.ones(4), "propensities", id="too-few-propensities"),
+    pytest.param("propensities", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), "propensities[2]",
+                 id="infinite-propensity"),
+    pytest.param("propensities", np.array([1.0, 0.0, 1.0, 1.0, 1.0]), "propensities[1]", id="zero-propensity"),
+    pytest.param("propensities", [1.0, 1.0, 1.0, True, 1.0], "propensities[3]", id="bool-propensity"),
+    pytest.param("propensities", [1.0, "2", 1.0, 1.0, 1.0], "propensities[1]", id="text-propensity"),
 ])
-def test_generator_spec_rejects_bad_values(field, value):
+def test_generator_spec_rejects_bad_values(field, value, name):
+    # Each bad value raises ValueError naming its field, and the entry's
+    # index where one entry is bad.
     valid = dict(num_vertices=5, weights=np.eye(2), affinity=np.full((2, 2), 0.1),
                  feature_probs=np.array([0.5, 0.5]), propensities=np.ones(5))
     GeneratorSpec(**valid)
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=re.escape(name)):
         GeneratorSpec(**{**valid, field: value})
